@@ -21,6 +21,7 @@ package mica
 // k-means seeding, and trace-budget stability.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -748,7 +749,7 @@ func BenchmarkReducedStorePipeline(b *testing.B) {
 	}}
 	var n uint64
 	for i := 0; i < b.N; i++ {
-		results, stats, err := AnalyzeReducedStore(bs, cfg, StoreOptions{Dir: filepath.Join(b.TempDir(), "store")})
+		results, stats, err := AnalyzeReducedStoreCtx(context.Background(), bs, cfg, StoreOptions{Dir: filepath.Join(b.TempDir(), "store")})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -794,7 +795,7 @@ func BenchmarkJointStorePipeline(b *testing.B) {
 	b.Run("store", func(b *testing.B) {
 		var n uint64
 		for i := 0; i < b.N; i++ {
-			j, _, err := AnalyzePhasesJointStore(bs, pcfg, StoreOptions{Dir: filepath.Join(b.TempDir(), "store")})
+			j, _, err := AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, StoreOptions{Dir: filepath.Join(b.TempDir(), "store")})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -47,7 +47,7 @@
 //	                   concatenated in memory (AnalyzePhasesJoint)
 //	joint-store        the out-of-core path: float32 shards written to
 //	                   an interval-vector store, clustering streams
-//	                   rows shard-by-shard (AnalyzePhasesJointStore)
+//	                   rows shard-by-shard (AnalyzePhasesJointStoreCtx)
 //	joint-store-quant8 the same with 8-bit quantized shards
 //
 // The store configs also record their store size on disk, the

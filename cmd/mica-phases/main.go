@@ -11,9 +11,7 @@
 // With -joint it characterizes every selected benchmark, clusters ALL
 // intervals once into a shared phase vocabulary, and prints each
 // benchmark's occupancy of the shared phases plus the cross-benchmark
-// representative intervals. With -cache the expensive profiling +
-// clustering step is persisted to a JSON file and skipped entirely on
-// reruns with the same configuration.
+// representative intervals.
 //
 // With -reduced the tool runs two-pass reduced profiling instead: a
 // cheap sampled pass measuring only the paper's 8 GA-selected key
@@ -21,34 +19,34 @@
 // replay pass pays the full 47-characteristic + EV56/EV67 HPC
 // characterization only on a few intervals per phase, extrapolating
 // the whole-run vectors. Combined with -joint, the shared vocabulary's
-// intervals are measured once for the entire benchmark set. Combined
-// with -cache, a rerun skips both passes, and a cached vocabulary
-// alone (same cheap configuration) still skips the cheap pass.
+// intervals are measured once for the entire benchmark set.
 //
-// With -store DIR the pipelines run through the on-disk
-// interval-vector store instead of one in-memory matrix: every
+// With -store DIR a run persists its characterization in the on-disk
+// interval-vector store instead of keeping one in-memory matrix: every
 // benchmark's intervals are written as a columnar shard (float32, or
 // 8-bit quantized with -quant), and the analysis reads rows back
 // through a byte-budgeted decoded-shard cache (-cachebytes), so
 // registry-scale runs no longer need the whole matrix in memory.
-// -store combines with -joint (streaming joint clustering), with
-// -reduced (the cheap pass lands in the store, the replay gathers
-// representatives back out of it), and with both at once. With
-// -incremental a rerun reuses every shard whose benchmark and
-// configuration are unchanged and re-characterizes only the rest;
-// with -warm a joint rerun additionally seeds its clustering from the
-// state the previous run persisted next to the store.
+// -store drives every pipeline but -trace: -bench and -all cluster
+// each benchmark from its shard, -joint clusters the shared
+// vocabulary by streaming rows, and -reduced lands its cheap pass in
+// the store while the replay gathers representatives back out of it.
+// With -incremental a rerun reuses every shard whose benchmark and
+// configuration are unchanged and re-characterizes only the rest (an
+// unchanged rerun profiles nothing); with -warm a joint rerun
+// additionally seeds its clustering from the state the previous run
+// persisted next to the store.
 //
 // Usage:
 //
 //	mica-phases -bench SPEC2000/twolf/ref [-interval 10000] [-intervals 100]
 //	mica-phases -trace recorded.trc [-bench display/name/here]
-//	mica-phases -all [-workers 8] [-maxk 10] [-seed 2006] [-cache phases.json]
-//	mica-phases -joint [-bench name,name,...] [-maxk 10] [-cache joint.json]
-//	mica-phases -joint -store phases.ivs [-quant] [-incremental] [-warm] [-cachebytes N]
+//	mica-phases -all [-workers 8] [-maxk 10] [-seed 2006]
+//	mica-phases -joint [-bench name,name,...] [-maxk 10]
+//	mica-phases -reduced [-bench name | -all | -joint] [-sample 0.2] [-reps 3]
+//	mica-phases [-reduced] {-bench name | -all | -joint} -store phases.ivs [-quant] [-incremental] [-cachebytes N]
+//	mica-phases [-reduced] -joint -store phases.ivs -incremental -warm
 //	mica-phases -store phases.ivs -fsck [-repair]
-//	mica-phases -reduced [-bench name | -all | -joint] [-sample 0.2] [-reps 3] [-cache reduced.json]
-//	mica-phases -reduced [-joint] -store phases.ivs [-incremental] [-cachebytes N]
 //
 // SIGINT or SIGTERM cancels the run cleanly: in-flight benchmarks
 // drain, store-backed runs commit every shard finished so far, and a
@@ -79,8 +77,7 @@ func main() {
 		all          = flag.Bool("all", false, "analyze all 122 benchmarks with the sharded pipeline")
 		joint        = flag.Bool("joint", false, "cluster the selected benchmarks' intervals jointly into one shared phase vocabulary")
 		reduced      = flag.Bool("reduced", false, "two-pass reduced profiling: cheap key-characteristic pass positions intervals, full 47-dim + HPC characterization paid only on per-phase measured intervals")
-		cache        = flag.String("cache", "", "JSON phase cache: load results from this file when configuration matches, write them otherwise")
-		storeDir     = flag.String("store", "", "with -joint: run store-backed, streaming joint analysis through an interval-vector store at this directory")
+		storeDir     = flag.String("store", "", "persist the characterization in an interval-vector store at this directory (any pipeline but -trace)")
 		quant        = flag.Bool("quant", false, "with -store: write 8-bit quantized shards instead of float32")
 		incremental  = flag.Bool("incremental", false, "with -store: reuse unchanged shards, re-characterizing only benchmarks whose configuration or membership changed")
 		intervalLen  = flag.Uint64("interval", 10_000, "interval length in dynamic instructions")
@@ -122,7 +119,7 @@ func main() {
 	}
 	fl := cliFlags{
 		bench: *benchName, all: *all, joint: *joint, reduced: *reduced,
-		cache: *cache, storeDir: *storeDir, quant: *quant, incremental: *incremental,
+		storeDir: *storeDir, quant: *quant, incremental: *incremental,
 		warm: *warm, cacheBytes: *cacheBytes, fsck: *fsck, repair: *repair,
 		trace: *tracePath,
 	}
@@ -138,9 +135,9 @@ func main() {
 			RepsPerPhase: *repsPerPhase,
 			SkipHPC:      *skipHPC,
 		}
-		err = runReduced(ctx, *benchName, *all, *joint, *cache, rcfg, sopt, *workers)
+		err = runReduced(ctx, *benchName, *all, *joint, rcfg, sopt, *workers)
 	default:
-		err = run(ctx, *benchName, *tracePath, *all, *joint, *cache, sopt, cfg, *workers)
+		err = run(ctx, *benchName, *tracePath, *all, *joint, sopt, cfg, *workers)
 	}
 	// The stats dump happens even after a failed run: a partial
 	// snapshot (what characterized, how long each stage took before
@@ -161,7 +158,7 @@ func main() {
 type cliFlags struct {
 	bench               string
 	all, joint, reduced bool
-	cache, storeDir     string
+	storeDir            string
 	quant, incremental  bool
 	warm                bool
 	cacheBytes          int64
@@ -181,10 +178,8 @@ func validateFlags(f cliFlags) error {
 			return fmt.Errorf("-repair rides on the fsck pass; pass -fsck -repair")
 		}
 		return nil
-	case f.storeDir != "" && f.cache != "":
-		return fmt.Errorf("-store and -cache are alternative persistence layers; pass one")
-	case f.storeDir != "" && !f.joint && !f.reduced:
-		return fmt.Errorf("-store drives the joint and reduced pipelines; combine it with -joint, -reduced, or both")
+	case f.storeDir != "" && f.trace != "":
+		return fmt.Errorf("-store keys shards by benchmark name, which a trace file's contents can drift from; drop -store for -trace runs")
 	case f.storeDir == "" && (f.quant || f.incremental || f.warm || f.cacheBytes != 0):
 		return fmt.Errorf("-quant, -incremental, -warm and -cachebytes only apply to -store runs")
 	case f.cacheBytes < 0:
@@ -193,8 +188,6 @@ func validateFlags(f cliFlags) error {
 		return fmt.Errorf("-warm seeds the joint clustering; combine it with -joint")
 	case f.trace != "" && (f.all || f.joint || f.reduced):
 		return fmt.Errorf("-trace analyzes one recorded file; it does not combine with -all, -joint or -reduced")
-	case f.trace != "" && f.cache != "":
-		return fmt.Errorf("-cache is keyed by benchmark name, which a trace file's contents can drift from; drop -cache for -trace runs")
 	}
 	return nil
 }
@@ -211,7 +204,9 @@ func runFsck(dir string, repair bool) error {
 		}
 		fmt.Print(rep.String())
 		if len(rep.Quarantined) > 0 {
-			fmt.Printf("%d shards quarantined; rerun with -joint -store %s -incremental to re-characterize exactly those benchmarks\n",
+			// Only the command that built the store stamps its shards the
+			// same way; any other pipeline would re-characterize everything.
+			fmt.Printf("%d shards quarantined; rerun the command that built %s with -incremental to re-characterize exactly those benchmarks\n",
 				len(rep.Quarantined), dir)
 		}
 		return nil
@@ -227,7 +222,7 @@ func runFsck(dir string, repair bool) error {
 	return nil
 }
 
-func run(ctx context.Context, benchName, tracePath string, all, joint bool, cache string, sopt mica.StoreOptions, cfg mica.PhaseConfig, workers int) error {
+func run(ctx context.Context, benchName, tracePath string, all, joint bool, sopt mica.StoreOptions, cfg mica.PhaseConfig, workers int) error {
 	pcfg := mica.PhasePipelineConfig{
 		Phase:    cfg,
 		Workers:  workers,
@@ -253,24 +248,17 @@ func run(ctx context.Context, benchName, tracePath string, all, joint bool, cach
 		if err != nil {
 			return err
 		}
-		j, hit, err := analyzeJoint(ctx, cache, bs, pcfg)
+		j, err := mica.AnalyzePhasesJointCtx(ctx, bs, pcfg)
+		fmt.Fprintln(os.Stderr)
 		if err != nil {
 			return err
-		}
-		fmt.Fprintln(os.Stderr)
-		if hit {
-			fmt.Printf("loaded joint phase results from %s (profiling skipped)\n\n", cache)
 		}
 		return renderJoint(j)
 
 	case all:
-		results, hit, err := analyzeAll(ctx, cache, pcfg)
+		results, err := analyzePhases(ctx, mica.Benchmarks(), pcfg, sopt)
 		if err != nil {
 			return err
-		}
-		fmt.Fprintln(os.Stderr)
-		if hit {
-			fmt.Printf("loaded phase results from %s (profiling skipped)\n\n", cache)
 		}
 		t := report.NewTable("benchmark", "intervals", "insts", "phases", "top weight", "recon err")
 		for _, r := range results {
@@ -296,16 +284,11 @@ func run(ctx context.Context, benchName, tracePath string, all, joint bool, cach
 				return err
 			}
 		}
-		res, hit, err := analyzeSingle(cache, b, pcfg)
+		results, err := analyzePhases(ctx, []mica.Benchmark{b}, pcfg, sopt)
 		if err != nil {
 			return err
 		}
-		if cache != "" && !hit {
-			fmt.Fprintln(os.Stderr) // terminate the \r progress line
-		}
-		if hit {
-			fmt.Printf("loaded phase results from %s (profiling skipped)\n\n", cache)
-		}
+		res := results[0].Result
 		fmt.Printf("%s: %d intervals of %d instructions -> %d phases\n\n",
 			b.Name(), len(res.Intervals), cfg.IntervalLen, res.K)
 
@@ -335,6 +318,21 @@ func run(ctx context.Context, benchName, tracePath string, all, joint bool, cach
 	default:
 		return fmt.Errorf("pass -bench <name>, -trace <file>, -all or -joint")
 	}
+}
+
+// analyzePhases runs the per-benchmark phase pipeline over bs, through
+// the store when one is configured.
+func analyzePhases(ctx context.Context, bs []mica.Benchmark, pcfg mica.PhasePipelineConfig, sopt mica.StoreOptions) ([]mica.BenchmarkPhases, error) {
+	if sopt.Dir == "" {
+		results, err := mica.AnalyzePhasesBenchmarksCtx(ctx, bs, pcfg)
+		fmt.Fprintln(os.Stderr) // terminate the \r progress line
+		return results, err
+	}
+	results, stats, err := mica.AnalyzePhasesStoreCtx(ctx, bs, pcfg, sopt)
+	if stats != nil {
+		reportStoreBuild(sopt.Dir, stats, err != nil)
+	}
+	return results, err
 }
 
 func progressLine(done, total int, name string) {
@@ -379,7 +377,7 @@ func reportStoreBuild(dir string, stats *mica.StoreBuildStats, failed bool) {
 }
 
 // runReduced drives the two-pass reduced pipelines.
-func runReduced(ctx context.Context, benchName string, all, joint bool, cache string, rcfg mica.ReducedConfig, sopt mica.StoreOptions, workers int) error {
+func runReduced(ctx context.Context, benchName string, all, joint bool, rcfg mica.ReducedConfig, sopt mica.StoreOptions, workers int) error {
 	pcfg := mica.ReducedPipelineConfig{
 		Reduced:  rcfg,
 		Workers:  workers,
@@ -400,49 +398,20 @@ func runReduced(ctx context.Context, benchName string, all, joint bool, cache st
 		}
 		return renderReducedJoint(jr)
 
-	case sopt.Dir != "":
-		bs := mica.Benchmarks()
-		if !all {
-			var err error
-			if bs, err = selectBenchmarks(benchName); err != nil {
-				return err
-			}
-		}
-		results, stats, err := mica.AnalyzeReducedStoreCtx(ctx, bs, pcfg, sopt)
-		if stats != nil {
-			reportStoreBuild(sopt.Dir, stats, err != nil)
-		}
-		if err != nil {
-			return err
-		}
-		if len(results) == 1 {
-			return renderReducedSingle(results[0])
-		}
-		t := report.NewTable("benchmark", "intervals", "phases", "measured", "full insts", "skipped insts")
-		for _, r := range results {
-			res := r.Result
-			t.AddRow(r.Benchmark.Name(), len(res.Phases.Intervals), res.Phases.K,
-				len(res.Measured), res.MeasuredInsts, res.SkippedInsts)
-		}
-		fmt.Print(t.String())
-		return nil
-
 	case joint:
 		bs, err := selectBenchmarks(benchName)
 		if err != nil {
 			return err
 		}
-		jr, hit, err := analyzeReducedJoint(ctx, cache, bs, pcfg)
+		jr, err := mica.AnalyzeReducedJointCtx(ctx, bs, pcfg)
+		fmt.Fprintln(os.Stderr)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(os.Stderr)
-		if hit {
-			fmt.Printf("loaded joint vocabulary from %s (cheap pass skipped)\n\n", cache)
-		}
 		return renderReducedJoint(jr)
 
-	case all, benchName != "":
+	case all || benchName != "" || sopt.Dir != "":
+		// A store run without -bench or -all covers the whole registry.
 		bs := mica.Benchmarks()
 		if !all {
 			var err error
@@ -450,13 +419,20 @@ func runReduced(ctx context.Context, benchName string, all, joint bool, cache st
 				return err
 			}
 		}
-		results, hit, err := analyzeReduced(ctx, cache, bs, pcfg)
+		var results []mica.BenchmarkReduced
+		var err error
+		if sopt.Dir != "" {
+			var stats *mica.StoreBuildStats
+			results, stats, err = mica.AnalyzeReducedStoreCtx(ctx, bs, pcfg, sopt)
+			if stats != nil {
+				reportStoreBuild(sopt.Dir, stats, err != nil)
+			}
+		} else {
+			results, err = mica.AnalyzeReducedBenchmarksCtx(ctx, bs, pcfg)
+			fmt.Fprintln(os.Stderr)
+		}
 		if err != nil {
 			return err
-		}
-		fmt.Fprintln(os.Stderr)
-		if hit != mica.ReducedMiss {
-			fmt.Printf("%s from %s\n\n", hit, cache)
 		}
 		if len(results) == 1 {
 			return renderReducedSingle(results[0])
@@ -570,62 +546,6 @@ func selectBenchmarks(benchName string) ([]mica.Benchmark, error) {
 		bs = append(bs, b)
 	}
 	return bs, nil
-}
-
-// analyzeJoint runs the joint pipeline, through the cache when one is
-// configured. (The cached path stays context-free: a hit does no
-// profiling, and a miss that gets interrupted simply leaves no cache
-// file — reruns start clean.)
-func analyzeJoint(ctx context.Context, cache string, bs []mica.Benchmark, pcfg mica.PhasePipelineConfig) (*mica.PhaseJointResult, bool, error) {
-	if cache != "" {
-		return mica.AnalyzePhasesJointCached(cache, bs, pcfg)
-	}
-	j, err := mica.AnalyzePhasesJointCtx(ctx, bs, pcfg)
-	return j, false, err
-}
-
-// analyzeSingle runs one benchmark's phase analysis, through the cache
-// (as a one-benchmark pipeline) when one is configured.
-func analyzeSingle(cache string, b mica.Benchmark, pcfg mica.PhasePipelineConfig) (*mica.PhaseResult, bool, error) {
-	if cache != "" {
-		results, hit, err := mica.AnalyzePhasesCached(cache, []mica.Benchmark{b}, pcfg)
-		if err != nil {
-			return nil, false, err
-		}
-		return results[0].Result, hit, nil
-	}
-	res, err := mica.AnalyzePhases(b, pcfg.Phase)
-	return res, false, err
-}
-
-// analyzeAll runs the registry pipeline, through the cache when one is
-// configured.
-func analyzeAll(ctx context.Context, cache string, pcfg mica.PhasePipelineConfig) ([]mica.BenchmarkPhases, bool, error) {
-	if cache != "" {
-		return mica.AnalyzePhasesCached(cache, mica.Benchmarks(), pcfg)
-	}
-	results, err := mica.AnalyzePhasesBenchmarksCtx(ctx, mica.Benchmarks(), pcfg)
-	return results, false, err
-}
-
-// analyzeReduced runs the reduced pipeline, through the cache when one
-// is configured.
-func analyzeReduced(ctx context.Context, cache string, bs []mica.Benchmark, pcfg mica.ReducedPipelineConfig) ([]mica.BenchmarkReduced, mica.ReducedCacheHit, error) {
-	if cache != "" {
-		return mica.AnalyzeReducedCached(cache, bs, pcfg)
-	}
-	results, err := mica.AnalyzeReducedBenchmarksCtx(ctx, bs, pcfg)
-	return results, mica.ReducedMiss, err
-}
-
-// analyzeReducedJoint runs the joint reduced pipeline, through the
-// vocabulary cache when one is configured.
-func analyzeReducedJoint(ctx context.Context, cache string, bs []mica.Benchmark, pcfg mica.ReducedPipelineConfig) (*mica.PhaseJointReduced, bool, error) {
-	if cache != "" {
-		return mica.AnalyzeReducedJointCached(cache, bs, pcfg)
-	}
-	jr, err := mica.AnalyzeReducedJointCtx(ctx, bs, pcfg)
-	return jr, false, err
 }
 
 // renderJoint prints the shared vocabulary: size, per-benchmark

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -36,7 +37,7 @@ func capture(t *testing.T, f func() error) (string, error) {
 func TestRunSingleBenchmark(t *testing.T) {
 	cfg := mica.PhaseConfig{IntervalLen: 2_000, MaxIntervals: 10, MaxK: 4, Seed: 1}
 	out, err := capture(t, func() error {
-		return run(context.Background(), "SPEC2000/twolf/ref", "", false, false, "", mica.StoreOptions{}, cfg, 0)
+		return run(context.Background(), "SPEC2000/twolf/ref", "", false, false, mica.StoreOptions{}, cfg, 0)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,17 +59,17 @@ func TestRunSubsetPipeline(t *testing.T) {
 	// tests; here exercise the pipeline rendering through a tiny -all
 	// run would profile 122 benchmarks, so only validate flag errors.
 	if _, err := capture(t, func() error {
-		return run(context.Background(), "", "", false, false, "", mica.StoreOptions{}, mica.PhaseConfig{}, 0)
+		return run(context.Background(), "", "", false, false, mica.StoreOptions{}, mica.PhaseConfig{}, 0)
 	}); err == nil {
 		t.Error("missing mode accepted")
 	}
 	if _, err := capture(t, func() error {
-		return run(context.Background(), "no/such/bench", "", false, false, "", mica.StoreOptions{}, mica.PhaseConfig{}, 0)
+		return run(context.Background(), "no/such/bench", "", false, false, mica.StoreOptions{}, mica.PhaseConfig{}, 0)
 	}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 	if _, err := capture(t, func() error {
-		return run(context.Background(), "MiBench/sha/large,no/such/bench", "", false, true, "", mica.StoreOptions{}, mica.PhaseConfig{}, 0)
+		return run(context.Background(), "MiBench/sha/large,no/such/bench", "", false, true, mica.StoreOptions{}, mica.PhaseConfig{}, 0)
 	}); err == nil {
 		t.Error("unknown benchmark in joint list accepted")
 	}
@@ -82,7 +83,7 @@ func TestRunJointSubset(t *testing.T) {
 	cfg := mica.PhaseConfig{IntervalLen: 1_000, MaxIntervals: 8, MaxK: 3, Seed: 5}
 	names := "MiBench/sha/large, SPEC2000/gzip/program"
 	out, err := capture(t, func() error {
-		return run(context.Background(), names, "", false, true, "", mica.StoreOptions{}, cfg, 2)
+		return run(context.Background(), names, "", false, true, mica.StoreOptions{}, cfg, 2)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,62 +101,12 @@ func TestRunJointSubset(t *testing.T) {
 	}
 }
 
-// TestRunSingleBenchmarkCache: -cache works in the default
-// single-benchmark mode too (a one-benchmark pipeline under the hood),
-// and the rerun reports the hit.
-func TestRunSingleBenchmarkCache(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "single.json")
-	cfg := mica.PhaseConfig{IntervalLen: 2_000, MaxIntervals: 6, MaxK: 3, Seed: 1}
-	first, err := capture(t, func() error {
-		return run(context.Background(), "MiBench/sha/large", "", false, false, cache, mica.StoreOptions{}, cfg, 0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(first, "profiling skipped") {
-		t.Fatal("first run claimed a cache hit")
-	}
-	second, err := capture(t, func() error {
-		return run(context.Background(), "MiBench/sha/large", "", false, false, cache, mica.StoreOptions{}, cfg, 0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(second, "profiling skipped") {
-		t.Errorf("second run did not hit the cache:\n%s", second)
-	}
-	if !strings.HasSuffix(second, first) {
-		t.Error("cached report differs from computed report")
-	}
-}
-
-// TestRunJointCache pins the cache contract at the CLI level: the
-// second invocation with the same configuration reports the cache hit.
-func TestRunJointCache(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "joint.json")
-	cfg := mica.PhaseConfig{IntervalLen: 1_000, MaxIntervals: 5, MaxK: 2, Seed: 3}
-	if _, err := capture(t, func() error {
-		return run(context.Background(), "MiBench/sha/large", "", false, true, cache, mica.StoreOptions{}, cfg, 1)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := capture(t, func() error {
-		return run(context.Background(), "MiBench/sha/large", "", false, true, cache, mica.StoreOptions{}, cfg, 1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "profiling skipped") {
-		t.Errorf("second run did not hit the cache:\n%s", out)
-	}
-}
-
 func TestRunAllRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analyzes all 122 benchmarks")
 	}
 	cfg := mica.PhaseConfig{IntervalLen: 1_000, MaxIntervals: 5, MaxK: 3, Seed: 1}
-	out, err := capture(t, func() error { return run(context.Background(), "", "", true, false, "", mica.StoreOptions{}, cfg, 4) })
+	out, err := capture(t, func() error { return run(context.Background(), "", "", true, false, mica.StoreOptions{}, cfg, 4) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,40 +120,75 @@ func TestRunAllRegistry(t *testing.T) {
 	}
 }
 
-// TestRunAllRegistryCached runs the registry pipeline through the
-// cache twice; the rerun must hit it and produce the same table.
-func TestRunAllRegistryCached(t *testing.T) {
+// TestRunSingleBenchmarkStore: -store drives the single-benchmark mode
+// too, and an incremental rerun reuses the shard and renders the same
+// report.
+func TestRunSingleBenchmarkStore(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	cfg := mica.PhaseConfig{IntervalLen: 2_000, MaxIntervals: 6, MaxK: 3, Seed: 1}
+	first, err := capture(t, func() error {
+		return run(context.Background(), "MiBench/sha/large", "", false, false, mica.StoreOptions{Dir: dir}, cfg, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(first, "1 shards characterized, 0 reused") {
+		t.Fatalf("first run did not characterize the shard:\n%s", first)
+	}
+	second, err := capture(t, func() error {
+		return run(context.Background(), "MiBench/sha/large", "", false, false, mica.StoreOptions{Dir: dir, Incremental: true}, cfg, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(second, "0 shards characterized, 1 reused") {
+		t.Errorf("incremental rerun did not reuse the shard:\n%s", second)
+	}
+	tail := second[strings.Index(second, "MiBench/sha/large: "):]
+	if !strings.HasSuffix(first, tail) {
+		t.Error("store-backed rerun renders a different report")
+	}
+}
+
+// TestRunAllRegistryStore runs the registry pipeline through the store,
+// then reruns the same command with -incremental: the rerun
+// characterizes nothing, reuses every shard and renders the same table.
+func TestRunAllRegistryStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analyzes all 122 benchmarks")
 	}
-	cache := filepath.Join(t.TempDir(), "phases.json")
+	dir := filepath.Join(t.TempDir(), "store")
 	cfg := mica.PhaseConfig{IntervalLen: 500, MaxIntervals: 3, MaxK: 2, Seed: 1}
 	first, err := capture(t, func() error {
-		return run(context.Background(), "", "", true, false, cache, mica.StoreOptions{}, cfg, 4)
+		return run(context.Background(), "", "", true, false, mica.StoreOptions{Dir: dir}, cfg, 4)
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	n := len(mica.Benchmarks())
+	if !strings.Contains(first, fmt.Sprintf("%d shards characterized, 0 reused", n)) {
+		t.Fatalf("first run did not characterize the registry:\n%s", first)
 	}
 	second, err := capture(t, func() error {
-		return run(context.Background(), "", "", true, false, cache, mica.StoreOptions{}, cfg, 4)
+		return run(context.Background(), "", "", true, false, mica.StoreOptions{Dir: dir, Incremental: true}, cfg, 4)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(second, "profiling skipped") {
-		t.Error("registry rerun did not hit the cache")
+	if !strings.Contains(second, fmt.Sprintf("0 shards characterized, %d reused", n)) {
+		t.Errorf("registry rerun did not reuse every shard:\n%s", second)
 	}
-	// The table itself (everything after the cache banner) must match.
-	tail := second[strings.Index(second, "benchmark"):]
+	// The table itself (everything from its header on) must match.
+	tail := second[strings.Index(second, "\nbenchmark"):]
 	if !strings.HasSuffix(first, tail) {
-		t.Error("cached registry table differs from computed table")
+		t.Error("store-backed registry rerun renders a different table")
 	}
 }
 
 func TestRunReducedSingleBenchmark(t *testing.T) {
 	rcfg := mica.ReducedConfig{Phase: mica.PhaseConfig{IntervalLen: 2_000, MaxIntervals: 10, MaxK: 4, Seed: 1}}
 	out, err := capture(t, func() error {
-		return runReduced(context.Background(), "SPEC2000/twolf/ref", false, false, "", rcfg, mica.StoreOptions{}, 0)
+		return runReduced(context.Background(), "SPEC2000/twolf/ref", false, false, rcfg, mica.StoreOptions{}, 0)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +203,7 @@ func TestRunReducedSingleBenchmark(t *testing.T) {
 func TestRunReducedSubsetPipeline(t *testing.T) {
 	rcfg := mica.ReducedConfig{Phase: mica.PhaseConfig{IntervalLen: 2_000, MaxIntervals: 10, MaxK: 4, Seed: 1}}
 	out, err := capture(t, func() error {
-		return runReduced(context.Background(), "MiBench/sha/large,SPEC2000/gzip/program", false, false, "", rcfg, mica.StoreOptions{}, 2)
+		return runReduced(context.Background(), "MiBench/sha/large,SPEC2000/gzip/program", false, false, rcfg, mica.StoreOptions{}, 2)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,49 +215,6 @@ func TestRunReducedSubsetPipeline(t *testing.T) {
 	}
 }
 
-func TestRunReducedJointWithCache(t *testing.T) {
-	rcfg := mica.ReducedConfig{Phase: mica.PhaseConfig{IntervalLen: 2_000, MaxIntervals: 10, MaxK: 4, Seed: 1}}
-	cache := filepath.Join(t.TempDir(), "joint.json")
-	out, err := capture(t, func() error {
-		return runReduced(context.Background(), "MiBench/sha/large,SPEC2000/gzip/program", false, true, cache, rcfg, mica.StoreOptions{}, 0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "joint reduced profile: 2 benchmarks") {
-		t.Errorf("joint reduced output wrong:\n%s", out)
-	}
-	// Second run must reuse the cached vocabulary.
-	out, err = capture(t, func() error {
-		return runReduced(context.Background(), "MiBench/sha/large,SPEC2000/gzip/program", false, true, cache, rcfg, mica.StoreOptions{}, 0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "cheap pass skipped") {
-		t.Errorf("joint rerun did not hit the vocabulary cache:\n%s", out)
-	}
-}
-
-func TestRunReducedCacheHitLine(t *testing.T) {
-	rcfg := mica.ReducedConfig{Phase: mica.PhaseConfig{IntervalLen: 2_000, MaxIntervals: 10, MaxK: 4, Seed: 1}}
-	cache := filepath.Join(t.TempDir(), "reduced.json")
-	if _, err := capture(t, func() error {
-		return runReduced(context.Background(), "MiBench/sha/large", false, false, cache, rcfg, mica.StoreOptions{}, 0)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := capture(t, func() error {
-		return runReduced(context.Background(), "MiBench/sha/large", false, false, cache, rcfg, mica.StoreOptions{}, 0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "full hit from") {
-		t.Errorf("reduced rerun did not report the cache hit:\n%s", out)
-	}
-}
-
 // TestRunJointStore exercises -joint -store end to end: the first run
 // characterizes every shard, the incremental rerun reuses them all,
 // and both render the same shared-vocabulary report.
@@ -280,7 +223,7 @@ func TestRunJointStore(t *testing.T) {
 	cfg := mica.PhaseConfig{IntervalLen: 1_000, MaxIntervals: 8, MaxK: 3, Seed: 5}
 	names := "MiBench/sha/large, SPEC2000/gzip/program"
 	sopt := mica.StoreOptions{Dir: dir, Incremental: true}
-	first, err := capture(t, func() error { return run(context.Background(), names, "", false, true, "", sopt, cfg, 2) })
+	first, err := capture(t, func() error { return run(context.Background(), names, "", false, true, sopt, cfg, 2) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +236,7 @@ func TestRunJointStore(t *testing.T) {
 			t.Errorf("store run output missing %q:\n%s", want, first)
 		}
 	}
-	second, err := capture(t, func() error { return run(context.Background(), names, "", false, true, "", sopt, cfg, 2) })
+	second, err := capture(t, func() error { return run(context.Background(), names, "", false, true, sopt, cfg, 2) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +265,8 @@ func TestValidateFlags(t *testing.T) {
 		{"reduced bench", cliFlags{reduced: true, bench: "a/b/c"}, ""},
 		{"reduced all", cliFlags{reduced: true, all: true}, ""},
 		{"reduced joint", cliFlags{reduced: true, joint: true}, ""},
-		{"joint cache", cliFlags{joint: true, cache: "j.json"}, ""},
-		{"reduced cache", cliFlags{reduced: true, all: true, cache: "r.json"}, ""},
+		{"bench store", cliFlags{bench: "a/b/c", storeDir: "d"}, ""},
+		{"all store quant incremental", cliFlags{all: true, storeDir: "d", quant: true, incremental: true}, ""},
 		{"joint store", cliFlags{joint: true, storeDir: "d"}, ""},
 		{"joint store quant incremental", cliFlags{joint: true, storeDir: "d", quant: true, incremental: true}, ""},
 		{"joint store warm", cliFlags{joint: true, storeDir: "d", warm: true}, ""},
@@ -338,10 +281,6 @@ func TestValidateFlags(t *testing.T) {
 		{"trace with display name", cliFlags{trace: "x.trc", bench: "a/b/c"}, ""},
 		{"fsck repair", cliFlags{fsck: true, repair: true, storeDir: "d"}, ""},
 
-		{"store without pipeline", cliFlags{storeDir: "d"}, "-joint, -reduced, or both"},
-		{"store with bench only", cliFlags{storeDir: "d", bench: "a/b/c"}, "-joint, -reduced, or both"},
-		{"store with all only", cliFlags{storeDir: "d", all: true}, "-joint, -reduced, or both"},
-		{"store and cache", cliFlags{joint: true, storeDir: "d", cache: "j.json"}, "alternative persistence layers"},
 		{"quant without store", cliFlags{joint: true, quant: true}, "only apply to -store"},
 		{"incremental without store", cliFlags{all: true, incremental: true}, "only apply to -store"},
 		{"warm without store", cliFlags{joint: true, warm: true}, "only apply to -store"},
@@ -353,7 +292,7 @@ func TestValidateFlags(t *testing.T) {
 		{"trace with all", cliFlags{trace: "x.trc", all: true}, "-trace"},
 		{"trace with joint", cliFlags{trace: "x.trc", joint: true}, "-trace"},
 		{"trace with reduced", cliFlags{trace: "x.trc", reduced: true}, "-trace"},
-		{"trace with cache", cliFlags{trace: "x.trc", cache: "c.json"}, "drop -cache"},
+		{"trace with store", cliFlags{trace: "x.trc", storeDir: "d"}, "drop -store"},
 	}
 	for _, tc := range cases {
 		err := validateFlags(tc.f)
@@ -378,7 +317,7 @@ func TestRunReducedStore(t *testing.T) {
 	sopt := mica.StoreOptions{Dir: dir, Incremental: true, CacheBytes: 1 << 20}
 	names := "MiBench/sha/large,SPEC2000/gzip/program"
 	first, err := capture(t, func() error {
-		return runReduced(context.Background(), names, false, false, "", rcfg, sopt, 2)
+		return runReduced(context.Background(), names, false, false, rcfg, sopt, 2)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +333,7 @@ func TestRunReducedStore(t *testing.T) {
 		}
 	}
 	second, err := capture(t, func() error {
-		return runReduced(context.Background(), names, false, false, "", rcfg, sopt, 2)
+		return runReduced(context.Background(), names, false, false, rcfg, sopt, 2)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +355,7 @@ func TestRunReducedJointStoreWarm(t *testing.T) {
 	sopt := mica.StoreOptions{Dir: dir, Incremental: true, WarmStart: true}
 	names := "MiBench/sha/large,SPEC2000/gzip/program"
 	first, err := capture(t, func() error {
-		return runReduced(context.Background(), names, false, true, "", rcfg, sopt, 2)
+		return runReduced(context.Background(), names, false, true, rcfg, sopt, 2)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +367,7 @@ func TestRunReducedJointStoreWarm(t *testing.T) {
 		t.Error("fresh run claimed a warm start")
 	}
 	second, err := capture(t, func() error {
-		return runReduced(context.Background(), names, false, true, "", rcfg, sopt, 2)
+		return runReduced(context.Background(), names, false, true, rcfg, sopt, 2)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +389,7 @@ func TestRunFsckRepair(t *testing.T) {
 	cfg := mica.PhaseConfig{IntervalLen: 1_000, MaxIntervals: 8, MaxK: 3, Seed: 5}
 	names := "MiBench/sha/large, SPEC2000/gzip/program"
 	sopt := mica.StoreOptions{Dir: dir, Incremental: true}
-	if _, err := capture(t, func() error { return run(context.Background(), names, "", false, true, "", sopt, cfg, 2) }); err != nil {
+	if _, err := capture(t, func() error { return run(context.Background(), names, "", false, true, sopt, cfg, 2) }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -492,7 +431,7 @@ func TestRunFsckRepair(t *testing.T) {
 		t.Errorf("repair output missing quarantine/resume hint:\n%s", out)
 	}
 
-	rerun, err := capture(t, func() error { return run(context.Background(), names, "", false, true, "", sopt, cfg, 2) })
+	rerun, err := capture(t, func() error { return run(context.Background(), names, "", false, true, sopt, cfg, 2) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,13 +455,13 @@ func TestRunTraceReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	live, err := capture(t, func() error {
-		return run(context.Background(), bench, "", false, false, "", mica.StoreOptions{}, cfg, 0)
+		return run(context.Background(), bench, "", false, false, mica.StoreOptions{}, cfg, 0)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	replay, err := capture(t, func() error {
-		return run(context.Background(), "", trc, false, false, "", mica.StoreOptions{}, cfg, 0)
+		return run(context.Background(), "", trc, false, false, mica.StoreOptions{}, cfg, 0)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -99,7 +100,7 @@ func main() {
 	}}
 	opt := mica.StoreOptions{Dir: filepath.Join(dir, "store"), Incremental: true}
 
-	joint, stats, err := mica.AnalyzePhasesJointStore(bs, pcfg, opt)
+	joint, stats, err := mica.AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func main() {
 	}
 
 	// An incremental rerun reuses every unchanged shard: no profiling.
-	_, stats, err = mica.AnalyzePhasesJointStore(bs, pcfg, opt)
+	_, stats, err = mica.AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -78,10 +79,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, _, err := mica.CharacterizeToStore([]mica.Benchmark{b, b2},
+	st, _, err := mica.CharacterizeToStoreCtx(context.Background(), []mica.Benchmark{b, b2},
 		mica.PhasePipelineConfig{Phase: phase},
 		mica.StoreOptions{Dir: filepath.Join(dir, "store")})
 	if err != nil {
+		if st != nil {
+			st.Close()
+		}
 		log.Fatal(err)
 	}
 	defer st.Close()

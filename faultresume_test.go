@@ -84,7 +84,7 @@ func recoverOrClean(t *testing.T, dir string) []string {
 
 // TestStorePipelineKillAtEveryInjectionPoint is the pipeline-level
 // acceptance test: record the injection addresses one full
-// CharacterizeToStore run crosses (worker items, every shard and
+// CharacterizeToStoreCtx run crosses (worker items, every shard and
 // manifest durability step), then replay the build once per address
 // with a fault armed there. After every simulated crash the store must
 // be Verify-clean or Repair-recoverable, and an incremental rerun must

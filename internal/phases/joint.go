@@ -73,11 +73,10 @@ type JointResult struct {
 	// vocabulary exists to expose.
 	Occupancy *stats.Matrix
 
-	// Warm-start capture (unexported so the JSON phase caches are
-	// untouched): the normalized-space centroids the vocabulary was
-	// derived from, and — for store-backed runs — the normalization
+	// Warm-start capture of store-backed runs: the normalized-space
+	// centroids the vocabulary was derived from and the normalization
 	// statistics they live under. WarmState packages them for
-	// persistence; a JointResult loaded from a cache has none.
+	// persistence; an in-memory JointResult has none.
 	centroids *stats.Matrix
 	normMean  []float64
 	normStd   []float64

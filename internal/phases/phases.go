@@ -74,7 +74,7 @@ func DefaultConfig() Config {
 }
 
 // WithDefaults returns c with zero fields replaced by the documented
-// defaults — the normalized form persisted phase caches are keyed on.
+// defaults — the normalized form store shards are stamped with.
 func (c Config) WithDefaults() Config {
 	if c.IntervalLen == 0 {
 		c.IntervalLen = 10_000

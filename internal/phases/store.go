@@ -118,9 +118,6 @@ func analyzeJointStore(ctx context.Context, st *ivstore.Store, cfg Config, worke
 	}
 
 	j.deriveFrom(cluster.Normalized(st.Rows(), mean, std), sel)
-	// The warm-start capture stays store-path-only: in-memory joint
-	// results round-trip through the JSON caches by DeepEqual, so they
-	// must not carry state the cache does not persist.
 	j.centroids = sel.Best.Centroids
 	j.normMean, j.normStd = mean, std
 	return j, warmUsed, nil
@@ -161,8 +158,8 @@ type JointWarmState struct {
 
 // WarmState packages a store-backed joint result's clustering state
 // for persistence, stamped with the given configuration hash. Returns
-// nil when the result carries no warm-start capture (in-memory or
-// cache-loaded results).
+// nil when the result carries no warm-start capture (in-memory
+// results).
 func (j *JointResult) WarmState(configHash string) *JointWarmState {
 	if j == nil || j.centroids == nil || j.normMean == nil || j.normStd == nil {
 		return nil

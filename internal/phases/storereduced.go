@@ -97,15 +97,16 @@ func ReplayJointStore(st *ivstore.Store, j *JointResult, sources func(bench int)
 	return replayJointPlan(j, plan, sources, cfg)
 }
 
-// ResultFromShard reconstructs a cheap-pass phase Result from a stored
-// shard: the interval grid is rebuilt from the per-interval
-// instruction counts (intervals are contiguous by construction) and
-// the vectors are the shard's rows, then the intervals are clustered
-// under the reduced pipeline's cheap configuration. This is the
-// store-backed stand-in for re-running the cheap characterization —
-// the difference to the in-memory Result is only the store encoding's
+// ResultFromShard reconstructs a phase Result from a stored shard: the
+// interval grid is rebuilt from the per-interval instruction counts
+// (intervals are contiguous by construction) and the vectors are the
+// shard's rows, then the intervals are clustered under cfg — the
+// configuration the shard was characterized with (for a reduced
+// cheap-pass shard, ReducedConfig.CheapConfig). This is the
+// store-backed stand-in for re-running the characterization — the
+// difference to the in-memory Result is only the store encoding's
 // rounding (float32 by default).
-func ResultFromShard(sd *ivstore.ShardData, cfg ReducedConfig) *Result {
+func ResultFromShard(sd *ivstore.ShardData, cfg Config) *Result {
 	cfg = cfg.WithDefaults()
 	res := &Result{
 		Intervals: make([]Interval, len(sd.Insts)),
@@ -116,7 +117,7 @@ func ResultFromShard(sd *ivstore.ShardData, cfg ReducedConfig) *Result {
 		res.Intervals[i] = Interval{Index: i, Start: start, Insts: insts}
 		start += insts
 	}
-	res.cluster(cfg.CheapConfig())
+	res.cluster(cfg)
 	return res
 }
 
@@ -127,5 +128,5 @@ func ResultFromShard(sd *ivstore.ShardData, cfg ReducedConfig) *Result {
 // benchmark and fullProf a profiler built from cfg.FullOptions.
 func ReplayReducedShard(m trace.Source, fullProf *mica.Profiler, sd *ivstore.ShardData, cfg ReducedConfig) (*ReducedResult, error) {
 	cfg = cfg.WithDefaults()
-	return ReplayReduced(m, fullProf, ResultFromShard(sd, cfg), cfg)
+	return ReplayReduced(m, fullProf, ResultFromShard(sd, cfg.CheapConfig()), cfg)
 }

@@ -155,7 +155,7 @@ func TestResultFromShardGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ResultFromShard(sd, reducedTestConfig())
+	res := ResultFromShard(sd, reducedTestConfig().CheapConfig())
 	if !reflect.DeepEqual(res.Intervals, bench.Result.Intervals) {
 		t.Fatal("rebuilt interval grid differs from the original")
 	}
@@ -163,4 +163,24 @@ func TestResultFromShardGrid(t *testing.T) {
 		t.Fatalf("rebuilt result not clustered: K=%d, %d assignments", res.K, len(res.Assign))
 	}
 	var _ *stats.Matrix = res.Vectors
+}
+
+// TestResultFromShardMatchesRoundedCluster: under a plain phase
+// configuration, the Result lifted out of a float32 shard is bit for
+// bit the in-memory clustering of the same float32-rounded vectors.
+func TestResultFromShardMatchesRoundedCluster(t *testing.T) {
+	bench := synthBench("g/b", 30, 52)
+	cfg := Config{IntervalLen: 1000, MaxIntervals: 30, MaxK: 5, Seed: 2006}
+	st := storeFrom(t, t.TempDir(), ivstore.Float32, []BenchmarkIntervals{bench})
+	sd, err := st.CachedShard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := ResultFromShard(sd, cfg)
+
+	want := roundF32([]BenchmarkIntervals{bench})[0].Result
+	want.cluster(cfg.WithDefaults())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("shard result (K=%d) differs from the rounded in-memory clustering (K=%d)", got.K, want.K)
+	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -29,10 +30,13 @@ func TestServeLoad(t *testing.T) {
 	for i, b := range bs {
 		names[i] = b.Name()
 	}
-	st, _, err := mica.CharacterizeToStore(bs,
+	st, _, err := mica.CharacterizeToStoreCtx(context.Background(), bs,
 		mica.PhasePipelineConfig{Phase: loadPhase},
 		mica.StoreOptions{Dir: t.TempDir()})
 	if err != nil {
+		if st != nil {
+			st.Close()
+		}
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })

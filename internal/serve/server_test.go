@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -41,10 +42,13 @@ func buildTestStore(t testing.TB, names []string, phase mica.PhaseConfig) *ivsto
 		}
 		bs[i] = b
 	}
-	st, _, err := mica.CharacterizeToStore(bs,
+	st, _, err := mica.CharacterizeToStoreCtx(context.Background(), bs,
 		mica.PhasePipelineConfig{Phase: phase},
 		mica.StoreOptions{Dir: t.TempDir()})
 	if err != nil {
+		if st != nil {
+			st.Close()
+		}
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })

@@ -54,8 +54,8 @@ import (
 
 // Magic identifies a trace file; Version is the current format
 // version. Decoders reject other versions with an error naming the
-// file, matching the version-mismatch contract of the phase caches and
-// the ivstore manifest.
+// file, matching the version-mismatch contract of the ivstore
+// manifest.
 const (
 	Magic   = "MICATRC\x00"
 	Version = 1

@@ -208,8 +208,8 @@ func TestWriterRejectsInconsistentStream(t *testing.T) {
 }
 
 // TestVersionMismatchNamesFile: the version error carries the file name
-// and the "version N, want M" wording shared with the phase caches and
-// the ivstore manifest.
+// and the "version N, want M" wording shared with the ivstore
+// manifest.
 func TestVersionMismatchNamesFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "future.trc")

@@ -1,6 +1,7 @@
 package mica
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestReducedStorePipelineSpans(t *testing.T) {
 	}
 
 	cfg := ReducedPipelineConfig{Reduced: reducedAcceptanceConfig(), Workers: 1}
-	if _, _, err := AnalyzeReducedStore(bs, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "store")}); err != nil {
+	if _, _, err := AnalyzeReducedStoreCtx(context.Background(), bs, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "store")}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -118,17 +118,6 @@ func AnalyzePhasesBenchmarksCtx(ctx context.Context, bs []Benchmark, cfg PhasePi
 	return results, err
 }
 
-// phasePipeline is the legacy non-cancellable front half shared by the
-// phase pipelines; it delegates to phasePipelineCtx with a background
-// context, so its only observable difference from the old code is
-// that every failing benchmark is reported (joined), not just the
-// first, and a panicking benchmark surfaces as an error instead of
-// crashing the process.
-func phasePipeline(bs []Benchmark, cfg PhasePipelineConfig, what string,
-	analyze func(m trace.Source, prof *micachar.Profiler, i int) error) error {
-	return phasePipelineCtx(context.Background(), bs, cfg, what, analyze)
-}
-
 // phasePipelineCtx is the shared sharded front half of every phase
 // pipeline: it instantiates each benchmark on a fixed worker pool, one
 // pooled profiler per worker (built once, Reset between intervals and

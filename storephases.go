@@ -2,14 +2,19 @@ package mica
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
+	"runtime"
+	"sync"
 
 	"mica/internal/ivstore"
 	micachar "mica/internal/mica"
 	"mica/internal/phases"
+	"mica/internal/pool"
 	"mica/internal/trace"
 )
 
@@ -61,15 +66,15 @@ func (o StoreOptions) encoding() ivstore.Encoding {
 	return ivstore.Float32
 }
 
-// StoreBuildStats reports what a CharacterizeToStore run did per
+// StoreBuildStats reports what a CharacterizeToStoreCtx run did per
 // benchmark — the incremental contract made observable (and
 // regression-tested: an incremental rerun that changes one benchmark
 // re-characterizes exactly that one).
 type StoreBuildStats struct {
 	// Characterized lists the benchmarks whose shards were (re)built
-	// this run, in pipeline order. With CharacterizeToStoreCtx a
-	// benchmark appears here only if its shard was actually written —
-	// failed and never-dispatched benchmarks land in Failed/Skipped.
+	// this run, in pipeline order. A benchmark appears here only if its
+	// shard was actually written — failed and never-dispatched
+	// benchmarks land in Failed/Skipped.
 	Characterized []string
 	// Reused lists the benchmarks whose existing shards were adopted
 	// unchanged.
@@ -88,8 +93,8 @@ type StoreBuildStats struct {
 	CommitWarnings []string
 	// Cache is the store's decoded-shard cache accounting at the end of
 	// the analysis (peak resident bytes, hits, decodes, evictions) —
-	// populated by the joint/reduced store pipelines that close the
-	// store internally, zero for a bare CharacterizeToStore.
+	// populated by the analysis pipelines that close the store
+	// internally, zero for a bare CharacterizeToStoreCtx.
 	Cache IVCacheStats
 	// WarmStarted reports whether the joint clustering was actually
 	// seeded from a persisted warm state (StoreOptions.WarmStart
@@ -97,48 +102,33 @@ type StoreBuildStats struct {
 	WarmStarted bool
 }
 
-// CharacterizeToStore characterizes every benchmark's intervals into
-// an on-disk interval-vector store: the sharded pooled pipeline (one
-// profiler per worker, Reset between intervals and benchmarks) feeds
-// one shard per benchmark, written as each worker finishes, so peak
-// memory is bounded by the in-flight benchmarks — never the
+// CharacterizeToStoreCtx characterizes every benchmark's intervals
+// into an on-disk interval-vector store: the sharded pooled pipeline
+// (one profiler per worker, Reset between intervals and benchmarks)
+// feeds one shard per benchmark, written as each worker finishes, so
+// peak memory is bounded by the in-flight benchmarks — never the
 // registry-wide matrix. The committed store's row order is bs order,
 // exactly the concatenation order of the in-memory joint path.
 //
 // With opt.Incremental, shards of an existing store in opt.Dir are
 // reused in place when their benchmark name and configuration stamp
-// (the hash of the normalized phase configuration) still match and
-// their file is still present; only changed benchmarks pay
-// re-characterization, and benchmarks dropped from bs are pruned on
-// commit. A directory that holds an unreadable store is an error,
-// never silently overwritten. cfg.Progress is invoked once per
-// benchmark actually characterized (not for reused shards).
-func CharacterizeToStore(bs []Benchmark, cfg PhasePipelineConfig, opt StoreOptions) (*IVStore, *StoreBuildStats, error) {
-	st, stats, err := CharacterizeToStoreCtx(context.Background(), bs, cfg, opt)
-	if err != nil {
-		// Legacy all-or-nothing contract: no store handle on error. The
-		// partial commit (if any) is still on disk for incremental
-		// reruns; only the open handle and its lock are released.
-		if st != nil {
-			st.Close()
-		}
-		return nil, nil, err
-	}
-	return st, stats, nil
-}
-
-// CharacterizeToStoreCtx is CharacterizeToStore with cancellation and
-// per-benchmark fault isolation — the resumable form. A failing or
-// panicking benchmark is skipped (named in the joined error and in
-// stats.Failed) while the others complete; cancelling ctx stops
-// dispatching new benchmarks and drains in-flight ones (never
-// dispatched ones land in stats.Skipped). In both cases every shard
-// that WAS successfully staged — reused or just characterized — is
-// still committed, so the partial store is durable and a subsequent
-// Incremental rerun adopts those shards and re-characterizes exactly
-// the failed/skipped benchmarks. If nothing was staged, nothing is
-// committed and a previously committed store in opt.Dir is left
-// untouched.
+// (PhaseConfigKey) still match and their file is still present; only
+// changed benchmarks pay re-characterization, and benchmarks dropped
+// from bs are pruned on commit. A directory that holds an unreadable
+// store is an error, never silently overwritten. cfg.Progress is
+// invoked once per benchmark actually characterized (not for reused
+// shards).
+//
+// The build is resumable: a failing or panicking benchmark is skipped
+// (named in the joined error and in stats.Failed) while the others
+// complete; cancelling ctx stops dispatching new benchmarks and drains
+// in-flight ones (never dispatched ones land in stats.Skipped). In
+// both cases every shard that WAS successfully staged — reused or just
+// characterized — is still committed, so the partial store is durable
+// and a subsequent Incremental rerun adopts those shards and
+// re-characterizes exactly the failed/skipped benchmarks. If nothing
+// was staged, nothing is committed and a previously committed store in
+// opt.Dir is left untouched.
 //
 // On success the returned store is committed and open (holding a
 // shared lock); the caller owns it and should Close it. When err is
@@ -151,6 +141,65 @@ func CharacterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipeli
 		func(m trace.Source, prof *micachar.Profiler) (*phases.Result, error) {
 			return phases.CharacterizeWith(m, prof, cfg.Phase)
 		})
+}
+
+// phaseConfigJSON is the normalized phase configuration a store shard
+// is stamped with. Its serialized bytes are the stamp's input, so
+// fields may only be added as omitempty with a zero default.
+type phaseConfigJSON struct {
+	IntervalLen  uint64 `json:"interval_len"`
+	MaxIntervals int    `json:"max_intervals"`
+	MaxK         int    `json:"max_k"`
+	Seed         int64  `json:"seed"`
+	PPMOrder     int    `json:"ppm_order,omitempty"`
+	NoMemDeps    bool   `json:"no_mem_deps,omitempty"`
+	Subset       []bool `json:"subset,omitempty"`
+}
+
+// phaseConfigToJSON normalizes cfg. A non-nil empty subset means "all
+// characteristics" like nil, and omitempty drops both, so the two
+// stamp identically.
+func phaseConfigToJSON(cfg PhaseConfig) phaseConfigJSON {
+	cfg = cfg.WithDefaults()
+	return phaseConfigJSON{
+		IntervalLen:  cfg.IntervalLen,
+		MaxIntervals: cfg.MaxIntervals,
+		MaxK:         cfg.MaxK,
+		Seed:         cfg.Seed,
+		PPMOrder:     cfg.Options.PPMOrder,
+		NoMemDeps:    cfg.Options.NoMemDeps,
+		Subset:       cfg.Options.Subset,
+	}
+}
+
+// phaseConfigHash returns the sha256 hex stamp of the normalized phase
+// configuration — the provenance key interval-vector stores record per
+// shard, so "can this shard be reused" is decided by one serialization.
+func phaseConfigHash(cfg PhaseConfig) string {
+	data, err := json.Marshal(phaseConfigToJSON(cfg))
+	if err != nil {
+		// phaseConfigJSON is plain data; Marshal cannot fail on it.
+		panic(fmt.Sprintf("mica: hashing phase config: %v", err))
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// PhaseConfigKey is the public form of the phase-configuration stamp:
+// the sha256 hex of the normalized configuration, the stamp
+// interval-vector store shards carry. Two requests with equal keys and
+// equal benchmark names ask for the same characterization, which is
+// what lets a serving layer (mica-serve) collapse identical in-flight
+// and completed submissions onto one run.
+func PhaseConfigKey(cfg PhaseConfig) string {
+	return phaseConfigHash(cfg.WithDefaults())
+}
+
+// ReducedConfigKey is PhaseConfigKey's reduced-pipeline counterpart:
+// the stamp reduced cheap-pass shards are matched on, disjoint from
+// plain phase stamps even at SampleFrac == 1.
+func ReducedConfigKey(cfg ReducedConfig) string {
+	return reducedStoreHash(cfg.WithDefaults())
 }
 
 // characterizeToStoreCtx is the shared store-build engine behind the
@@ -173,8 +222,8 @@ func characterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipeli
 	// Inventory the existing store when reuse is requested (the
 	// manifest alone — a vanished shard file only invalidates its own
 	// benchmark, via the Adopt fallback below). A missing store means a
-	// fresh build; a present-but-unusable one is surfaced, mirroring
-	// the JSON caches' refusal to clobber.
+	// fresh build; a present-but-unusable one is surfaced, never
+	// clobbered.
 	reusable := make(map[string]ivstore.Shard)
 	prevCfg, prevShards, err := ivstore.Inventory(opt.Dir)
 	switch {
@@ -269,7 +318,84 @@ func characterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipeli
 	return st, stats, pipeErr
 }
 
-// AnalyzePhasesJointStore is AnalyzePhasesJoint through the
+// AnalyzePhasesStoreCtx is AnalyzePhasesBenchmarksCtx through the
+// interval-vector store: every benchmark is characterized into (or,
+// with opt.Incremental, reused from) the store in opt.Dir, then each
+// benchmark's phases are clustered from its stored shard. The result
+// differs from the in-memory pipeline only by the shard encoding's
+// rounding of the interval vectors (float32 by default). The
+// characterization half has CharacterizeToStoreCtx's resumable
+// semantics; a characterization failure returns no results. Otherwise
+// results[i].Result is non-nil exactly when bs[i] was clustered. The
+// internally opened store is always closed before returning.
+func AnalyzePhasesStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig, opt StoreOptions) ([]BenchmarkPhases, *StoreBuildStats, error) {
+	st, stats, err := CharacterizeToStoreCtx(ctx, bs, cfg, opt)
+	if st != nil {
+		defer st.Close()
+	}
+	if err != nil {
+		return nil, stats, err
+	}
+	results := make([]BenchmarkPhases, len(bs))
+	for i := range results {
+		results[i].Benchmark = bs[i]
+	}
+	err = shardPipelineCtx(ctx, st, bs, cfg.Workers, nil, "store-backed phase analysis of",
+		func(_, i int, sd *ivstore.ShardData) error {
+			results[i].Result = phases.ResultFromShard(sd, cfg.Phase)
+			return nil
+		})
+	captureCacheStats(st, stats)
+	return results, stats, err
+}
+
+// shardPipelineCtx is the per-benchmark back half of the store-backed
+// pipelines: on the fixed worker pool, it hands analyze each bs[i]'s
+// committed shard, read through the store's decoded-shard cache.
+// Failures follow phasePipelineCtx's contract (isolated, joined, and
+// named "mica: <what> <benchmark>"); a benchmark the store holds no
+// shard for is one such failure. progress, when non-nil, is called
+// after each benchmark.
+func shardPipelineCtx(ctx context.Context, st *IVStore, bs []Benchmark, workers int,
+	progress func(done, total int, name string), what string,
+	analyze func(worker, i int, sd *ivstore.ShardData) error) error {
+	shardIdx := make(map[string]int)
+	for i, sh := range st.Shards() {
+		shardIdx[sh.Name] = i
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(bs) {
+		workers = len(bs)
+	}
+	var done int
+	var mu sync.Mutex
+
+	err := pool.RunCtx(ctx, len(bs), workers, func(_ context.Context, worker, i int) error {
+		si, ok := shardIdx[bs[i].Name()]
+		if !ok {
+			return fmt.Errorf("no committed shard (characterization did not complete)")
+		}
+		sd, err := st.CachedShard(si)
+		if err != nil {
+			return err
+		}
+		if err := analyze(worker, i, sd); err != nil {
+			return err
+		}
+		if progress != nil {
+			mu.Lock()
+			done++
+			progress(done, len(bs), bs[i].Name())
+			mu.Unlock()
+		}
+		return nil
+	})
+	return namePoolErrors(err, what, func(i int) string { return bs[i].Name() })
+}
+
+// AnalyzePhasesJointStoreCtx is AnalyzePhasesJointCtx through the
 // interval-vector store: every benchmark is characterized into (or
 // reused from) the store in opt.Dir, then the registry-wide joint
 // vocabulary is clustered by streaming rows shard-by-shard —
@@ -278,20 +404,16 @@ func characterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipeli
 // of O(benchmarks x intervals x 47). The returned result's Vectors
 // matrix is nil by design; everything else (assignment, K,
 // representatives, occupancy, provenance) is fully populated.
-func AnalyzePhasesJointStore(bs []Benchmark, cfg PhasePipelineConfig, opt StoreOptions) (*PhaseJointResult, *StoreBuildStats, error) {
-	return AnalyzePhasesJointStoreCtx(context.Background(), bs, cfg, opt)
-}
-
-// AnalyzePhasesJointStoreCtx is AnalyzePhasesJointStore with
-// cancellation and fault isolation. The characterization half has
-// CharacterizeToStoreCtx's resumable semantics — whatever was staged
-// before a failure or cancellation is committed for the next
-// incremental run — but like the in-memory joint path, any
-// characterization failure is fatal to the joint RESULT: a vocabulary
-// silently built over a shrunken set would not be the requested one.
-// The returned stats (non-nil whenever the build started) say exactly
-// which benchmarks were characterized, reused, failed or skipped. The
-// internally opened store is always closed before returning.
+//
+// The characterization half has CharacterizeToStoreCtx's resumable
+// semantics — whatever was staged before a failure or cancellation is
+// committed for the next incremental run — but like the in-memory
+// joint path, any characterization failure is fatal to the joint
+// RESULT: a vocabulary silently built over a shrunken set would not be
+// the requested one. The returned stats (non-nil whenever the build
+// started) say exactly which benchmarks were characterized, reused,
+// failed or skipped. The internally opened store is always closed
+// before returning.
 func AnalyzePhasesJointStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig, opt StoreOptions) (*PhaseJointResult, *StoreBuildStats, error) {
 	st, stats, err := CharacterizeToStoreCtx(ctx, bs, cfg, opt)
 	if st != nil {

@@ -1,6 +1,7 @@
 package mica
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,7 +42,7 @@ func TestAnalyzePhasesJointStoreMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := AnalyzePhasesJointStore(bs, pcfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "store")})
+	got, stats, err := AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "store")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +80,7 @@ func TestCharacterizeToStoreIncremental(t *testing.T) {
 	inc := StoreOptions{Dir: dir, Incremental: true}
 
 	// Fresh build characterizes everything.
-	st0, stats, err := CharacterizeToStore(bs, pcfg, inc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st0, stats := mustCharacterizeToStore(t, bs, pcfg, inc)
 	st0.Close()
 	if profiled != len(bs) || len(stats.Characterized) != len(bs) {
 		t.Fatalf("fresh build characterized %d (progress %d), want %d", len(stats.Characterized), profiled, len(bs))
@@ -94,10 +92,7 @@ func TestCharacterizeToStoreIncremental(t *testing.T) {
 
 	// Unchanged rerun: zero profiling, identical vocabulary.
 	profiled = 0
-	st, stats, err := CharacterizeToStore(bs, pcfg, inc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, stats := mustCharacterizeToStore(t, bs, pcfg, inc)
 	st.Close()
 	if profiled != 0 || len(stats.Characterized) != 0 || len(stats.Reused) != len(bs) {
 		t.Fatalf("unchanged rerun profiled %d, stats %+v", profiled, stats)
@@ -116,10 +111,7 @@ func TestCharacterizeToStoreIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	profiled = 0
-	st1, stats, err := CharacterizeToStore(bs, pcfg, inc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st1, stats := mustCharacterizeToStore(t, bs, pcfg, inc)
 	st1.Close()
 	if profiled != 1 || !reflect.DeepEqual(stats.Characterized, []string{names[1]}) {
 		t.Fatalf("one-benchmark change re-characterized %v (progress %d), want just %s",
@@ -129,10 +121,7 @@ func TestCharacterizeToStoreIncremental(t *testing.T) {
 	// Membership change: adding one benchmark characterizes only it.
 	grown := append(append([]Benchmark(nil), bs...), storeBenchmarks(t, "MiBench/FFT/fft-large")...)
 	profiled = 0
-	st2, stats, err := CharacterizeToStore(grown, pcfg, inc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2, stats := mustCharacterizeToStore(t, grown, pcfg, inc)
 	st2.Close()
 	if profiled != 1 || !reflect.DeepEqual(stats.Characterized, []string{"MiBench/FFT/fft-large"}) {
 		t.Fatalf("grown set re-characterized %v, want just the new benchmark", stats.Characterized)
@@ -142,10 +131,7 @@ func TestCharacterizeToStoreIncremental(t *testing.T) {
 	droppedFile := shardFileOf(t, dir, names[0])
 	shrunk := grown[1:]
 	profiled = 0
-	st3, stats, err := CharacterizeToStore(shrunk, pcfg, inc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st3, stats := mustCharacterizeToStore(t, shrunk, pcfg, inc)
 	st3.Close()
 	if profiled != 0 || len(stats.Reused) != len(shrunk) {
 		t.Fatalf("shrunk set stats %+v (progress %d)", stats, profiled)
@@ -158,14 +144,47 @@ func TestCharacterizeToStoreIncremental(t *testing.T) {
 	changed := pcfg
 	changed.Phase.IntervalLen = 600
 	profiled = 0
-	st4, stats, err := CharacterizeToStore(shrunk, changed, inc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st4, stats := mustCharacterizeToStore(t, shrunk, changed, inc)
 	st4.Close()
 	if profiled != len(shrunk) || len(stats.Reused) != 0 {
 		t.Fatalf("config change reused %v, want full rebuild", stats.Reused)
 	}
+}
+
+// TestConfigKeysPinned pins the serialized configuration stamps of the
+// zero configurations. Every committed store shard carries one of these
+// stamps and mica-serve dedups submissions on them, so a change to the
+// normalized form (a renamed JSON field, a new non-omitempty field, a
+// different default) would silently orphan every existing store. A
+// non-nil empty subset means "all characteristics" and must stamp like
+// nil.
+func TestConfigKeysPinned(t *testing.T) {
+	const zeroKey = "4805ce0a0c58485b43d7347ac8d7be493ad52653999362a86f206953e10974ab"
+	if got := PhaseConfigKey(PhaseConfig{}); got != zeroKey {
+		t.Errorf("PhaseConfigKey(PhaseConfig{}) = %s, want %s", got, zeroKey)
+	}
+	empty := PhaseConfig{}
+	empty.Options.Subset = []bool{}
+	if got := PhaseConfigKey(empty); got != zeroKey {
+		t.Errorf("empty-subset PhaseConfigKey = %s, want the nil-subset key %s", got, zeroKey)
+	}
+	if got, want := ReducedConfigKey(ReducedConfig{}), "5fd828fb81db1aac4235b0eb46dfed8ea791aa9245a6ebd5af0686272e926271"; got != want {
+		t.Errorf("ReducedConfigKey(ReducedConfig{}) = %s, want %s", got, want)
+	}
+}
+
+// mustCharacterizeToStore builds a store through CharacterizeToStoreCtx
+// and fails the test on any error, closing the store first.
+func mustCharacterizeToStore(t *testing.T, bs []Benchmark, cfg PhasePipelineConfig, opt StoreOptions) (*IVStore, *StoreBuildStats) {
+	t.Helper()
+	st, stats, err := CharacterizeToStoreCtx(context.Background(), bs, cfg, opt)
+	if err != nil {
+		if st != nil {
+			st.Close()
+		}
+		t.Fatal(err)
+	}
+	return st, stats
 }
 
 // mustOpenStore opens a committed store and immediately releases its
@@ -207,15 +226,9 @@ func TestCharacterizeToStoreQuantized(t *testing.T) {
 		Workers: 1,
 	}
 	base := t.TempDir()
-	stF, _, err := CharacterizeToStore(bs, pcfg, StoreOptions{Dir: filepath.Join(base, "f32")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stF, _ := mustCharacterizeToStore(t, bs, pcfg, StoreOptions{Dir: filepath.Join(base, "f32")})
 	stF.Close()
-	stQ, _, err := CharacterizeToStore(bs, pcfg, StoreOptions{Dir: filepath.Join(base, "q8"), Quantize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stQ, _ := mustCharacterizeToStore(t, bs, pcfg, StoreOptions{Dir: filepath.Join(base, "q8"), Quantize: true})
 	stQ.Close()
 	sizeOf := func(st *IVStore) int64 {
 		var total int64
@@ -241,10 +254,8 @@ func TestCharacterizeToStoreQuantized(t *testing.T) {
 	}
 	// An incremental rerun under the other encoding must rebuild, not
 	// adopt incompatible shards.
-	_, stats, err := CharacterizeToStore(bs, pcfg, StoreOptions{Dir: filepath.Join(base, "q8"), Incremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stR, stats := mustCharacterizeToStore(t, bs, pcfg, StoreOptions{Dir: filepath.Join(base, "q8"), Incremental: true})
+	stR.Close()
 	if len(stats.Reused) != 0 {
 		t.Error("float32 request reused quant8 shards")
 	}
@@ -258,8 +269,11 @@ func TestCharacterizeToStoreRefusesCorrupt(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(`{"version": 99}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := CharacterizeToStore(bs, PhasePipelineConfig{Phase: storeTestConfig, Workers: 1},
+	st, _, err := CharacterizeToStoreCtx(context.Background(), bs, PhasePipelineConfig{Phase: storeTestConfig, Workers: 1},
 		StoreOptions{Dir: dir, Incremental: true})
+	if st != nil {
+		st.Close()
+	}
 	if err == nil {
 		t.Fatal("corrupt store rebuilt over")
 	}
@@ -283,7 +297,7 @@ func TestJointStoreRegistryScale(t *testing.T) {
 		Phase:   PhaseConfig{IntervalLen: 400, MaxIntervals: 1000, MaxK: 3, Seed: 2006},
 		Workers: 4,
 	}
-	j, stats, err := AnalyzePhasesJointStore(bs, pcfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "registry")})
+	j, stats, err := AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "registry")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,5 +319,146 @@ func TestJointStoreRegistryScale(t *testing.T) {
 		if sum < 0.999 || sum > 1.001 {
 			t.Fatalf("benchmark %d occupancy row sums to %v", b, sum)
 		}
+	}
+}
+
+// TestAnalyzePhasesStoreMatchesInMemory is the store-backed
+// per-benchmark differential: each benchmark's result holds exactly the
+// float32-rounded in-memory vectors (what a float32 store holds by
+// definition) on the identical interval grid, and its phases are bit
+// for bit the in-memory clustering of those rounded vectors — computed
+// by the single-benchmark joint analysis, which is pinned bit-identical
+// to per-benchmark analysis. An incremental rerun characterizes nothing
+// and clusters the reused shards to the same result.
+func TestAnalyzePhasesStoreMatchesInMemory(t *testing.T) {
+	bs := storeBenchmarks(t, "MiBench/sha/large", "CommBench/drr/drr", "SPEC2000/gzip/program")
+	profiled := 0
+	pcfg := PhasePipelineConfig{
+		Phase:    storeTestConfig,
+		Workers:  2,
+		Progress: func(done, total int, name string) { profiled++ },
+	}
+	want, err := AnalyzePhasesBenchmarks(bs, PhasePipelineConfig{Phase: storeTestConfig, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := StoreOptions{Dir: filepath.Join(t.TempDir(), "store"), Incremental: true}
+	got, stats, err := AnalyzePhasesStoreCtx(context.Background(), bs, pcfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if profiled != len(bs) || len(stats.Characterized) != len(bs) {
+		t.Fatalf("fresh build characterized %v (progress %d), want all %d", stats.Characterized, profiled, len(bs))
+	}
+	if stats.Cache.Decodes == 0 {
+		t.Error("clustering bypassed the decoded-shard cache")
+	}
+	for i, b := range bs {
+		g, w := got[i].Result, want[i].Result
+		if got[i].Benchmark.Name() != b.Name() || g == nil {
+			t.Fatalf("result %d is %s (nil=%v), want %s", i, got[i].Benchmark.Name(), g == nil, b.Name())
+		}
+		if !reflect.DeepEqual(g.Intervals, w.Intervals) {
+			t.Errorf("%s: store-backed interval grid diverges from in-memory", b.Name())
+		}
+		rounded := &PhaseResult{Intervals: w.Intervals, Vectors: w.Vectors.Clone()}
+		for k, v := range rounded.Vectors.Data {
+			rounded.Vectors.Data[k] = float64(float32(v))
+		}
+		if !reflect.DeepEqual(g.Vectors, rounded.Vectors) {
+			t.Fatalf("%s: stored vectors are not the float32-rounded in-memory vectors", b.Name())
+		}
+		oracle, err := phases.AnalyzeJoint([]phases.BenchmarkIntervals{{Name: b.Name(), Result: rounded}}, storeTestConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.K != oracle.K || !reflect.DeepEqual(g.Assign, oracle.Assign) ||
+			len(g.Representatives) != len(oracle.Representatives) {
+			t.Fatalf("%s: store-backed phases diverge from the rounded in-memory clustering: K %d vs %d",
+				b.Name(), g.K, oracle.K)
+		}
+		for r, rep := range oracle.Representatives {
+			if want := (PhaseRepresentative{Phase: rep.Phase, Interval: rep.Interval, Weight: rep.Weight}); g.Representatives[r] != want {
+				t.Errorf("%s: representative %d = %+v, want %+v", b.Name(), r, g.Representatives[r], want)
+			}
+		}
+	}
+
+	profiled = 0
+	again, stats, err := AnalyzePhasesStoreCtx(context.Background(), bs, pcfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if profiled != 0 || len(stats.Characterized) != 0 || len(stats.Reused) != len(bs) {
+		t.Fatalf("unchanged rerun profiled %d, stats %+v", profiled, stats)
+	}
+	if !reflect.DeepEqual(again, got) {
+		t.Error("rerun from reused shards diverges from the fresh build")
+	}
+}
+
+// TestVersionMismatchErrorsNameTheFile is the table-driven contract
+// for version-stamp rejection across every loader of persisted state:
+// the interval-vector store manifest and the recorded-trace container.
+// Each error must name the offending file and state both versions in
+// the shared "version N, want M" wording, so a stale-file report is
+// actionable no matter which layer produced it.
+func TestVersionMismatchErrorsNameTheFile(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name string
+		load func(t *testing.T) (string, error)
+		want string
+	}{
+		{"ivstore.Open", func(t *testing.T) (string, error) {
+			sub := filepath.Join(dir, "store")
+			if err := os.MkdirAll(sub, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			p := filepath.Join(sub, "manifest.json")
+			doc := `{"version": 99, "dims": 47, "encoding": "float32", "shards": []}`
+			if err := os.WriteFile(p, []byte(doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenIVStore(sub)
+			return p, err
+		}, "manifest version 99, want 1"},
+		{"trace.Open", func(t *testing.T) (string, error) {
+			// A real recorded trace with only its version stamp rewritten:
+			// everything past the header is a valid v1 body, so the
+			// version check alone must reject it.
+			b, err := BenchmarkByName("MiBench/sha/large")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := filepath.Join(dir, "stale.trc")
+			if _, err := RecordTrace(b, p, 1_000); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[8] = 99
+			if err := os.WriteFile(p, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = TraceBenchmark("", p).Source()
+			return p, err
+		}, "trace format version 99, want 1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path, err := tc.load(t)
+			if err == nil {
+				t.Fatal("version-99 file accepted")
+			}
+			if !strings.Contains(err.Error(), path) {
+				t.Errorf("error %q does not name the offending file %s", err, path)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q lacks the unified wording %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -5,13 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"strconv"
-	"sync"
 
+	"mica/internal/ivstore"
 	micachar "mica/internal/mica"
 	"mica/internal/phases"
-	"mica/internal/pool"
 	"mica/internal/trace"
 )
 
@@ -36,20 +34,14 @@ func reducedStoreHash(cfg ReducedConfig) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// CharacterizeReducedToStore runs the reduced pipeline's cheap sampled
-// pass over every benchmark into an on-disk interval-vector store —
-// CharacterizeToStore with the sampled key-subset characterization
-// instead of the full one. The stored vectors keep the full
-// characteristic width (columns outside the subset are exactly zero),
-// so the joint clustering machinery reads reduced stores unchanged.
-// Reuse, fault isolation and partial commits follow
+// CharacterizeReducedToStoreCtx runs the reduced pipeline's cheap
+// sampled pass over every benchmark into an on-disk interval-vector
+// store — CharacterizeToStoreCtx with the sampled key-subset
+// characterization instead of the full one. The stored vectors keep
+// the full characteristic width (columns outside the subset are
+// exactly zero), so the joint clustering machinery reads reduced
+// stores unchanged. Reuse, fault isolation and partial commits follow
 // CharacterizeToStoreCtx's contract.
-func CharacterizeReducedToStore(bs []Benchmark, cfg ReducedPipelineConfig, opt StoreOptions) (*IVStore, *StoreBuildStats, error) {
-	return CharacterizeReducedToStoreCtx(context.Background(), bs, cfg, opt)
-}
-
-// CharacterizeReducedToStoreCtx is CharacterizeReducedToStore with
-// cancellation and per-benchmark fault isolation.
 func CharacterizeReducedToStoreCtx(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig, opt StoreOptions) (*IVStore, *StoreBuildStats, error) {
 	rcfg := cfg.Reduced.WithDefaults()
 	pcfg := PhasePipelineConfig{Phase: rcfg.CheapConfig(), Workers: cfg.Workers, Progress: cfg.Progress}
@@ -59,20 +51,14 @@ func CharacterizeReducedToStoreCtx(ctx context.Context, bs []Benchmark, cfg Redu
 		})
 }
 
-// AnalyzeReducedStore is AnalyzeReducedBenchmarks through the
+// AnalyzeReducedStoreCtx is AnalyzeReducedBenchmarksCtx through the
 // interval-vector store: the cheap pass lands in (or is reused from)
 // the store in opt.Dir, then each benchmark's phases are clustered
 // from its stored shard and replayed with the full profiler. With
 // opt.Incremental, an unchanged benchmark skips its cheap pass
 // entirely — only the replay (whose cost the reduction already
-// bounded to a few intervals per phase) is paid again.
-func AnalyzeReducedStore(bs []Benchmark, cfg ReducedPipelineConfig, opt StoreOptions) ([]BenchmarkReduced, *StoreBuildStats, error) {
-	return AnalyzeReducedStoreCtx(context.Background(), bs, cfg, opt)
-}
-
-// AnalyzeReducedStoreCtx is AnalyzeReducedStore with cancellation and
-// per-benchmark fault isolation. The cheap half has
-// CharacterizeToStoreCtx's resumable semantics; like the in-memory
+// bounded to a few intervals per phase) is paid again. The cheap half
+// has CharacterizeToStoreCtx's resumable semantics; like the in-memory
 // pipeline, the returned error joins every failed benchmark while
 // results[i].Result is non-nil exactly when bs[i] made it through both
 // passes.
@@ -85,73 +71,39 @@ func AnalyzeReducedStoreCtx(ctx context.Context, bs []Benchmark, cfg ReducedPipe
 	if err != nil {
 		return nil, stats, err
 	}
-
-	shardIdx := make(map[string]int)
-	for i, sh := range st.Shards() {
-		shardIdx[sh.Name] = i
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(bs) {
-		workers = len(bs)
-	}
 	results := make([]BenchmarkReduced, len(bs))
 	for i := range results {
 		results[i].Benchmark = bs[i]
 	}
-	fullProfs := make([]*micachar.Profiler, workers)
-	var done int
-	var mu sync.Mutex
-
-	replayErr := pool.RunCtx(ctx, len(bs), workers, func(_ context.Context, worker, i int) error {
-		si, ok := shardIdx[bs[i].Name()]
-		if !ok {
-			return fmt.Errorf("no committed shard (cheap pass did not complete)")
-		}
-		sd, err := st.CachedShard(si)
-		if err != nil {
-			return err
-		}
-		replay, err := bs[i].Source()
-		if err != nil {
-			return err
-		}
-		if fullProfs[worker] == nil {
-			fullProfs[worker] = micachar.NewProfiler(rcfg.FullOptions)
-		}
-		res, err := phases.ReplayReducedShard(replay, fullProfs[worker], sd, rcfg)
-		if err != nil {
-			return err
-		}
-		results[i].Result = res
-		if cfg.Progress != nil {
-			mu.Lock()
-			done++
-			cfg.Progress(done, len(bs), bs[i].Name())
-			mu.Unlock()
-		}
-		return nil
-	})
+	fullProfs := make([]*micachar.Profiler, len(bs))
+	err = shardPipelineCtx(ctx, st, bs, cfg.Workers, cfg.Progress, "store-backed reduced replay of",
+		func(worker, i int, sd *ivstore.ShardData) error {
+			replay, err := bs[i].Source()
+			if err != nil {
+				return err
+			}
+			if fullProfs[worker] == nil {
+				fullProfs[worker] = micachar.NewProfiler(rcfg.FullOptions)
+			}
+			res, err := phases.ReplayReducedShard(replay, fullProfs[worker], sd, rcfg)
+			if err != nil {
+				return err
+			}
+			results[i].Result = res
+			return nil
+		})
 	captureCacheStats(st, stats)
-	return results, stats, namePoolErrors(replayErr, "store-backed reduced replay of", func(i int) string { return bs[i].Name() })
+	return results, stats, err
 }
 
-// AnalyzeReducedJointStore is AnalyzeReducedJoint through the
+// AnalyzeReducedJointStoreCtx is AnalyzeReducedJointCtx through the
 // interval-vector store: the cheap pass lands in the store, the shared
 // vocabulary is clustered by streaming the store's rows (warm-started
 // from the previous run's state when opt.WarmStart), and the joint
 // replay measures only the shared representatives, gathered back
-// through the decoded-shard cache.
-func AnalyzeReducedJointStore(bs []Benchmark, cfg ReducedPipelineConfig, opt StoreOptions) (*PhaseJointReduced, *StoreBuildStats, error) {
-	return AnalyzeReducedJointStoreCtx(context.Background(), bs, cfg, opt)
-}
-
-// AnalyzeReducedJointStoreCtx is AnalyzeReducedJointStore with
-// cancellation. As with the other joint paths, a characterization
-// failure is fatal to the joint result (partial cheap work is still
-// committed for the next incremental run).
+// through the decoded-shard cache. As with the other joint paths, a
+// characterization failure is fatal to the joint result (partial cheap
+// work is still committed for the next incremental run).
 func AnalyzeReducedJointStoreCtx(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig, opt StoreOptions) (*PhaseJointReduced, *StoreBuildStats, error) {
 	rcfg := cfg.Reduced.WithDefaults()
 	st, stats, err := CharacterizeReducedToStoreCtx(ctx, bs, cfg, opt)

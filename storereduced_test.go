@@ -1,6 +1,7 @@
 package mica
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -51,7 +52,7 @@ func TestAnalyzeReducedStoreMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := AnalyzeReducedStore(bs, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "store")})
+	got, stats, err := AnalyzeReducedStoreCtx(context.Background(), bs, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "store")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestAnalyzeReducedJointStoreMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := AnalyzeReducedJointStore(bs, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "store")})
+	got, stats, err := AnalyzeReducedJointStoreCtx(context.Background(), bs, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "store")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestJointStoreWarmStartIncremental(t *testing.T) {
 	}
 	opt := StoreOptions{Dir: dir, Incremental: true, WarmStart: true}
 
-	fresh, stats, err := AnalyzePhasesJointStore(bs, pcfg, opt)
+	fresh, stats, err := AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestJointStoreWarmStartIncremental(t *testing.T) {
 
 	// Unchanged rerun: everything reused, warm path taken, identical K.
 	profiled = 0
-	again, stats, err := AnalyzePhasesJointStore(bs, pcfg, opt)
+	again, stats, err := AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestJointStoreWarmStartIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	profiled = 0
-	warm, stats, err := AnalyzePhasesJointStore(bs, pcfg, opt)
+	warm, stats, err := AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestJointStoreWarmStartIncremental(t *testing.T) {
 	// shards (the stamp changed), falling back to fresh seeding.
 	changed := pcfg
 	changed.Phase.IntervalLen = 600
-	_, stats, err = AnalyzePhasesJointStore(bs, changed, opt)
+	_, stats, err = AnalyzePhasesJointStoreCtx(context.Background(), bs, changed, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mica
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -118,11 +119,11 @@ func TestTraceJointStoreMatchesLiveVM(t *testing.T) {
 	}
 
 	cfg := PhasePipelineConfig{Phase: diffPhaseCfg, Workers: 2}
-	want, _, err := AnalyzePhasesJointStore(lives, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "live")})
+	want, _, err := AnalyzePhasesJointStoreCtx(context.Background(), lives, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "live")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := AnalyzePhasesJointStore(replays, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "replay")})
+	got, _, err := AnalyzePhasesJointStoreCtx(context.Background(), replays, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "replay")})
 	if err != nil {
 		t.Fatal(err)
 	}
