@@ -212,9 +212,9 @@ func BenchmarkProfileBenchmark(b *testing.B) {
 }
 
 // BenchmarkProfilerHotPath measures the end-to-end profiling hot path —
-// the VM→observer→analyzer pipeline that cmd/mica-bench tracks in
-// BENCH_profile.json — in dynamic instructions per second for the three
-// standard configurations.
+// the VM→observer→analyzer pipeline whose per-layer split bench/'s
+// ledger reports (`bash bench/run.sh --trace 1`) — in dynamic
+// instructions per second for the three standard configurations.
 func BenchmarkProfilerHotPath(b *testing.B) {
 	bench, err := BenchmarkByName("SPEC2000/gzip/program")
 	if err != nil {
@@ -266,10 +266,9 @@ func BenchmarkProfilerHotPath(b *testing.B) {
 }
 
 // BenchmarkPhaseHotPath measures phase-analysis throughput
-// (phase-profiled MIPS) for the two configurations cmd/mica-bench
-// tracks in BENCH_phases.json: the naive reference path that allocates
-// a fresh profiler per interval, and the streaming path that pools one
-// profiler across all intervals (Reset in place).
+// (phase-profiled MIPS) for two configurations: the naive reference
+// path that allocates a fresh profiler per interval, and the streaming
+// path that pools one profiler across all intervals (Reset in place).
 func BenchmarkPhaseHotPath(b *testing.B) {
 	bench, err := BenchmarkByName("SPEC2000/gzip/program")
 	if err != nil {
@@ -306,10 +305,11 @@ func BenchmarkPhaseHotPath(b *testing.B) {
 }
 
 // BenchmarkClusterSweep measures the SelectK BIC sweep — the
-// clustering back half of phase analysis that cmd/mica-bench -cluster
-// tracks in BENCH_phases.json — on a synthetic overlapping-blob matrix
-// shaped like a z-scored interval space. Reported in million
-// row-assignments per second (rows x maxK / wall time).
+// clustering back half of phase analysis, which bench/'s joint workload
+// times at registry scale (cluster.sweep_cpu_s) — on a synthetic
+// overlapping-blob matrix shaped like a z-scored interval space.
+// Reported in million row-assignments per second (rows x maxK / wall
+// time).
 func BenchmarkClusterSweep(b *testing.B) {
 	const rows, centers, maxK = 20_000, 12, 6
 	m := cluster.SyntheticPhaseBlobs(rows, centers, 2006)
@@ -689,9 +689,8 @@ func newSingleModel(ooo bool) singleModel {
 	return singleModel{obs: m, ipc: m.IPC}
 }
 
-// BenchmarkReducedPipeline measures phase-aware reduced profiling —
-// the two configurations cmd/mica-bench -reduced tracks in
-// BENCH_phases.json: the exact matched-grid full characterization
+// BenchmarkReducedPipeline measures phase-aware reduced profiling in
+// two configurations: the exact matched-grid full characterization
 // (full 47-dim + HPC on every interval) and the two-pass reduced
 // pipeline (sampled key-characteristic cheap pass, clustering, full
 // characterization only on per-phase measured intervals). The metric
@@ -727,12 +726,12 @@ func BenchmarkReducedPipeline(b *testing.B) {
 }
 
 // BenchmarkReducedStorePipeline measures store-backed reduced
-// profiling — the phases-reduced-store configuration cmd/mica-bench
-// -reduced tracks in BENCH_phases.json: the cheap sampled pass lands
-// in an interval-vector store and the full-characterization replay
-// gathers each benchmark's representatives back through the
-// decoded-shard cache. Effective MIPS: trace instructions per second
-// of end-to-end wall time over the set.
+// profiling — the pipeline bench/'s reduced workload runs on six
+// benchmarks: the cheap sampled pass lands in an interval-vector store
+// and the full-characterization replay gathers each benchmark's
+// representatives back through the decoded-shard cache. Effective
+// MIPS: trace instructions per second of end-to-end wall time over the
+// set.
 func BenchmarkReducedStorePipeline(b *testing.B) {
 	bs := make([]Benchmark, 0, 3)
 	for _, name := range []string{
@@ -763,12 +762,12 @@ func BenchmarkReducedStorePipeline(b *testing.B) {
 	b.ReportMetric(float64(n)/b.Elapsed().Seconds()/1e6, "MIPS")
 }
 
-// BenchmarkJointStorePipeline measures registry-scale joint phase
-// analysis — the configurations cmd/mica-bench -joint tracks in
-// BENCH_phases.json: the in-memory flat-matrix path against the
+// BenchmarkJointStorePipeline measures joint phase analysis in two
+// configurations: the in-memory flat-matrix path against the
 // store-backed streaming path (characterize into float32 shards, then
-// cluster by streaming rows shard-by-shard). Effective MIPS: profiled
-// trace instructions per second of end-to-end wall time.
+// cluster by streaming rows shard-by-shard), which bench/'s joint
+// workload runs at registry scale. Effective MIPS: profiled trace
+// instructions per second of end-to-end wall time.
 func BenchmarkJointStorePipeline(b *testing.B) {
 	bs := make([]Benchmark, 0, 4)
 	for _, name := range []string{

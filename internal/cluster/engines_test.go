@@ -16,7 +16,6 @@ var engines = []struct {
 	run  func(m *stats.Matrix, k int, seed int64) Result
 }{
 	{"lloyd", KMeans},
-	{"elkan", KMeansElkan},
 	{"minibatch", MiniBatchKMeans},
 }
 
@@ -76,7 +75,7 @@ func TestEnginesRecoverBlobsUpToPermutation(t *testing.T) {
 }
 
 // TestEnginesSSEWithinFivePercent pins the engine-quality contract on
-// blob fixtures: minibatch and Elkan SSE within 5% of exact Lloyd's.
+// blob fixtures: minibatch SSE within 5% of exact Lloyd's.
 func TestEnginesSSEWithinFivePercent(t *testing.T) {
 	m, _ := bigBlobs(2000, 2)
 	for _, k := range []int{2, 3, 5} {
@@ -161,24 +160,6 @@ func TestEnginesEdgeCasesMatchLloyd(t *testing.T) {
 		res = eng.run(stats.FromRows([][]float64{{0}, {1}}), 0, 1)
 		if res.K != 0 || len(res.Assign) != 2 {
 			t.Errorf("%s: k=0 mishandled: %+v", eng.name, res)
-		}
-	}
-}
-
-// TestElkanMatchesLloydSSEClosely: Elkan is exact, so on a converged
-// clustering its SSE should essentially coincide with Lloyd's from the
-// same seed (identical seeding, identical update rule; only the order
-// distance computations are skipped in differs).
-func TestElkanMatchesLloydSSEClosely(t *testing.T) {
-	m, _ := bigBlobs(500, 4)
-	for _, k := range []int{2, 3, 4, 6} {
-		ll := KMeans(m, k, 13)
-		el := KMeansElkan(m, k, 13)
-		if rel := math.Abs(el.SSE-ll.SSE) / ll.SSE; rel > 1e-9 {
-			t.Errorf("k=%d: Elkan SSE %.6f vs Lloyd %.6f (rel %g)", k, el.SSE, ll.SSE, rel)
-		}
-		if !reflect.DeepEqual(el.Assign, ll.Assign) {
-			t.Errorf("k=%d: Elkan assignment differs from Lloyd", k)
 		}
 	}
 }

@@ -4,13 +4,10 @@
 // within 90% of the maximum — scaled up for interval-phase matrices
 // with 100k+ rows.
 //
-// Three Result-compatible engines are available:
+// Two Result-compatible engines are available:
 //
 //   - KMeans: Lloyd iterations with k-means++ seeding, the exact
 //     reference engine.
-//   - KMeansElkan: exact Lloyd accelerated with Elkan's
-//     triangle-inequality bounds; skips point-center distance
-//     computations that provably cannot change an assignment.
 //   - MiniBatchKMeans: Sculley-style sampled minibatch updates with
 //     center-drift convergence and a short full-data polish, for
 //     matrices where full Lloyd passes dominate phase-analysis wall
@@ -38,7 +35,7 @@ import (
 	"mica/internal/stats"
 )
 
-// maxIters bounds Lloyd/Elkan/minibatch iteration counts.
+// maxIters bounds Lloyd/minibatch iteration counts.
 const maxIters = 100
 
 // Result is one k-means clustering outcome.
@@ -108,11 +105,6 @@ type scratch struct {
 	sample    []float64 // minibatch seeding sample rows
 	sampleIdx []int     // minibatch seeding sample row indices
 	gat       []float64 // batch*d: gathered minibatch rows
-	upper     []float64 // n: Elkan upper bounds
-	lower     []float64 // n*k: Elkan lower bounds
-	ccDist    []float64 // k*k: Elkan center-center distances
-	ccHalf    []float64 // k: Elkan half-distance to nearest other center
-	drift     []float64 // k: per-center movement
 }
 
 func newScratch() *scratch { return &scratch{} }
@@ -343,23 +335,15 @@ func kmeansRun(m Rows, k int, seed int64, eng Engine, opt SweepOptions, sc *scra
 	rng := rand.New(rand.NewSource(seed))
 	if opt.Warm.usable(m.Dim()) {
 		seeds := warmSeeds(m, k, opt.Warm, rng, sc)
-		switch eng {
-		case EngineElkan:
-			return elkanFrom(m, seeds, sc)
-		case EngineMiniBatch:
+		if eng == EngineMiniBatch {
 			return miniBatchFrom(m, seeds, rng, opt, sc)
-		default:
-			return lloydFrom(m, seeds, sc)
 		}
+		return lloydFrom(m, seeds, sc)
 	}
-	switch eng {
-	case EngineElkan:
-		return elkanFrom(m, seedPlusPlus(m, k, rng, sc), sc)
-	case EngineMiniBatch:
+	if eng == EngineMiniBatch {
 		return miniBatchRun(m, k, rng, opt, sc)
-	default:
-		return lloydFrom(m, seedPlusPlus(m, k, rng, sc), sc)
 	}
+	return lloydFrom(m, seedPlusPlus(m, k, rng, sc), sc)
 }
 
 // BIC scores a clustering with the Bayesian Information Criterion under

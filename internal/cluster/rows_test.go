@@ -45,7 +45,7 @@ func (r *reverseGatherRows) Gather(idx []int, dst *stats.Matrix) {
 // source.
 func TestEnginesOnVolatileRows(t *testing.T) {
 	m := SyntheticPhaseBlobs(600, 5, 11)
-	for _, eng := range []Engine{EngineLloyd, EngineElkan, EngineMiniBatch} {
+	for _, eng := range []Engine{EngineLloyd, EngineMiniBatch} {
 		want := ownAssign(kmeansRun(m, 4, 42, eng, SweepOptions{}.withDefaults(), newScratch()))
 		got := ownAssign(kmeansRun(newVolatile(m), 4, 42, eng, SweepOptions{}.withDefaults(), newScratch()))
 		if !reflect.DeepEqual(want, got) {

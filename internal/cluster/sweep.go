@@ -23,9 +23,6 @@ const (
 	EngineAuto Engine = iota
 	// EngineLloyd forces the exact reference engine.
 	EngineLloyd
-	// EngineElkan forces exact Lloyd with Elkan's triangle-inequality
-	// acceleration.
-	EngineElkan
 	// EngineMiniBatch forces sampled minibatch updates (with the
 	// documented exact fallback on tiny inputs).
 	EngineMiniBatch
@@ -233,7 +230,7 @@ func SelectKRowsCtx(ctx context.Context, open func() Rows, maxK int, frac float6
 // uses the same derived per-k seeds as SelectKOpt, so SelectKOpt with
 // EngineLloyd is bit-identical to it — the differential contract the
 // parallel sweep is tested against, and the baseline configuration of
-// the tracked cluster benchmark (mica-bench -cluster).
+// BenchmarkClusterSweep.
 func SelectKNaive(m *stats.Matrix, maxK int, frac float64, seed int64) Selection {
 	if maxK > m.Rows {
 		maxK = m.Rows

@@ -2,7 +2,6 @@ package ivstore
 
 import (
 	"encoding/json"
-	"math"
 	"testing"
 )
 
@@ -24,47 +23,6 @@ func FuzzShardDecode(f *testing.F) {
 		}
 		if vecs == nil || vecs.Rows == 0 || vecs.Cols == 0 || len(ivs) != vecs.Rows {
 			t.Fatalf("decode accepted a malformed shard: %d insts, %v matrix", len(ivs), vecs)
-		}
-	})
-}
-
-// FuzzMmapShardDecode: the mmap-path validator and row assembler must
-// agree with the byte decoder on every input — both reject, or both
-// accept with identical rows and instruction counts. The seed corpus
-// reuses the corrupt/truncated shapes of FuzzShardDecode (pristine
-// shards of both encodings, a bare magic, empty bytes) and the fuzzer
-// mutates from there.
-func FuzzMmapShardDecode(f *testing.F) {
-	insts, m := synthShard(5, 3, 1)
-	f.Add(encodeShard(Float32, insts, m))
-	f.Add(encodeShard(Quant8, insts, m))
-	f.Add([]byte(shardMagic))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		ivs, vecs, decErr := decodeShard(raw)
-		ms := &mappedShard{raw: raw}
-		mapErr := ms.validate()
-		if (decErr == nil) != (mapErr == nil) {
-			t.Fatalf("decoders disagree: decode err %v, mmap err %v", decErr, mapErr)
-		}
-		if decErr != nil {
-			return
-		}
-		if ms.rows != vecs.Rows || ms.cols != vecs.Cols {
-			t.Fatalf("mmap shape %dx%d, decode %dx%d", ms.rows, ms.cols, vecs.Rows, vecs.Cols)
-		}
-		row := make([]float64, ms.cols)
-		for i := 0; i < ms.rows; i++ {
-			if ms.inst(i) != ivs[i] {
-				t.Fatalf("inst %d diverges", i)
-			}
-			ms.rowInto(i, row)
-			for j := range row {
-				want := vecs.At(i, j)
-				if row[j] != want && !(math.IsNaN(row[j]) && math.IsNaN(want)) {
-					t.Fatalf("row %d col %d: mmap %v, decode %v", i, j, row[j], want)
-				}
-			}
 		}
 	})
 }

@@ -13,10 +13,7 @@
 // shard-by-shard (Reader) through a shared byte-budgeted decoded-shard
 // LRU (SetCacheBytes, CacheStats, CachedShard), so repeated clustering
 // passes decode each shard once while peak memory stays within the
-// budget, not the whole matrix. On unix, RowsMmap serves the same row
-// contract straight from mmapped shard files — no decode buffers at
-// all, page cache shared across processes — with a read-the-file
-// fallback elsewhere.
+// budget, not the whole matrix.
 //
 // Two value encodings are supported. Float32 (the default) stores
 // each value as an IEEE-754 single — half the bytes of the float64
@@ -63,11 +60,10 @@
 // if a writer commits a newer manifest to the same directory. The
 // snapshot stays readable because a committing writer that cannot
 // upgrade its lock past live readers skips pruning ("prune skipped"
-// warning) — superseded shard files remain on disk (and, for mmap
-// readers on unix, an unlinked mapped file remains valid) until some
-// later commit finds no readers holding the lock. Readers are
-// therefore consistent but possibly stale; reopen the store to observe
-// a newer commit. Decoded shards cached before a re-commit are dropped
+// warning) — superseded shard files remain on disk until some later
+// commit finds no readers holding the lock. Readers are therefore
+// consistent but possibly stale; reopen the store to observe a newer
+// commit. Decoded shards cached before a re-commit are dropped
 // from the cache, never served against the new shard list.
 //
 // Verify checks a committed store end to end (every shard decoded and
@@ -193,9 +189,6 @@ type Store struct {
 
 	cacheBytes int64       // requested cache budget; <=0 means default
 	cache      *shardCache // shared decoded-shard LRU, built on first use
-
-	mapsMu sync.Mutex
-	maps   []*mappedShard // lazily mapped shards, index-aligned with shards
 }
 
 // Create prepares an empty store under dir (creating the directory if
@@ -270,11 +263,7 @@ func (s *Store) Close() error {
 	}
 	s.cache = nil
 	s.mu.Unlock()
-	err := lk.release()
-	if merr := s.unmapAll(); err == nil {
-		err = merr
-	}
-	return err
+	return lk.release()
 }
 
 // Inventory reads and validates a store's manifest without requiring
@@ -534,10 +523,9 @@ func (s *Store) Commit(order []string) (warnings []string, err error) {
 	s.committed = true
 	s.shards = man.Shards
 	s.offsets = offsetsOf(man.Shards)
-	// The committed inventory changed: drop the decoded-shard cache and
-	// any mmapped views keyed to the previous shard list.
+	// The committed inventory changed: drop the decoded-shard cache,
+	// whose entries are keyed to the previous shard list.
 	s.cache = nil
-	defer s.unmapAll()
 	warnings = s.pruneLocked()
 	if err := s.lk.downgrade(); err != nil {
 		warnings = append(warnings, err.Error())

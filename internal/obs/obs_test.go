@@ -129,7 +129,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndDelta(t *testing.T) {
+func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("mica_test_items_total", "")
 	c.Add(5)
@@ -146,25 +146,8 @@ func TestSnapshotAndDelta(t *testing.T) {
 		t.Fatalf("snapshot histogram = %+v", hs)
 	}
 
-	c.Add(2)
-	h.Observe(1.5)
-	d := Delta(base, r.Snapshot())
-	if d["mica_test_items_total"] != 2 {
-		t.Errorf("delta counter = %v, want 2", d["mica_test_items_total"])
-	}
-	if d["mica_test_dur_seconds:count"] != 1 {
-		t.Errorf("delta hist count = %v, want 1", d["mica_test_dur_seconds:count"])
-	}
-	if math.Abs(d["mica_test_dur_seconds:sum"]-1.5) > 1e-9 {
-		t.Errorf("delta hist sum = %v, want 1.5", d["mica_test_dur_seconds:sum"])
-	}
-	// Gauges report current level.
-	if d["mica_test_depth"] != 3 {
-		t.Errorf("delta gauge = %v, want 3", d["mica_test_depth"])
-	}
-	// Untouched keys are dropped.
-	if _, ok := d["mica_test_items_total:count"]; ok {
-		t.Error("unexpected key in delta")
+	if base.Gauges["mica_test_depth"] != 3 {
+		t.Errorf("snapshot gauge = %v, want 3", base.Gauges["mica_test_depth"])
 	}
 }
 
@@ -214,10 +197,9 @@ func TestBuildInfo(t *testing.T) {
 	}
 }
 
-// TestDumpStatsAndFlatten covers the CLI-facing surface: the global
-// registry's -stats JSON dump round-trips, Default()/StartSpan/Names
-// feed it, and Flatten exposes histogram count/sum/p99 keys.
-func TestDumpStatsAndFlatten(t *testing.T) {
+// TestDumpStats covers the CLI-facing surface: the global registry's
+// -stats JSON dump round-trips, and Default()/StartSpan/Names feed it.
+func TestDumpStats(t *testing.T) {
 	Default().Counter("mica_test_dumped_total", "Dump coverage.").Add(3)
 	StartSpan("phases.dumptest").End()
 	if !slices.Contains(Default().Names(), "mica_test_dumped_total") {
@@ -240,13 +222,9 @@ func TestDumpStatsAndFlatten(t *testing.T) {
 		t.Fatalf("dump counters = %v", snap.Counters)
 	}
 
-	flat := snap.Flatten()
 	key := stageDurationName + `{stage="phases.dumptest"}`
-	if flat[key+":count"] < 1 {
-		t.Fatalf("flattened dump missing %s:count (have %d keys)", key, len(flat))
-	}
-	if _, ok := flat[key+":p99"]; !ok {
-		t.Fatalf("flattened dump missing %s:p99", key)
+	if snap.Histograms[key].Count < 1 {
+		t.Fatalf("dump missing span histogram %s (have %d histograms)", key, len(snap.Histograms))
 	}
 	h := Default().Histogram("mica_test_dump_seconds", "", nil)
 	if len(h.Bounds()) != len(DefaultDurationBounds) {

@@ -18,8 +18,9 @@ type HistSnap struct {
 
 // Snap is a point-in-time copy of a registry, keyed by
 // `name` or `name{label="value",...}` for labeled children. It is the
-// -stats dump format for the CLIs and the source for mica-bench's
-// per-run metric deltas.
+// -stats dump format for the CLIs. bench/ takes its per-layer
+// registry deltas from the Prometheus exposition (WritePrometheus,
+// /metrics) instead.
 type Snap struct {
 	Counters   map[string]float64  `json:"counters,omitempty"`
 	Gauges     map[string]float64  `json:"gauges,omitempty"`
@@ -59,53 +60,6 @@ func (r *Registry) Snapshot() Snap {
 		}
 	}
 	return s
-}
-
-// Flatten renders the snapshot as a single map of float64s, suitable
-// for embedding in bench-history JSON: counters and gauges keep their
-// keys, histograms contribute `<key>_count`, `<key>_sum_seconds` (the
-// raw sum; for duration histograms the unit is seconds) and
-// `<key>_p99`.
-func (s Snap) Flatten() map[string]float64 {
-	out := make(map[string]float64, len(s.Counters)+len(s.Gauges)+3*len(s.Histograms))
-	for k, v := range s.Counters {
-		out[k] = v
-	}
-	for k, v := range s.Gauges {
-		out[k] = v
-	}
-	for k, h := range s.Histograms {
-		out[k+":count"] = float64(h.Count)
-		out[k+":sum"] = h.Sum
-		out[k+":p99"] = h.P99
-	}
-	return out
-}
-
-// Delta returns flattened current-minus-base for counters and
-// histogram counts/sums, and the current value for gauges (gauges are
-// levels, not totals). Keys whose delta is zero are dropped so bench
-// entries only record what the run actually touched.
-func Delta(base, cur Snap) map[string]float64 {
-	out := map[string]float64{}
-	for k, v := range cur.Counters {
-		if d := v - base.Counters[k]; d != 0 {
-			out[k] = d
-		}
-	}
-	for k, v := range cur.Gauges {
-		if v != 0 {
-			out[k] = v
-		}
-	}
-	for k, h := range cur.Histograms {
-		b := base.Histograms[k]
-		if d := h.Count - b.Count; d != 0 {
-			out[k+":count"] = float64(d)
-			out[k+":sum"] = h.Sum - b.Sum
-		}
-	}
-	return out
 }
 
 // DumpStats writes Default()'s snapshot as indented JSON to path, or

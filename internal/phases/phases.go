@@ -172,8 +172,8 @@ func AnalyzeWith(m trace.Source, prof *mica.Profiler, cfg Config) (*Result, erro
 // AnalyzeUnpooled is the pre-streaming reference implementation: a
 // fresh profiler is allocated for every interval. It produces
 // bit-identical results to Analyze/AnalyzeWith and is retained as the
-// differential-testing oracle and as the baseline configuration of the
-// tracked phase benchmark (BENCH_phases.json).
+// differential-testing oracle and as the baseline configuration of
+// BenchmarkPhaseHotPath.
 func AnalyzeUnpooled(m trace.Source, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	return analyze(m, cfg, func() *mica.Profiler {

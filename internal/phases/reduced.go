@@ -438,8 +438,8 @@ func (e *ExactProfile) TotalInsts() uint64 {
 // freshly instantiated machine: the same interval grid as the reduced
 // pipeline, with the full 47-characteristic + HPC characterization
 // paid on EVERY interval. It is both the differential-test oracle for
-// the reduced extrapolation and the cost baseline the tracked
-// `mica-bench -reduced` speedup is measured against.
+// the reduced extrapolation and the cost baseline BenchmarkReducedPipeline
+// measures the reduced speedup against.
 func CharacterizeExact(m trace.Source, cfg ReducedConfig) (*ExactProfile, error) {
 	cfg = cfg.WithDefaults()
 	pcfg := cfg.Phase

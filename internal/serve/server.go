@@ -595,12 +595,10 @@ func (s *Server) handleVectors(w http.ResponseWriter, r *http.Request) {
 		}
 		count = n
 	}
-	if from > end-start {
-		from = end - start
-	}
-	if from+count > end-start {
-		count = end - start - from
-	}
+	// Clamp count against the rows left after from, never as from+count,
+	// which overflows for a count near MaxInt.
+	from = min(from, end-start)
+	count = min(count, end-start-from)
 	reader := s.st.Rows()
 	out := make([][]float64, 0, count)
 	for i := 0; i < count; i++ {

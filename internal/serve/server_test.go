@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -269,6 +270,12 @@ func TestServeVectorsMatchesStore(t *testing.T) {
 	getJSON(t, fmt.Sprintf("%s/api/v1/vectors?bench=%s&from=2&count=3", ts.URL, bench), http.StatusOK, &sub)
 	if len(sub.Vectors) != 3 || !reflect.DeepEqual(sub.Vectors[0], data.Vecs.Row(2)) {
 		t.Fatal("from/count window diverges from store rows")
+	}
+	// A count near MaxInt is clamped to the rows left after from.
+	var tail vectorsResponse
+	getJSON(t, fmt.Sprintf("%s/api/v1/vectors?bench=%s&from=1&count=%d", ts.URL, bench, math.MaxInt), http.StatusOK, &tail)
+	if len(tail.Vectors) != data.Vecs.Rows-1 || !reflect.DeepEqual(tail.Vectors[0], data.Vecs.Row(1)) {
+		t.Fatalf("from=1&count=MaxInt served %d rows, want %d", len(tail.Vectors), data.Vecs.Rows-1)
 	}
 	getJSON(t, ts.URL+"/api/v1/vectors?bench=no/such/bench", http.StatusNotFound, nil)
 }

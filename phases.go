@@ -281,8 +281,9 @@ func ProfileReduced(b Benchmark, cfg ReducedConfig) (ProfileResult, error) {
 // ProfileExact measures the exact matched-grid full profile of one
 // benchmark: the same interval grid as AnalyzeReduced, with the full
 // characterization paid on every interval. It is the differential
-// oracle reduced extrapolations are scored against and the cost
-// baseline of the tracked `mica-bench -reduced` speedup.
+// oracle reduced extrapolations are scored against (bench/'s reduced
+// workload checks its worst error with it) and the cost baseline of
+// BenchmarkReducedPipeline.
 func ProfileExact(b Benchmark, cfg ReducedConfig) (*PhaseExactProfile, error) {
 	m, err := b.Source()
 	if err != nil {

@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// reducedBenchSet is the suite-spanning registry set the tracked
-// `mica-bench -reduced` measurement and the acceptance assertions run
-// over: branchy, pointer-chasing, FP, ALU-dense and streaming
-// behaviour in one list.
+// reducedBenchSet is the suite-spanning registry set the acceptance
+// assertions run over, the same six benchmarks bench/'s reduced
+// workload measures: branchy, pointer-chasing, FP, ALU-dense and
+// streaming behaviour in one list.
 var reducedBenchSet = []string{
 	"SPEC2000/gzip/program",
 	"SPEC2000/crafty/ref",
