@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -189,6 +190,25 @@ func BenchmarkFigure6(b *testing.B) {
 		sel = an.Space.Cluster(an.GA.Selected, 70, 2006)
 	}
 	b.ReportMetric(float64(sel.Best.K), "K")
+}
+
+// BenchmarkAnalyze is the warm half of bench/'s paper workload: the
+// whole Sections IV-VI evaluation (Analyze) plus every table, figure
+// and report renderer, over the shared registry profile.
+func BenchmarkAnalyze(b *testing.B) {
+	results, _ := benchData(b)
+	b.ResetTimer()
+	var n int
+	for i := 0; i < b.N; i++ {
+		a := Analyze(results, DefaultAnalysisConfig())
+		n = len(strings.Join([]string{
+			RenderTableI(results), RenderTableII(results),
+			a.RenderFigure1(), a.RenderFigure2(), a.RenderFigure3(), a.RenderTableIII(),
+			a.RenderFigure4(), a.RenderFigure5(), a.RenderTableIV(), a.RenderFigure6(true),
+			a.SuiteSimilarityReport(),
+		}, "\n"))
+	}
+	b.ReportMetric(float64(n), "bytes")
 }
 
 // --- profiling and simulator throughput benches ---

@@ -47,7 +47,15 @@ func run(budget uint64, resultsPath string, maxK int, seed int64, kiviat bool, s
 	var res []mica.ProfileResult
 	var err error
 	if resultsPath != "" {
-		res, _, err = mica.LoadResults(resultsPath)
+		// A cache profiled at another budget is a miss.
+		cached, cachedBudget, loadErr := mica.LoadResults(resultsPath)
+		switch {
+		case loadErr == nil && cachedBudget == budget:
+			res = cached
+		case loadErr == nil:
+			fmt.Fprintf(os.Stderr, "%s holds budget %d, not %d: re-profiling\n",
+				resultsPath, cachedBudget, budget)
+		}
 	}
 	if res == nil {
 		cfg := mica.DefaultConfig()

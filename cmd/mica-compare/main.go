@@ -103,12 +103,19 @@ func run(budget uint64, outDir, resultsPath, exp string, kiviats bool, seed int6
 }
 
 // obtainResults loads cached profiling results or measures everything.
+// A cache profiled at another budget is a miss: it is re-profiled at
+// budget and overwritten.
 func obtainResults(budget uint64, path string) ([]mica.ProfileResult, error) {
 	if path != "" {
-		if results, cachedBudget, err := mica.LoadResults(path); err == nil {
+		results, cachedBudget, err := mica.LoadResults(path)
+		switch {
+		case err == nil && cachedBudget == budget:
 			fmt.Fprintf(os.Stderr, "loaded %d results (budget %d) from %s\n",
 				len(results), cachedBudget, path)
 			return results, nil
+		case err == nil:
+			fmt.Fprintf(os.Stderr, "%s holds budget %d, not %d: re-profiling\n",
+				path, cachedBudget, budget)
 		}
 	}
 	cfg := mica.DefaultConfig()

@@ -108,3 +108,37 @@ func TestObtainResultsCachesToNewDir(t *testing.T) {
 		t.Error("cache load wrong")
 	}
 }
+
+// TestObtainResultsBudgetMismatchIsCacheMiss: a cache profiled at one
+// -budget must not answer a run at another; the run re-profiles at its
+// own budget and rewrites the cache.
+func TestObtainResultsBudgetMismatchIsCacheMiss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("profiles all 122 benchmarks twice")
+	}
+	path := filepath.Join(t.TempDir(), "cache.json")
+	if _, err := obtainResults(2_000, path); err != nil {
+		t.Fatal(err)
+	}
+	res, err := obtainResults(3_000, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maxInsts uint64
+	for _, r := range res {
+		if r.Insts > 3_000 {
+			t.Errorf("%s ran %d instructions past the 3000 budget", r.Benchmark.Name(), r.Insts)
+		}
+		maxInsts = max(maxInsts, r.Insts)
+	}
+	if maxInsts != 3_000 {
+		t.Errorf("longest run is %d instructions, want the 3000 budget (stale 2000 cache served?)", maxInsts)
+	}
+	_, cached, err := mica.LoadResults(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached != 3_000 {
+		t.Errorf("cache records budget %d after a 3000 run, want 3000", cached)
+	}
+}

@@ -42,7 +42,15 @@ func run(budget uint64, resultsPath string, seed int64) error {
 	var results []mica.ProfileResult
 	var err error
 	if resultsPath != "" {
-		results, _, err = mica.LoadResults(resultsPath)
+		// A cache profiled at another budget is a miss.
+		cached, cachedBudget, loadErr := mica.LoadResults(resultsPath)
+		switch {
+		case loadErr == nil && cachedBudget == budget:
+			results = cached
+		case loadErr == nil:
+			fmt.Fprintf(os.Stderr, "%s holds budget %d, not %d: re-profiling\n",
+				resultsPath, cachedBudget, budget)
+		}
 	}
 	if results == nil {
 		cfg := mica.DefaultConfig()

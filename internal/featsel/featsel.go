@@ -8,6 +8,7 @@ package featsel
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"mica/internal/ga"
 	"mica/internal/stats"
@@ -25,6 +26,12 @@ type DistanceCache struct {
 	colSq [][]float64
 	// full holds the distances using all characteristics.
 	full []float64
+	// fullDev holds full[p] - mean(full), and fullSS the sum of their
+	// squares: the x-side terms of Pearson's r, which every Rho shares.
+	fullDev []float64
+	fullSS  float64
+	// buf recycles Rho's per-call subset-distance buffers.
+	buf sync.Pool
 }
 
 // NewDistanceCache builds the cache from a (normalized) benchmark-by-
@@ -47,6 +54,13 @@ func NewDistanceCache(m *stats.Matrix) *DistanceCache {
 		}
 	}
 	c.full = c.distancesMask(nil)
+	mx := stats.Mean(c.full)
+	c.fullDev = make([]float64, len(c.full))
+	for p, x := range c.full {
+		dx := x - mx
+		c.fullDev[p] = dx
+		c.fullSS += dx * dx
+	}
 	return c
 }
 
@@ -83,23 +97,90 @@ func (c *DistanceCache) FullDistances() []float64 {
 // SubsetDistances returns the pairwise distances using only the listed
 // characteristics.
 func (c *DistanceCache) SubsetDistances(cols []int) []float64 {
+	return c.distancesMask(c.mask(cols))
+}
+
+// mask turns a column list into a column mask.
+func (c *DistanceCache) mask(cols []int) []bool {
 	mask := make([]bool, c.nCols)
 	for _, j := range cols {
 		mask[j] = true
 	}
-	return c.distancesMask(mask)
+	return mask
 }
+
+// rhoBlock is how many pairs Rho accumulates at a time: the block's
+// partial sums stay in L1 while every selected column streams past.
+const rhoBlock = 512
 
 // Rho returns the Pearson correlation between the full-space distances
 // and the distances in the subset space selected by mask — the rho of the
-// GA fitness function and of Figure 5.
+// GA fitness function and of Figure 5. It is safe for concurrent use.
+//
+// Rho equals stats.Pearson(full, subset distances) bit for bit: every
+// accumulator sees the same operands in the same order. Each pair's
+// squared differences are summed in column order (four columns per
+// pass, added left to right), the subset mean is summed in pair order,
+// and the x-side deviations were computed once by NewDistanceCache.
 func (c *DistanceCache) Rho(mask []bool) float64 {
-	return stats.Pearson(c.full, c.distancesMask(mask))
+	pairs := len(c.full)
+	if pairs == 0 {
+		return 0
+	}
+	cols := make([][]float64, 0, 64) // a constant capacity stays on the stack
+	for j, col := range c.colSq {
+		if mask == nil || mask[j] {
+			cols = append(cols, col)
+		}
+	}
+	bp, _ := c.buf.Get().(*[]float64)
+	if bp == nil {
+		b := make([]float64, pairs)
+		bp = &b
+	}
+	defer c.buf.Put(bp)
+	y := *bp
+
+	sy := 0.0
+	for lo := 0; lo < pairs; lo += rhoBlock {
+		hi := min(lo+rhoBlock, pairs)
+		acc := y[lo:hi]
+		clear(acc)
+		j := 0
+		for ; j+4 <= len(cols); j += 4 {
+			a, b, cc, d := cols[j][lo:hi], cols[j+1][lo:hi], cols[j+2][lo:hi], cols[j+3][lo:hi]
+			for p := range acc {
+				acc[p] = acc[p] + a[p] + b[p] + cc[p] + d[p]
+			}
+		}
+		for ; j < len(cols); j++ {
+			a := cols[j][lo:hi]
+			for p := range acc {
+				acc[p] += a[p]
+			}
+		}
+		for p := range acc {
+			acc[p] = math.Sqrt(acc[p])
+			sy += acc[p]
+		}
+	}
+	my := sy / float64(pairs)
+
+	var sxy, syy float64
+	for p, dx := range c.fullDev {
+		dy := y[p] - my
+		sxy += dx * dy
+		syy += dy * dy
+	}
+	if c.fullSS == 0 || syy == 0 {
+		return 0
+	}
+	return sxy / math.Sqrt(c.fullSS*syy)
 }
 
 // RhoSubset is Rho for an explicit column list.
 func (c *DistanceCache) RhoSubset(cols []int) float64 {
-	return stats.Pearson(c.full, c.SubsetDistances(cols))
+	return c.Rho(c.mask(cols))
 }
 
 // Cols returns the number of characteristics in the cache.
@@ -209,11 +290,11 @@ type GAResult struct {
 	Generations int
 }
 
-// GASelect runs the Section V-B genetic algorithm on a (normalized)
-// characteristic matrix and returns the best subset found.
-func GASelect(m *stats.Matrix, cfg GAConfig) GAResult {
-	cache := NewDistanceCache(m)
-	n := m.Cols
+// GASelect runs the Section V-B genetic algorithm over the
+// characteristics of a distance cache (built from the normalized
+// matrix) and returns the best subset found.
+func GASelect(cache *DistanceCache, cfg GAConfig) GAResult {
+	n := cache.Cols()
 	fitness := func(genes []bool) float64 {
 		k := 0
 		for _, g := range genes {
@@ -250,11 +331,11 @@ func GASelect(m *stats.Matrix, cfg GAConfig) GAResult {
 	}
 }
 
-// CECurve evaluates the correlation-elimination method at every retained
-// subset size, returning rho for sizes 1..N in index order (the data of
-// Figure 5's CE series).
-func CECurve(m *stats.Matrix) []float64 {
-	cache := NewDistanceCache(m)
+// CECurve evaluates the correlation-elimination method on the
+// (normalized) matrix m at every retained subset size, returning rho for
+// sizes 1..N in index order (the data of Figure 5's CE series). cache
+// must have been built from m.
+func CECurve(cache *DistanceCache, m *stats.Matrix) []float64 {
 	ce := CorrelationElimination(m)
 	out := make([]float64, m.Cols)
 	for k := 1; k <= m.Cols; k++ {

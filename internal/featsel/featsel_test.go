@@ -111,7 +111,7 @@ func TestRetainedBounds(t *testing.T) {
 
 func TestCECurveIncreasesWithSubsetSize(t *testing.T) {
 	m := redundantData(60, 6)
-	curve := CECurve(m)
+	curve := CECurve(NewDistanceCache(m), m)
 	if len(curve) != m.Cols {
 		t.Fatal("curve length wrong")
 	}
@@ -127,7 +127,7 @@ func TestCECurveIncreasesWithSubsetSize(t *testing.T) {
 
 func TestGASelectFindsCompactAccurateSubset(t *testing.T) {
 	m := redundantData(80, 7)
-	res := GASelect(m, GAConfig{Seed: 17})
+	res := GASelect(NewDistanceCache(m), GAConfig{Seed: 17})
 	if len(res.Selected) == 0 {
 		t.Fatal("GA selected nothing")
 	}
@@ -147,8 +147,9 @@ func TestGASelectFindsCompactAccurateSubset(t *testing.T) {
 
 func TestGASelectDeterministic(t *testing.T) {
 	m := redundantData(40, 8)
-	a := GASelect(m, GAConfig{Seed: 9})
-	b := GASelect(m, GAConfig{Seed: 9})
+	cache := NewDistanceCache(m)
+	a := GASelect(cache, GAConfig{Seed: 9})
+	b := GASelect(cache, GAConfig{Seed: 9})
 	if len(a.Selected) != len(b.Selected) || a.Rho != b.Rho {
 		t.Error("same seed gave different GA selections")
 	}
@@ -160,11 +161,59 @@ func TestGABeatsCEAtSameCardinality(t *testing.T) {
 	// subset of the same size.
 	m := redundantData(80, 10)
 	cache := NewDistanceCache(m)
-	gaRes := GASelect(m, GAConfig{Seed: 21})
+	gaRes := GASelect(cache, GAConfig{Seed: 21})
 	ce := CorrelationElimination(m)
 	ceRho := cache.RhoSubset(ce.Retained(len(gaRes.Selected)))
 	if gaRes.Rho+1e-9 < ceRho {
 		t.Errorf("GA rho %g below CE rho %g at equal cardinality %d",
 			gaRes.Rho, ceRho, len(gaRes.Selected))
+	}
+}
+
+// TestRhoMatchesPearsonBitwise pins the blocked, allocation-free Rho to
+// its definition, stats.Pearson(full, distancesMask(mask)), bit for bit:
+// over random masks of every density, the empty mask, the full mask and
+// nil. 70 rows give 2415 pairs, several Rho blocks plus a partial one.
+func TestRhoMatchesPearsonBitwise(t *testing.T) {
+	const rows, cols = 70, 47
+	rng := rand.New(rand.NewSource(15))
+	raw := stats.NewMatrix(rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			raw.Set(i, j, rng.NormFloat64()*float64(1+j%5)+float64(j))
+		}
+	}
+	cache := NewDistanceCache(stats.ZScoreNormalize(raw))
+
+	check := func(mask []bool) {
+		t.Helper()
+		got, want := cache.Rho(mask), stats.Pearson(cache.full, cache.distancesMask(mask))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Rho(%v) = %v, Pearson = %v", mask, got, want)
+		}
+	}
+	check(nil)
+	check(make([]bool, cols))
+	all := make([]bool, cols)
+	for j := range all {
+		all[j] = true
+	}
+	check(all)
+	for trial := 0; trial < 1000; trial++ {
+		density := rng.Float64()
+		mask := make([]bool, cols)
+		for j := range mask {
+			mask[j] = rng.Float64() < density
+		}
+		check(mask)
+	}
+}
+
+func TestRhoAllocationFree(t *testing.T) {
+	cache := NewDistanceCache(redundantData(40, 11))
+	mask := []bool{true, false, true, true, false, true}
+	cache.Rho(mask) // warm the buffer pool
+	if allocs := testing.AllocsPerRun(100, func() { cache.Rho(mask) }); allocs != 0 {
+		t.Errorf("Rho allocates %v times per call, want 0", allocs)
 	}
 }

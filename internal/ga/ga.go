@@ -6,7 +6,13 @@
 // engine here is generic over any bitstring fitness function.
 package ga
 
-import "math/rand"
+import (
+	"context"
+	"errors"
+	"math/rand"
+
+	"mica/internal/pool"
+)
 
 // Config holds the GA hyper-parameters. Zero values select the defaults
 // documented on each field.
@@ -85,7 +91,10 @@ func (ind Individual) CountSet() int {
 	return n
 }
 
-// FitnessFunc scores a bitstring; higher is better.
+// FitnessFunc scores a bitstring; higher is better. It must be pure —
+// the same genes always score the same — and safe for concurrent calls:
+// Run scores each distinct genome once and scores a generation's new
+// genomes in parallel.
 type FitnessFunc func(genes []bool) float64
 
 // Result reports the outcome of a run.
@@ -97,13 +106,18 @@ type Result struct {
 }
 
 // Run executes the GA and returns the best individual found. It panics if
-// cfg.Genes <= 0.
+// cfg.Genes <= 0, and re-panics in the caller's goroutine if fit panics.
+//
+// Fitness never draws from the random source, so Run breeds a whole
+// generation before scoring it; the draw sequence, and so the result,
+// is the same as scoring each child as it is bred.
 func Run(cfg Config, fit FitnessFunc) Result {
 	if cfg.Genes <= 0 {
 		panic("ga: Config.Genes must be positive")
 	}
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	memo := make(map[string]float64)
 
 	pop := make([]Individual, cfg.PopSize)
 	for i := range pop {
@@ -111,8 +125,9 @@ func Run(cfg Config, fit FitnessFunc) Result {
 		for j := range genes {
 			genes[j] = rng.Intn(2) == 1
 		}
-		pop[i] = Individual{Genes: genes, Fitness: fit(genes)}
+		pop[i] = Individual{Genes: genes}
 	}
+	score(pop, memo, fit)
 
 	best := bestOf(pop).clone()
 	stall := 0
@@ -148,8 +163,9 @@ func Run(cfg Config, fit FitnessFunc) Result {
 					child[j] = !child[j]
 				}
 			}
-			next = append(next, Individual{Genes: child, Fitness: fit(child)})
+			next = append(next, Individual{Genes: child})
 		}
+		score(next[cfg.Elitism:], memo, fit)
 		pop = next
 
 		if cand := bestOf(pop); cand.Fitness > best.Fitness {
@@ -161,6 +177,49 @@ func Run(cfg Config, fit FitnessFunc) Result {
 		history = append(history, best.Fitness)
 	}
 	return Result{Best: best, Generations: gen, History: history}
+}
+
+// score sets the Fitness of every individual in pop. memo holds every
+// genome the run has scored, keyed by its packed bitstring; only the
+// distinct genomes it lacks reach fit, in parallel.
+func score(pop []Individual, memo map[string]float64, fit FitnessFunc) {
+	keys := make([]string, len(pop))
+	var todo []int // index in pop of each unscored genome's first copy
+	for i, ind := range pop {
+		keys[i] = pack(ind.Genes)
+		if _, seen := memo[keys[i]]; !seen {
+			memo[keys[i]] = 0 // claimed; scored below
+			todo = append(todo, i)
+		}
+	}
+	err := pool.RunCtx(context.Background(), len(todo), 0, func(_ context.Context, _, t int) error {
+		ind := &pop[todo[t]]
+		ind.Fitness = fit(ind.Genes)
+		return nil
+	})
+	// fit returns no error, so err can only carry a recovered panic:
+	// raise it again in the caller's goroutine.
+	var pe *pool.PanicError
+	if errors.As(err, &pe) {
+		panic(pe.Value)
+	}
+	for _, i := range todo {
+		memo[keys[i]] = pop[i].Fitness
+	}
+	for i := range pop {
+		pop[i].Fitness = memo[keys[i]]
+	}
+}
+
+// pack encodes genes one bit each.
+func pack(genes []bool) string {
+	b := make([]byte, (len(genes)+7)/8)
+	for j, g := range genes {
+		if g {
+			b[j/8] |= 1 << (j % 8)
+		}
+	}
+	return string(b)
 }
 
 func bestOf(pop []Individual) Individual {

@@ -12,6 +12,7 @@ package roc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mica/internal/stats"
@@ -116,6 +117,12 @@ type Point struct {
 // threshold fixed at hpcFrac of its maximum distance, exactly as in
 // Figure 4. The sweep visits every distinct indep distance (plus the
 // extremes), producing a monotone curve from (0,0) to (1,1).
+//
+// Each point equals Classify at its threshold, but the sweep costs
+// O(P log P) rather than a Classify pass per threshold: the indep
+// distances of each HPC label are sorted once, and a cursor per label
+// counts the "small" tuples (indep <= threshold) as the ascending
+// thresholds pass them.
 func Curve(hpcDist, indepDist []float64, hpcFrac float64) []Point {
 	if len(hpcDist) != len(indepDist) {
 		panic("roc: mismatched distance vectors")
@@ -124,9 +131,7 @@ func Curve(hpcDist, indepDist []float64, hpcFrac float64) []Point {
 
 	// Sweep each distinct distance once: between two consecutive
 	// distinct distances the classification is constant, so a repeated
-	// distance would re-emit the same point — every duplicate in
-	// indepDist used to add a redundant Classify pass and a duplicate
-	// curve point.
+	// distance would re-emit the same point.
 	thresholds := append([]float64{-1}, indepDist...)
 	sort.Float64s(thresholds)
 	uniq := thresholds[:1]
@@ -136,9 +141,41 @@ func Curve(hpcDist, indepDist []float64, hpcFrac float64) []Point {
 		}
 	}
 	thresholds = uniq
+
+	// Split the indep distances by truth label: positives have a large
+	// HPC distance. sort.Float64s puts NaN first; a NaN distance is
+	// never "large", so it belongs to the small prefix at every
+	// threshold, just as in Classify.
+	var pos, neg []float64
+	for i, h := range hpcDist {
+		if h > hpcThresh {
+			pos = append(pos, indepDist[i])
+		} else {
+			neg = append(neg, indepDist[i])
+		}
+	}
+	sort.Float64s(pos)
+	sort.Float64s(neg)
+
 	points := make([]Point, 0, len(thresholds))
+	var posSmall, negSmall int // cursors: tuples of each label with indep <= th
 	for _, th := range thresholds {
-		q := Classify(hpcDist, indepDist, hpcThresh, th)
+		fn, tn := len(pos), len(neg) // a NaN threshold makes every tuple small
+		if !math.IsNaN(th) {
+			for posSmall < len(pos) && !(pos[posSmall] > th) {
+				posSmall++
+			}
+			for negSmall < len(neg) && !(neg[negSmall] > th) {
+				negSmall++
+			}
+			fn, tn = posSmall, negSmall
+		}
+		q := Quadrants{
+			TruePositive:  len(pos) - fn,
+			FalseNegative: fn,
+			TrueNegative:  tn,
+			FalsePositive: len(neg) - tn,
+		}
 		points = append(points, Point{
 			Threshold:    th,
 			Sensitivity:  q.Sensitivity(),

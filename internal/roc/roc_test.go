@@ -1,9 +1,13 @@
 package roc
 
 import (
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
+
+	"mica/internal/stats"
 )
 
 func TestClassifyQuadrants(t *testing.T) {
@@ -185,4 +189,127 @@ func TestCurveDeduplicatesRepeatedDistances(t *testing.T) {
 				i-1, i, a.OneMinusSpec, a.Sensitivity, b.OneMinusSpec, b.Sensitivity)
 		}
 	}
+}
+
+// classifyCurve is the per-threshold oracle for Curve: one Classify
+// pass over every tuple at each distinct threshold, O(P²). Curve must
+// reproduce it point for point, Threshold bits included.
+func classifyCurve(hpcDist, indepDist []float64, hpcFrac float64) []Point {
+	hpcThresh := hpcFrac * stats.Max(hpcDist)
+	thresholds := append([]float64{-1}, indepDist...)
+	sort.Float64s(thresholds)
+	uniq := thresholds[:1]
+	for _, th := range thresholds[1:] {
+		if th != uniq[len(uniq)-1] {
+			uniq = append(uniq, th)
+		}
+	}
+	points := make([]Point, 0, len(uniq))
+	for _, th := range uniq {
+		q := Classify(hpcDist, indepDist, hpcThresh, th)
+		points = append(points, Point{Threshold: th, Sensitivity: q.Sensitivity(), OneMinusSpec: 1 - q.Specificity()})
+	}
+	sort.Slice(points, func(i, j int) bool {
+		if points[i].OneMinusSpec != points[j].OneMinusSpec {
+			return points[i].OneMinusSpec < points[j].OneMinusSpec
+		}
+		return points[i].Sensitivity < points[j].Sensitivity
+	})
+	return points
+}
+
+// sameFloat is bit equality, except that any two NaNs are equal.
+func sameFloat(a, b float64) bool {
+	if math.IsNaN(a) && math.IsNaN(b) {
+		return true
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+func checkCurveMatchesOracle(t *testing.T, hpc, indep []float64, frac float64) {
+	t.Helper()
+	got, want := Curve(hpc, indep, frac), classifyCurve(hpc, indep, frac)
+	if len(got) != len(want) {
+		t.Fatalf("Curve has %d points, oracle %d (hpc %v indep %v frac %v)", len(got), len(want), hpc, indep, frac)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if !sameFloat(g.Threshold, w.Threshold) || !sameFloat(g.Sensitivity, w.Sensitivity) || !sameFloat(g.OneMinusSpec, w.OneMinusSpec) {
+			t.Fatalf("point %d = %+v, oracle %+v (hpc %v indep %v frac %v)", i, g, w, hpc, indep, frac)
+		}
+	}
+}
+
+// TestCurveMatchesClassifyOracle pins the one-pass sweep to the
+// per-threshold oracle over random inputs with heavy ties and over the
+// edge cases: empty input, all-positive and all-negative labels, NaN
+// and ±Inf on either side, and signed zeros.
+func TestCurveMatchesClassifyOracle(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name       string
+		hpc, indep []float64
+		frac       float64
+	}{
+		{"empty", nil, nil, 0.2},
+		{"single", []float64{3}, []float64{4}, 0.2},
+		{"all-positive", []float64{5, 6, 7, 8}, []float64{1, 2, 2, 3}, 0},
+		{"all-negative", []float64{5, 6, 7, 8}, []float64{1, 2, 2, 3}, 1},
+		{"duplicates", []float64{1, 8, 3, 9, 2, 8, 3, 9, 5, 5}, []float64{2, 7, 2, 9, 2, 7, 4, 9, 4, 6}, 0.2},
+		{"nan-indep", []float64{1, 9, 3, 8}, []float64{nan, 2, nan, 5}, 0.2},
+		{"nan-hpc", []float64{nan, 9, 3, 8}, []float64{1, 2, 3, 5}, 0.2},
+		{"nan-hpc-max", []float64{1, 9, nan, 8}, []float64{1, 2, 3, 5}, 0.2},
+		{"nan-frac", []float64{1, 9, 3, 8}, []float64{1, 2, 3, 5}, nan},
+		{"inf", []float64{inf, 1, -inf, 4}, []float64{inf, -inf, 2, inf}, 0.2},
+		{"negatives-and-sentinel", []float64{1, 2, 3, 4}, []float64{-1, -2, -1, 0}, 0.5},
+		{"signed-zero", []float64{1, 2, 3, 4}, []float64{0, math.Copysign(0, -1), 0, 1}, 0.5},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkCurveMatchesOracle(t, c.hpc, c.indep, c.frac) })
+	}
+
+	rng := rand.New(rand.NewSource(15))
+	specials := []float64{nan, inf, -inf, 0, -1}
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(60)
+		levels := 1 + rng.Intn(12) // few levels: many ties
+		hpc, indep := make([]float64, n), make([]float64, n)
+		for i := range hpc {
+			hpc[i] = float64(rng.Intn(levels))
+			indep[i] = float64(rng.Intn(levels)) / 3
+			if rng.Intn(20) == 0 {
+				indep[i] = specials[rng.Intn(len(specials))]
+			}
+			if rng.Intn(40) == 0 {
+				hpc[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		checkCurveMatchesOracle(t, hpc, indep, rng.Float64())
+	}
+}
+
+// FuzzCurve checks the one-pass sweep against the per-threshold oracle
+// on arbitrary inputs: the fuzzer's bytes become (hpc, indep) pairs.
+func FuzzCurve(f *testing.F) {
+	f.Add([]byte{}, 0.2)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 0.2)
+	f.Add([]byte{0xff, 0xf8, 0, 0, 0, 0, 0, 1, 0x7f, 0xf0, 0, 0, 0, 0, 0, 0}, 0.5) // NaN, +Inf
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, 1.0)
+	f.Fuzz(func(t *testing.T, data []byte, frac float64) {
+		// Two encodings mixed: a byte pair as small integers (ties),
+		// or 16 bytes as raw float64 bits (NaN, ±Inf, subnormals).
+		var hpc, indep []float64
+		for len(data) >= 2 && len(hpc) < 256 {
+			if data[0]&1 == 0 || len(data) < 16 {
+				hpc = append(hpc, float64(data[0]>>1))
+				indep = append(indep, float64(data[1]&15))
+				data = data[2:]
+				continue
+			}
+			hpc = append(hpc, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			indep = append(indep, math.Float64frombits(binary.LittleEndian.Uint64(data[8:])))
+			data = data[16:]
+		}
+		checkCurveMatchesOracle(t, hpc, indep, frac)
+	})
 }

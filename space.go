@@ -144,13 +144,13 @@ func (s *Space) CorrelationElimination() CEResult {
 // CECurve returns the Figure 5 CE series: SubsetRho of the CE-retained
 // subset for every size 1..47.
 func (s *Space) CECurve() []float64 {
-	return featsel.CECurve(s.NormChars)
+	return featsel.CECurve(s.cache, s.NormChars)
 }
 
 // GASelect runs the Section V-B genetic algorithm. Seed 0 is a valid
 // deterministic seed.
 func (s *Space) GASelect(seed int64) GAResult {
-	return featsel.GASelect(s.NormChars, featsel.GAConfig{Seed: seed})
+	return featsel.GASelect(s.cache, featsel.GAConfig{Seed: seed})
 }
 
 // PCA fits the principal-components baseline (Section V-C) on the
