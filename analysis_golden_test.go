@@ -1,6 +1,7 @@
 package mica
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -45,7 +46,7 @@ func analysisGoldenRun(t *testing.T) analysisGolden {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.InstBudget = analysisGoldenBudget
-	res, err := ProfileAll(cfg)
+	res, err := ProfileBenchmarksCtx(context.Background(), Benchmarks(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func benchData(b *testing.B) ([]ProfileResult, *Analysis) {
 	benchOnce.Do(func() {
 		cfg := DefaultConfig()
 		cfg.InstBudget = benchBudget
-		benchProfile, benchErr = ProfileAll(cfg)
+		benchProfile, benchErr = ProfileBenchmarksCtx(context.Background(), Benchmarks(), cfg)
 		if benchErr != nil {
 			return
 		}
@@ -632,36 +632,6 @@ func BenchmarkHierarchicalClustering(b *testing.B) {
 	b.ReportMetric(float64(k), "clusters")
 }
 
-// BenchmarkPrediction evaluates leave-one-out IPC prediction from the
-// full 47-D space versus the GA key subspace (extension, after the
-// paper's companion PACT 2006 work). Comparable rank correlations mean
-// the key subset keeps the space's predictive power.
-func BenchmarkPrediction(b *testing.B) {
-	_, an := benchData(b)
-	b.Run("all47", func(b *testing.B) {
-		var ev PredictionEval
-		for i := 0; i < b.N; i++ {
-			var err error
-			ev, err = an.Space.PredictIPC(nil, 0, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(ev.RankCorrelation, "rank-corr")
-	})
-	b.Run("keyspace", func(b *testing.B) {
-		var ev PredictionEval
-		for i := 0; i < b.N; i++ {
-			var err error
-			ev, err = an.Space.PredictIPC(an.GA.Selected, 0, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(ev.RankCorrelation, "rank-corr")
-	})
-}
-
 // BenchmarkEV56 and BenchmarkEV67 measure machine-model throughput.
 func BenchmarkEV56(b *testing.B) {
 	benchMachineModel(b, false)
@@ -735,7 +705,7 @@ func BenchmarkReducedPipeline(b *testing.B) {
 	b.Run("reduced", func(b *testing.B) {
 		var n uint64
 		for i := 0; i < b.N; i++ {
-			rr, err := AnalyzeReduced(bench, cfg)
+			rr, err := reduceOne(bench, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -803,22 +773,24 @@ func BenchmarkJointStorePipeline(b *testing.B) {
 	b.Run("inmemory", func(b *testing.B) {
 		var n uint64
 		for i := 0; i < b.N; i++ {
-			j, err := AnalyzePhasesJoint(bs, pcfg)
+			rep, err := Run(context.Background(), Request{Benchmarks: bs, Joint: true, Phases: &pcfg})
 			if err != nil {
 				b.Fatal(err)
 			}
-			n += j.TotalInsts()
+			n += rep.Joint.TotalInsts()
 		}
 		b.ReportMetric(float64(n)/b.Elapsed().Seconds()/1e6, "MIPS")
 	})
 	b.Run("store", func(b *testing.B) {
 		var n uint64
 		for i := 0; i < b.N; i++ {
-			j, _, err := AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, StoreOptions{Dir: filepath.Join(b.TempDir(), "store")})
+			rep, err := Run(context.Background(), Request{
+				Benchmarks: bs, Joint: true, Phases: &pcfg, Store: StoreOptions{Dir: filepath.Join(b.TempDir(), "store")},
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			n += j.TotalInsts()
+			n += rep.Joint.TotalInsts()
 		}
 		b.ReportMetric(float64(n)/b.Elapsed().Seconds()/1e6, "MIPS")
 	})

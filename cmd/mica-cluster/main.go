@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -63,7 +64,7 @@ func run(budget uint64, resultsPath string, maxK int, seed int64, kiviat bool, s
 		cfg.Progress = func(done, total int, name string) {
 			fmt.Fprintf(os.Stderr, "\r[%3d/%3d] %-60s", done, total, name)
 		}
-		res, err = mica.ProfileAll(cfg)
+		res, err = mica.ProfileBenchmarksCtx(context.Background(), mica.Benchmarks(), cfg)
 		fmt.Fprintln(os.Stderr)
 	}
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -21,7 +22,7 @@ func smallResults(t *testing.T) string {
 	}
 	cfg := mica.DefaultConfig()
 	cfg.InstBudget = 5_000
-	res, err := mica.ProfileBenchmarks(bs, cfg)
+	res, err := mica.ProfileBenchmarksCtx(context.Background(), bs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

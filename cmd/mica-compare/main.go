@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -123,7 +124,7 @@ func obtainResults(budget uint64, path string) ([]mica.ProfileResult, error) {
 	cfg.Progress = func(done, total int, name string) {
 		fmt.Fprintf(os.Stderr, "\r[%3d/%3d] %-60s", done, total, name)
 	}
-	results, err := mica.ProfileAll(cfg)
+	results, err := mica.ProfileBenchmarksCtx(context.Background(), mica.Benchmarks(), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,7 +33,7 @@ func smallResults(t *testing.T) string {
 	}
 	cfg := mica.DefaultConfig()
 	cfg.InstBudget = 5_000
-	res, err := mica.ProfileBenchmarks(bs, cfg)
+	res, err := mica.ProfileBenchmarksCtx(context.Background(), bs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,18 @@
 // over one benchmark, the whole registry, or a joint cross-benchmark
 // phase space, and drives phase-aware reduced profiling on top of it.
 //
+// Every run is one mica.Run call: -reduced picks the pipeline (phase
+// analysis or reduced profiling), -joint picks per-benchmark or shared
+// clustering, -store picks in-memory or store-backed
+// characterization, and -bench, -all or -trace pick the benchmarks (a
+// trace file enters as one trace-backed benchmark). The tool renders
+// whichever result the report carries.
+//
 // For a single benchmark it prints the phase timeline, the weighted
 // representative simulation points and the reconstruction error of the
-// weighted vector against the full interval aggregate. With -all it
-// runs the sharded registry-wide pipeline (one pooled profiler per
-// worker) and prints one summary row per benchmark in Table I order.
+// weighted vector against the full interval aggregate. With -all (or a
+// -bench list) it runs the sharded pipeline (one pooled profiler per
+// worker) and prints one summary row per benchmark in input order.
 // With -joint it characterizes every selected benchmark, clusters ALL
 // intervals once into a shared phase vocabulary, and prints each
 // benchmark's occupancy of the shared phases plus the cross-benchmark
@@ -73,7 +80,7 @@ import (
 
 func main() {
 	var (
-		benchName    = flag.String("bench", "", "benchmark to analyze (suite/program/input); with -joint, a comma-separated list")
+		benchName    = flag.String("bench", "", "benchmarks to analyze (suite/program/input), comma-separated; with -trace, the display name")
 		all          = flag.Bool("all", false, "analyze all 122 benchmarks with the sharded pipeline")
 		joint        = flag.Bool("joint", false, "cluster the selected benchmarks' intervals jointly into one shared phase vocabulary")
 		reduced      = flag.Bool("reduced", false, "two-pass reduced profiling: cheap key-characteristic pass positions intervals, full 47-dim + HPC characterization paid only on per-phase measured intervals")
@@ -121,7 +128,7 @@ func main() {
 		bench: *benchName, all: *all, joint: *joint, reduced: *reduced,
 		storeDir: *storeDir, quant: *quant, incremental: *incremental,
 		warm: *warm, cacheBytes: *cacheBytes, fsck: *fsck, repair: *repair,
-		trace: *tracePath,
+		trace: *tracePath, sample: *sampleFrac, reps: *repsPerPhase, skipHPC: *skipHPC,
 	}
 	err := validateFlags(fl)
 	switch {
@@ -164,6 +171,9 @@ type cliFlags struct {
 	cacheBytes          int64
 	fsck, repair        bool
 	trace               string
+	sample              float64
+	reps                int
+	skipHPC             bool
 }
 
 // validateFlags rejects inconsistent flag combinations up front, with
@@ -182,6 +192,8 @@ func validateFlags(f cliFlags) error {
 		return fmt.Errorf("-store keys shards by benchmark name, which a trace file's contents can drift from; drop -store for -trace runs")
 	case f.storeDir == "" && (f.quant || f.incremental || f.warm || f.cacheBytes != 0):
 		return fmt.Errorf("-quant, -incremental, -warm and -cachebytes only apply to -store runs")
+	case !f.reduced && (f.sample != 0 || f.reps != 0 || f.skipHPC):
+		return fmt.Errorf("-sample, -reps and -skiphpc only apply to -reduced runs")
 	case f.cacheBytes < 0:
 		return fmt.Errorf("-cachebytes wants a positive byte budget (0 = default)")
 	case f.warm && !f.joint:
@@ -222,46 +234,63 @@ func runFsck(dir string, repair bool) error {
 	return nil
 }
 
+// run drives the phase pipelines.
 func run(ctx context.Context, benchName, tracePath string, all, joint bool, sopt mica.StoreOptions, cfg mica.PhaseConfig, workers int) error {
-	pcfg := mica.PhasePipelineConfig{
-		Phase:    cfg,
-		Workers:  workers,
-		Progress: progressLine,
+	return execute(ctx, benchName, tracePath, all, mica.Request{
+		Joint:  joint,
+		Phases: &mica.PhasePipelineConfig{Phase: cfg, Workers: workers, Progress: progressLine},
+		Store:  sopt,
+	})
+}
+
+// runReduced drives the two-pass reduced pipelines.
+func runReduced(ctx context.Context, benchName string, all, joint bool, rcfg mica.ReducedConfig, sopt mica.StoreOptions, workers int) error {
+	return execute(ctx, benchName, "", all, mica.Request{
+		Joint:   joint,
+		Reduced: &mica.ReducedPipelineConfig{Reduced: rcfg, Workers: workers, Progress: progressLine},
+		Store:   sopt,
+	})
+}
+
+// execute fills in the benchmarks req covers, makes the one mica.Run
+// call and renders whichever result the report carries.
+func execute(ctx context.Context, benchName, tracePath string, all bool, req mica.Request) error {
+	var err error
+	switch {
+	case tracePath != "":
+		req.Benchmarks = []mica.Benchmark{mica.TraceBenchmark(benchName, tracePath)}
+	case all && !req.Joint:
+		req.Benchmarks = mica.Benchmarks()
+	case req.Joint || benchName != "" || (req.Reduced != nil && req.Store.Dir != ""):
+		// A joint run without -bench, or a reduced store run without
+		// -bench or -all, covers the whole registry.
+		req.Benchmarks, err = selectBenchmarks(benchName)
+	default:
+		return fmt.Errorf("pass -bench <name>, -trace <file>, -all or -joint")
+	}
+	if err != nil {
+		return err
+	}
+	rep, err := mica.Run(ctx, req)
+	switch {
+	case req.Store.Dir == "":
+		fmt.Fprintln(os.Stderr) // terminate the \r progress line
+	case rep != nil && rep.Store != nil:
+		reportStoreBuild(req.Store.Dir, rep.Store, err != nil)
+	}
+	if err != nil {
+		return err
 	}
 	switch {
-	case joint && sopt.Dir != "":
-		bs, err := selectBenchmarks(benchName)
-		if err != nil {
-			return err
-		}
-		j, stats, err := mica.AnalyzePhasesJointStoreCtx(ctx, bs, pcfg, sopt)
-		if stats != nil {
-			reportStoreBuild(sopt.Dir, stats, err != nil)
-		}
-		if err != nil {
-			return err
-		}
-		return renderJoint(j)
-
-	case joint:
-		bs, err := selectBenchmarks(benchName)
-		if err != nil {
-			return err
-		}
-		j, err := mica.AnalyzePhasesJointCtx(ctx, bs, pcfg)
-		fmt.Fprintln(os.Stderr)
-		if err != nil {
-			return err
-		}
-		return renderJoint(j)
-
-	case all:
-		results, err := analyzePhases(ctx, mica.Benchmarks(), pcfg, sopt)
-		if err != nil {
-			return err
-		}
+	case rep.Joint != nil:
+		return renderJoint(rep.Joint)
+	case rep.JointReduced != nil:
+		return renderReducedJoint(rep.JointReduced)
+	case len(rep.Phases) == 1:
+		return renderPhasesSingle(rep.Phases[0], req.Phases.Phase.IntervalLen)
+	case rep.Phases != nil:
 		t := report.NewTable("benchmark", "intervals", "insts", "phases", "top weight", "recon err")
-		for _, r := range results {
+		for _, r := range rep.Phases {
 			res := r.Result
 			top := 0.0
 			if len(res.Representatives) > 0 {
@@ -271,68 +300,50 @@ func run(ctx context.Context, benchName, tracePath string, all, joint bool, sopt
 				fmt.Sprintf("%.3f", top), fmt.Sprintf("%.4f", res.ReconstructionError()))
 		}
 		fmt.Print(t.String())
-		return nil
-
-	case benchName != "" || tracePath != "":
-		var b mica.Benchmark
-		if tracePath != "" {
-			b = mica.TraceBenchmark(benchName, tracePath)
-		} else {
-			var err error
-			b, err = mica.BenchmarkByName(benchName)
-			if err != nil {
-				return err
-			}
-		}
-		results, err := analyzePhases(ctx, []mica.Benchmark{b}, pcfg, sopt)
-		if err != nil {
-			return err
-		}
-		res := results[0].Result
-		fmt.Printf("%s: %d intervals of %d instructions -> %d phases\n\n",
-			b.Name(), len(res.Intervals), cfg.IntervalLen, res.K)
-
-		fmt.Println("phase timeline (one symbol per interval):")
-		for _, p := range res.Assign {
-			fmt.Printf("%c", 'A'+p%26)
-		}
-		fmt.Println()
-
-		fmt.Println("\nrepresentative simulation points:")
-		t := report.NewTable("phase", "interval", "instructions", "weight", "loads", "branches", "ILP-256")
-		for _, rep := range res.Representatives {
-			iv := res.Intervals[rep.Interval]
-			t.AddRow(phaseLabel(rep.Phase), rep.Interval,
-				fmt.Sprintf("%d..%d", iv.Start, iv.Start+iv.Insts),
-				fmt.Sprintf("%.3f", rep.Weight),
-				fmt.Sprintf("%.3f", res.Vectors.At(rep.Interval, 0)),
-				fmt.Sprintf("%.3f", res.Vectors.At(rep.Interval, 2)),
-				fmt.Sprintf("%.2f", res.Vectors.At(rep.Interval, 9)))
+	case len(rep.Reduced) == 1:
+		return renderReducedSingle(rep.Reduced[0])
+	default:
+		t := report.NewTable("benchmark", "intervals", "phases", "measured", "full insts", "skipped insts")
+		for _, r := range rep.Reduced {
+			res := r.Result
+			t.AddRow(r.Benchmark.Name(), len(res.Phases.Intervals), res.Phases.K,
+				len(res.Measured), res.MeasuredInsts, res.SkippedInsts)
 		}
 		fmt.Print(t.String())
-
-		fmt.Printf("\nweighted-vector reconstruction error: %.4f mean abs per characteristic\n",
-			res.ReconstructionError())
-		return nil
-
-	default:
-		return fmt.Errorf("pass -bench <name>, -trace <file>, -all or -joint")
 	}
+	return nil
 }
 
-// analyzePhases runs the per-benchmark phase pipeline over bs, through
-// the store when one is configured.
-func analyzePhases(ctx context.Context, bs []mica.Benchmark, pcfg mica.PhasePipelineConfig, sopt mica.StoreOptions) ([]mica.BenchmarkPhases, error) {
-	if sopt.Dir == "" {
-		results, err := mica.AnalyzePhasesBenchmarksCtx(ctx, bs, pcfg)
-		fmt.Fprintln(os.Stderr) // terminate the \r progress line
-		return results, err
+// renderPhasesSingle prints one benchmark's phase decomposition: the
+// timeline, the weighted representative simulation points and the
+// reconstruction error.
+func renderPhasesSingle(r mica.BenchmarkPhases, intervalLen uint64) error {
+	res := r.Result
+	fmt.Printf("%s: %d intervals of %d instructions -> %d phases\n\n",
+		r.Benchmark.Name(), len(res.Intervals), intervalLen, res.K)
+
+	fmt.Println("phase timeline (one symbol per interval):")
+	for _, p := range res.Assign {
+		fmt.Printf("%c", 'A'+p%26)
 	}
-	results, stats, err := mica.AnalyzePhasesStoreCtx(ctx, bs, pcfg, sopt)
-	if stats != nil {
-		reportStoreBuild(sopt.Dir, stats, err != nil)
+	fmt.Println()
+
+	fmt.Println("\nrepresentative simulation points:")
+	t := report.NewTable("phase", "interval", "instructions", "weight", "loads", "branches", "ILP-256")
+	for _, rep := range res.Representatives {
+		iv := res.Intervals[rep.Interval]
+		t.AddRow(phaseLabel(rep.Phase), rep.Interval,
+			fmt.Sprintf("%d..%d", iv.Start, iv.Start+iv.Insts),
+			fmt.Sprintf("%.3f", rep.Weight),
+			fmt.Sprintf("%.3f", res.Vectors.At(rep.Interval, 0)),
+			fmt.Sprintf("%.3f", res.Vectors.At(rep.Interval, 2)),
+			fmt.Sprintf("%.2f", res.Vectors.At(rep.Interval, 9)))
 	}
-	return results, err
+	fmt.Print(t.String())
+
+	fmt.Printf("\nweighted-vector reconstruction error: %.4f mean abs per characteristic\n",
+		res.ReconstructionError())
+	return nil
 }
 
 func progressLine(done, total int, name string) {
@@ -373,81 +384,6 @@ func reportStoreBuild(dir string, stats *mica.StoreBuildStats, failed bool) {
 	}
 	if !failed {
 		fmt.Fprintln(out)
-	}
-}
-
-// runReduced drives the two-pass reduced pipelines.
-func runReduced(ctx context.Context, benchName string, all, joint bool, rcfg mica.ReducedConfig, sopt mica.StoreOptions, workers int) error {
-	pcfg := mica.ReducedPipelineConfig{
-		Reduced:  rcfg,
-		Workers:  workers,
-		Progress: progressLine,
-	}
-	switch {
-	case joint && sopt.Dir != "":
-		bs, err := selectBenchmarks(benchName)
-		if err != nil {
-			return err
-		}
-		jr, stats, err := mica.AnalyzeReducedJointStoreCtx(ctx, bs, pcfg, sopt)
-		if stats != nil {
-			reportStoreBuild(sopt.Dir, stats, err != nil)
-		}
-		if err != nil {
-			return err
-		}
-		return renderReducedJoint(jr)
-
-	case joint:
-		bs, err := selectBenchmarks(benchName)
-		if err != nil {
-			return err
-		}
-		jr, err := mica.AnalyzeReducedJointCtx(ctx, bs, pcfg)
-		fmt.Fprintln(os.Stderr)
-		if err != nil {
-			return err
-		}
-		return renderReducedJoint(jr)
-
-	case all || benchName != "" || sopt.Dir != "":
-		// A store run without -bench or -all covers the whole registry.
-		bs := mica.Benchmarks()
-		if !all {
-			var err error
-			if bs, err = selectBenchmarks(benchName); err != nil {
-				return err
-			}
-		}
-		var results []mica.BenchmarkReduced
-		var err error
-		if sopt.Dir != "" {
-			var stats *mica.StoreBuildStats
-			results, stats, err = mica.AnalyzeReducedStoreCtx(ctx, bs, pcfg, sopt)
-			if stats != nil {
-				reportStoreBuild(sopt.Dir, stats, err != nil)
-			}
-		} else {
-			results, err = mica.AnalyzeReducedBenchmarksCtx(ctx, bs, pcfg)
-			fmt.Fprintln(os.Stderr)
-		}
-		if err != nil {
-			return err
-		}
-		if len(results) == 1 {
-			return renderReducedSingle(results[0])
-		}
-		t := report.NewTable("benchmark", "intervals", "phases", "measured", "full insts", "skipped insts")
-		for _, r := range results {
-			res := r.Result
-			t.AddRow(r.Benchmark.Name(), len(res.Phases.Intervals), res.Phases.K,
-				len(res.Measured), res.MeasuredInsts, res.SkippedInsts)
-		}
-		fmt.Print(t.String())
-		return nil
-
-	default:
-		return fmt.Errorf("pass -bench <name>, -all or -joint")
 	}
 }
 

@@ -265,6 +265,7 @@ func TestValidateFlags(t *testing.T) {
 		{"reduced bench", cliFlags{reduced: true, bench: "a/b/c"}, ""},
 		{"reduced all", cliFlags{reduced: true, all: true}, ""},
 		{"reduced joint", cliFlags{reduced: true, joint: true}, ""},
+		{"reduced sample reps skiphpc", cliFlags{reduced: true, bench: "a/b/c", sample: 0.5, reps: 7, skipHPC: true}, ""},
 		{"bench store", cliFlags{bench: "a/b/c", storeDir: "d"}, ""},
 		{"all store quant incremental", cliFlags{all: true, storeDir: "d", quant: true, incremental: true}, ""},
 		{"joint store", cliFlags{joint: true, storeDir: "d"}, ""},
@@ -285,6 +286,9 @@ func TestValidateFlags(t *testing.T) {
 		{"incremental without store", cliFlags{all: true, incremental: true}, "only apply to -store"},
 		{"warm without store", cliFlags{joint: true, warm: true}, "only apply to -store"},
 		{"cachebytes without store", cliFlags{joint: true, cacheBytes: 4096}, "only apply to -store"},
+		{"sample without reduced", cliFlags{bench: "a/b/c", sample: 0.5}, "only apply to -reduced"},
+		{"reps without reduced", cliFlags{all: true, reps: 7}, "only apply to -reduced"},
+		{"skiphpc without reduced", cliFlags{joint: true, skipHPC: true}, "only apply to -reduced"},
 		{"warm without joint", cliFlags{reduced: true, all: true, storeDir: "d", warm: true}, "combine it with -joint"},
 		{"negative cachebytes", cliFlags{joint: true, storeDir: "d", cacheBytes: -1}, "positive byte budget"},
 		{"fsck without store", cliFlags{fsck: true}, "pass -store DIR"},

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -104,7 +105,7 @@ func run(benchName string, all, list bool, budget uint64, jsonOut, record, trace
 		cfg.Progress = func(done, total int, name string) {
 			fmt.Fprintf(os.Stderr, "\r[%3d/%3d] %-60s", done, total, name)
 		}
-		results, err := mica.ProfileAll(cfg)
+		results, err := mica.ProfileBenchmarksCtx(context.Background(), mica.Benchmarks(), cfg)
 		if err != nil {
 			return err
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -58,7 +59,7 @@ func run(budget uint64, resultsPath string, seed int64) error {
 		cfg.Progress = func(done, total int, name string) {
 			fmt.Fprintf(os.Stderr, "\r[%3d/%3d] %-60s", done, total, name)
 		}
-		results, err = mica.ProfileAll(cfg)
+		results, err = mica.ProfileBenchmarksCtx(context.Background(), mica.Benchmarks(), cfg)
 		fmt.Fprintln(os.Stderr)
 	}
 	if err != nil {

@@ -35,11 +35,11 @@ func epPhaseCfg() PhasePipelineConfig {
 }
 
 // TestPipelineErrorsNameOffendingBenchmark is the table-driven
-// contract test over every top-level context-aware pipeline variant:
-// a benchmark that fails mid-pipeline yields an error that names it
-// (with the pool's item attribution preserved in the chain), and the
-// variants documented to return partial results deliver the other
-// benchmarks' results complete.
+// contract test over the multi-benchmark entry points and the Run
+// paths: a benchmark that fails mid-pipeline yields an error that
+// names it (with the pool's item attribution preserved in the chain),
+// and the paths documented to return partial results deliver the
+// other benchmarks' results complete. Case names are stable test IDs.
 func TestPipelineErrorsNameOffendingBenchmark(t *testing.T) {
 	bs, bad := epBenchmarks(t)
 	pcfg := epPhaseCfg()
@@ -63,29 +63,31 @@ func TestPipelineErrorsNameOffendingBenchmark(t *testing.T) {
 			return []bool{res[0].Insts > 0, res[1].Insts > 0, res[2].Insts > 0}, err
 		}},
 		{"AnalyzePhasesBenchmarksCtx", func(ctx context.Context) ([]bool, error) {
-			res, err := AnalyzePhasesBenchmarksCtx(ctx, bs, pcfg)
+			rep, err := Run(ctx, Request{Benchmarks: bs, Phases: &pcfg})
+			res := rep.Phases
 			if len(res) != len(bs) {
 				t.Fatalf("got %d results for %d benchmarks", len(res), len(bs))
 			}
 			return []bool{res[0].Result != nil, res[1].Result != nil, res[2].Result != nil}, err
 		}},
 		{"AnalyzeReducedBenchmarksCtx", func(ctx context.Context) ([]bool, error) {
-			res, err := AnalyzeReducedBenchmarksCtx(ctx, bs, rcfg)
+			rep, err := Run(ctx, Request{Benchmarks: bs, Reduced: &rcfg})
+			res := rep.Reduced
 			if len(res) != len(bs) {
 				t.Fatalf("got %d results for %d benchmarks", len(res), len(bs))
 			}
 			return []bool{res[0].Result != nil, res[1].Result != nil, res[2].Result != nil}, err
 		}},
 		{"AnalyzePhasesJointCtx", func(ctx context.Context) ([]bool, error) {
-			j, err := AnalyzePhasesJointCtx(ctx, bs, pcfg)
-			if j != nil {
+			rep, err := Run(ctx, Request{Benchmarks: bs, Joint: true, Phases: &pcfg})
+			if rep != nil {
 				t.Error("joint result must be nil when any benchmark fails (a shrunken vocabulary would be silently wrong)")
 			}
 			return nil, err
 		}},
 		{"AnalyzeReducedJointCtx", func(ctx context.Context) ([]bool, error) {
-			jr, err := AnalyzeReducedJointCtx(ctx, bs, rcfg)
-			if jr != nil {
+			rep, err := Run(ctx, Request{Benchmarks: bs, Joint: true, Reduced: &rcfg})
+			if rep != nil {
 				t.Error("joint reduced result must be nil when any benchmark fails")
 			}
 			return nil, err
@@ -105,10 +107,11 @@ func TestPipelineErrorsNameOffendingBenchmark(t *testing.T) {
 			return []bool{done[bs[0].Name()], done[bs[1].Name()], done[bs[2].Name()]}, err
 		}},
 		{"AnalyzePhasesJointStoreCtx", func(ctx context.Context) ([]bool, error) {
-			j, stats, err := AnalyzePhasesJointStoreCtx(ctx, bs, pcfg, StoreOptions{Dir: t.TempDir()})
-			if j != nil {
+			rep, err := Run(ctx, Request{Benchmarks: bs, Joint: true, Phases: &pcfg, Store: StoreOptions{Dir: t.TempDir()}})
+			if rep.Joint != nil {
 				t.Error("store-backed joint result must be nil when any benchmark fails")
 			}
+			stats := rep.Store
 			if len(stats.Failed) != 1 || stats.Failed[0] != bad.Name() {
 				t.Errorf("stats.Failed = %v, want exactly %q", stats.Failed, bad.Name())
 			}
@@ -163,7 +166,8 @@ func TestPipelinePanicIsolation(t *testing.T) {
 	// clustering sweeps only run later, inside fn), so this address
 	// panics bs[0]'s worker before its analysis starts.
 	disarm := faults.Arm(faults.Address{Point: faults.PoolItem, Nth: 0}, faults.Crash)
-	res, err := AnalyzePhasesBenchmarksCtx(context.Background(), bs, cfg)
+	rep, err := Run(context.Background(), Request{Benchmarks: bs, Phases: &cfg})
+	res := rep.Phases
 	if fired := disarm(); fired != 1 {
 		t.Fatalf("crash fired %d times, want 1", fired)
 	}
@@ -194,11 +198,12 @@ func TestPipelineCancellationIsPrompt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	res, err := AnalyzePhasesBenchmarksCtx(ctx, bs, epPhaseCfg())
+	pcfg := epPhaseCfg()
+	rep, err := Run(ctx, Request{Benchmarks: bs, Phases: &pcfg})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled in the chain", err)
 	}
-	for i, r := range res {
+	for i, r := range rep.Phases {
 		if r.Result != nil {
 			t.Errorf("benchmark %d ran despite pre-cancelled context", i)
 		}
@@ -207,7 +212,8 @@ func TestPipelineCancellationIsPrompt(t *testing.T) {
 	if _, err := ProfileBenchmarksCtx(ctx, bs, DefaultConfig()); !errors.Is(err, context.Canceled) {
 		t.Errorf("ProfileBenchmarksCtx err = %v, want context.Canceled", err)
 	}
-	if _, err := AnalyzeReducedBenchmarksCtx(ctx, bs, ReducedPipelineConfig{Reduced: ReducedConfig{Phase: epPhaseCfg().Phase}}); !errors.Is(err, context.Canceled) {
-		t.Errorf("AnalyzeReducedBenchmarksCtx err = %v, want context.Canceled", err)
+	rcfg := ReducedPipelineConfig{Reduced: ReducedConfig{Phase: pcfg.Phase}}
+	if _, err := Run(ctx, Request{Benchmarks: bs, Reduced: &rcfg}); !errors.Is(err, context.Canceled) {
+		t.Errorf("reduced Run err = %v, want context.Canceled", err)
 	}
 }

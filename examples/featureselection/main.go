@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -22,7 +23,7 @@ func main() {
 	cfg.Progress = func(done, total int, name string) {
 		fmt.Fprintf(os.Stderr, "\r[%3d/%3d] %-60s", done, total, name)
 	}
-	results, err := mica.ProfileAll(cfg)
+	results, err := mica.ProfileBenchmarksCtx(context.Background(), mica.Benchmarks(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -95,17 +95,22 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	pcfg := mica.PhasePipelineConfig{Phase: mica.PhaseConfig{
-		IntervalLen: 10_000, MaxIntervals: 60, MaxK: 8, Seed: 2006,
-	}}
-	opt := mica.StoreOptions{Dir: filepath.Join(dir, "store"), Incremental: true}
+	req := mica.Request{
+		Benchmarks: bs,
+		Joint:      true,
+		Phases: &mica.PhasePipelineConfig{Phase: mica.PhaseConfig{
+			IntervalLen: 10_000, MaxIntervals: 60, MaxK: 8, Seed: 2006,
+		}},
+		Store: mica.StoreOptions{Dir: filepath.Join(dir, "store"), Incremental: true},
+	}
 
-	joint, stats, err := mica.AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, opt)
+	rep, err := mica.Run(context.Background(), req)
 	if err != nil {
 		log.Fatal(err)
 	}
+	joint := rep.Joint
 	fmt.Printf("%d benchmarks -> %d shards on disk -> %d shared phases over %d intervals\n",
-		len(bs), len(stats.Characterized), joint.K, len(joint.Rows))
+		len(bs), len(rep.Store.Characterized), joint.K, len(joint.Rows))
 	for b, bname := range joint.Benchmarks {
 		fmt.Printf("  %-28s occupancy:", bname)
 		for c := 0; c < joint.K; c++ {
@@ -115,10 +120,10 @@ func main() {
 	}
 
 	// An incremental rerun reuses every unchanged shard: no profiling.
-	_, stats, err = mica.AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, opt)
+	rep, err = mica.Run(context.Background(), req)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("incremental rerun: %d re-characterized, %d shards reused in place\n",
-		len(stats.Characterized), len(stats.Reused))
+		len(rep.Store.Characterized), len(rep.Store.Reused))
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 
 	cfg := mica.DefaultConfig()
 	cfg.InstBudget = 200_000
-	results, err := mica.ProfileBenchmarks(benchmarks, cfg)
+	results, err := mica.ProfileBenchmarksCtx(context.Background(), benchmarks, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func main() {
 	// Quantify the divergence the way the paper does: normalized
 	// distances in each space, relative to the whole-registry spread.
 	fmt.Println("\nprofiling the full registry to place the pair in both workload spaces...")
-	all, err := mica.ProfileAll(cfg)
+	all, err := mica.ProfileBenchmarksCtx(context.Background(), mica.Benchmarks(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -32,7 +33,7 @@ func main() {
 	cfg.Progress = func(done, total int, name string) {
 		fmt.Fprintf(os.Stderr, "\r[%2d/%2d] profiling %-55s", done, total, name)
 	}
-	results, err := mica.ProfileBenchmarks(append(candidates, spec...), cfg)
+	results, err := mica.ProfileBenchmarksCtx(context.Background(), append(candidates, spec...), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,36 +33,24 @@ import (
 // (0 = GOMAXPROCS); workers share the store's decoded-shard cache, so
 // peak memory is O(cache budget + k·d).
 //
+// Cancelling ctx stops the clustering sweep from dispatching per-k
+// runs and returns ctx's error; a panicking sweep worker (a corrupt
+// row surfacing mid-stream) is isolated and returned as an error
+// instead of killing the process.
+//
+// A non-nil warm seeds the analysis from a previous run's state: when
+// warm matches the store (configuration hash, dimensionality) and the
+// data's normalization statistics have drifted less than WarmMaxDrift
+// from the state's, the sweep starts every k from the previous
+// centroids (renormalized into the current statistics' space) instead
+// of k-means++. The returned bool reports whether warm seeding was
+// actually used — a stale, mismatched or excessively drifted state
+// silently falls back to the fresh path, which is always correct (warm
+// seeding only changes the initialization, and engines still iterate
+// to convergence).
+//
 // The store must not be mutated while the analysis runs.
-func AnalyzeJointStore(st *ivstore.Store, cfg Config, workers int) (*JointResult, error) {
-	return AnalyzeJointStoreCtx(context.Background(), st, cfg, workers)
-}
-
-// AnalyzeJointStoreCtx is AnalyzeJointStore with cancellation: the
-// clustering sweep stops dispatching per-k runs when ctx is cancelled
-// and the call returns ctx's error; a panicking sweep worker (a
-// corrupt row surfacing mid-stream) is isolated and returned as an
-// error instead of killing the process.
-func AnalyzeJointStoreCtx(ctx context.Context, st *ivstore.Store, cfg Config, workers int) (*JointResult, error) {
-	j, _, err := analyzeJointStore(ctx, st, cfg, workers, nil)
-	return j, err
-}
-
-// AnalyzeJointStoreWarmCtx is AnalyzeJointStoreCtx seeded from a
-// previous run's warm state: when warm matches the store
-// (configuration hash, dimensionality) and the data's normalization
-// statistics have drifted less than WarmMaxDrift from the state's, the
-// sweep starts every k from the previous centroids (renormalized into
-// the current statistics' space) instead of k-means++. The returned
-// bool reports whether warm seeding was actually used — a stale,
-// mismatched or excessively drifted state silently falls back to the
-// fresh path, which is always correct (warm seeding only changes the
-// initialization, and engines still iterate to convergence).
-func AnalyzeJointStoreWarmCtx(ctx context.Context, st *ivstore.Store, cfg Config, workers int, warm *JointWarmState) (*JointResult, bool, error) {
-	return analyzeJointStore(ctx, st, cfg, workers, warm)
-}
-
-func analyzeJointStore(ctx context.Context, st *ivstore.Store, cfg Config, workers int, warm *JointWarmState) (*JointResult, bool, error) {
+func AnalyzeJointStore(ctx context.Context, st *ivstore.Store, cfg Config, workers int, warm *JointWarmState) (*JointResult, bool, error) {
 	cfg = cfg.withDefaults()
 	shards := st.Shards()
 	if len(shards) == 0 {
@@ -138,7 +126,7 @@ const WarmMaxDrift = 0.25
 // occupancy (so sweeps needing fewer clusters keep the populated
 // ones), and the characterization config hash the vocabulary was built
 // under. Serialize it as JSON next to the store (ivstore.WriteAux) and
-// feed it back through AnalyzeJointStoreWarmCtx on the next run.
+// feed it back through AnalyzeJointStore on the next run.
 type JointWarmState struct {
 	// ConfigHash is the store configuration stamp the state was derived
 	// under; a mismatch invalidates the state.

@@ -97,7 +97,7 @@ func TestAnalyzeJointStoreBitIdentical(t *testing.T) {
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 70, MaxK: 6, Seed: 2006}
 
 	st := storeFrom(t, t.TempDir(), ivstore.Float32, benches)
-	got, err := AnalyzeJointStore(st, cfg, 2)
+	got, _, err := AnalyzeJointStore(t.Context(), st, cfg, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestAnalyzeJointStoreBitIdentical(t *testing.T) {
 	compareJoint(t, "vs raw in-memory", got, wantRaw)
 
 	// Determinism across worker counts.
-	again, err := AnalyzeJointStore(st, cfg, 7)
+	again, _, err := AnalyzeJointStore(t.Context(), st, cfg, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestAnalyzeJointStoreQuant8(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := storeFrom(t, t.TempDir(), ivstore.Quant8, benches)
-	got, err := AnalyzeJointStore(st, cfg, 0)
+	got, _, err := AnalyzeJointStore(t.Context(), st, cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestAnalyzeJointStoreRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AnalyzeJointStore(opened, Config{}, 0); err == nil {
+	if _, _, err := AnalyzeJointStore(t.Context(), opened, Config{}, 0, nil); err == nil {
 		t.Error("5-dimensional store accepted for 47-dim joint analysis")
 	}
 
@@ -227,7 +227,7 @@ func TestAnalyzeJointStoreRejects(t *testing.T) {
 	if _, err := empty.Commit(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AnalyzeJointStore(empty, Config{}, 0); err == nil {
+	if _, _, err := AnalyzeJointStore(t.Context(), empty, Config{}, 0, nil); err == nil {
 		t.Error("empty store accepted")
 	}
 }

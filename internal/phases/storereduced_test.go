@@ -51,7 +51,7 @@ func TestReplayJointStoreMatchesReplayJoint(t *testing.T) {
 	machines := func(int) (trace.Source, error) { return newMachine(t), nil }
 
 	st := storeFrom(t, t.TempDir(), ivstore.Float32, benches)
-	jStore, err := AnalyzeJointStore(st, cfg.CheapConfig(), 0)
+	jStore, _, err := AnalyzeJointStore(t.Context(), st, cfg.CheapConfig(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

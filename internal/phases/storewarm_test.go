@@ -24,7 +24,7 @@ func TestAnalyzeJointStoreWarmMatchesFresh(t *testing.T) {
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 70, MaxK: 6, Seed: 2006}
 	st := storeFrom(t, t.TempDir(), ivstore.Float32, warmBenches())
 
-	fresh, err := AnalyzeJointStore(st, cfg, 2)
+	fresh, _, err := AnalyzeJointStore(t.Context(), st, cfg, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestAnalyzeJointStoreWarmMatchesFresh(t *testing.T) {
 		t.Fatalf("warm state K=%d with %d centroids, result K=%d", ws.K, len(ws.Centroids), fresh.K)
 	}
 
-	warm, used, err := AnalyzeJointStoreWarmCtx(t.Context(), st, cfg, 2, ws)
+	warm, used, err := AnalyzeJointStore(t.Context(), st, cfg, 2, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestAnalyzeJointStoreWarmMatchesFresh(t *testing.T) {
 func TestWarmStateJSONRoundTrip(t *testing.T) {
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 70, MaxK: 6, Seed: 2006}
 	st := storeFrom(t, t.TempDir(), ivstore.Float32, warmBenches())
-	fresh, err := AnalyzeJointStore(st, cfg, 0)
+	fresh, _, err := AnalyzeJointStore(t.Context(), st, cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestWarmStateJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &ws); err != nil {
 		t.Fatal(err)
 	}
-	warm, used, err := AnalyzeJointStoreWarmCtx(t.Context(), st, cfg, 0, &ws)
+	warm, used, err := AnalyzeJointStore(t.Context(), st, cfg, 0, &ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestWarmStateJSONRoundTrip(t *testing.T) {
 func TestWarmStateFallbacks(t *testing.T) {
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 70, MaxK: 6, Seed: 2006}
 	st := storeFrom(t, t.TempDir(), ivstore.Float32, warmBenches())
-	fresh, err := AnalyzeJointStore(st, cfg, 0)
+	fresh, _, err := AnalyzeJointStore(t.Context(), st, cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestWarmStateFallbacks(t *testing.T) {
 		}(),
 	}
 	for name, ws := range cases {
-		got, used, err := AnalyzeJointStoreWarmCtx(t.Context(), st, cfg, 0, ws)
+		got, used, err := AnalyzeJointStore(t.Context(), st, cfg, 0, ws)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -119,7 +119,7 @@ func TestWarmDriftSensitivity(t *testing.T) {
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 70, MaxK: 6, Seed: 2006}
 	base := warmBenches()
 	st := storeFrom(t, t.TempDir(), ivstore.Float32, base)
-	fresh, err := AnalyzeJointStore(st, cfg, 0)
+	fresh, _, err := AnalyzeJointStore(t.Context(), st, cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestWarmDriftSensitivity(t *testing.T) {
 	st2 := storeFrom(t, t.TempDir(), ivstore.Float32, changed)
 	ws2 := *ws
 	ws2.ConfigHash = st2.ConfigHash()
-	_, used, err := AnalyzeJointStoreWarmCtx(t.Context(), st2, cfg, 0, &ws2)
+	_, used, err := AnalyzeJointStore(t.Context(), st2, cfg, 0, &ws2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package pool provides the fixed worker pool shared by the repo's
-// parallel pipelines: registry-wide profiling (ProfileBenchmarks),
-// sharded phase analysis (AnalyzePhasesBenchmarks) and the clustering
-// k-sweep (cluster.SelectK). Work items are pulled from one shared
-// queue by a bounded set of goroutines, so the number of live
+// parallel pipelines: registry-wide profiling (ProfileBenchmarksCtx),
+// the sharded phase and reduced pipelines behind mica.Run and the
+// clustering k-sweep (cluster.SelectK). Work items are pulled from one
+// shared queue by a bounded set of goroutines, so the number of live
 // per-worker states (VMs, memories, analyzer tables, k-means scratch
 // buffers) is genuinely bounded by the worker count — not merely
 // rate-limited after all goroutines have been spawned.

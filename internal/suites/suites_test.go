@@ -131,7 +131,7 @@ func TestBySuiteReturnsCopy(t *testing.T) {
 
 // TestConcurrentInstantiateSharedKernel instantiates and runs benchmarks
 // that share one kernel program from many goroutines at once, as
-// ProfileBenchmarks' worker pool does. Program.Finalize must be safe
+// ProfileBenchmarksCtx's worker pool does. Program.Finalize must be safe
 // under this concurrency (run with -race in CI).
 func TestConcurrentInstantiateSharedKernel(t *testing.T) {
 	// Both entries are backed by the smithwaterman kernel.

@@ -17,9 +17,12 @@
 //     characteristics (Figure 5, Table IV); and
 //   - k-means/BIC clustering with kiviat rendering (Figure 6).
 //
+// Interval-based phase analysis and reduced (key-characteristic)
+// profiling extend it; Run is their one entry point.
+//
 // Quick start:
 //
-//	res, err := mica.ProfileAll(mica.DefaultConfig())
+//	res, err := mica.ProfileBenchmarksCtx(ctx, mica.Benchmarks(), mica.DefaultConfig())
 //	...
 //	an := mica.Analyze(res, mica.DefaultAnalysisConfig())
 //	fmt.Printf("distance correlation rho = %.2f\n", an.Rho)
@@ -152,11 +155,11 @@ type Config struct {
 	// SkipHPC disables the machine models (useful when only the
 	// microarchitecture-independent vector is needed).
 	SkipHPC bool
-	// Workers bounds profiling parallelism in ProfileAll (default:
-	// GOMAXPROCS).
+	// Workers bounds profiling parallelism in ProfileBenchmarksCtx
+	// (default: GOMAXPROCS).
 	Workers int
 	// Progress, when non-nil, is called after each benchmark completes
-	// during ProfileAll.
+	// during ProfileBenchmarksCtx.
 	Progress func(done, total int, name string)
 }
 
@@ -222,35 +225,16 @@ func Profile(b Benchmark, cfg Config) (ProfileResult, error) {
 	return res, nil
 }
 
-// ProfileAll measures every benchmark in the registry, in parallel.
-// Results are returned in Table I order regardless of scheduling.
-func ProfileAll(cfg Config) ([]ProfileResult, error) {
-	return ProfileBenchmarks(Benchmarks(), cfg)
-}
-
-// ProfileBenchmarks measures the given benchmarks in parallel, returning
-// results in input order. Parallelism is a fixed pool of cfg.Workers
-// goroutines pulling from a work queue (internal/pool). On any failure
-// it returns nil results and an error naming every failed benchmark;
-// ProfileBenchmarksCtx is the fault-tolerant form that also returns
-// the partial results.
-func ProfileBenchmarks(bs []Benchmark, cfg Config) ([]ProfileResult, error) {
-	results, err := ProfileBenchmarksCtx(context.Background(), bs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// ProfileBenchmarksCtx is ProfileBenchmarks with cancellation and
-// per-benchmark fault isolation: one failing — or panicking —
-// benchmark never stops the others. Every failure is wrapped with the
-// offending benchmark's name and all of them are joined into the
-// returned error; results[i] is valid exactly when no error names
-// bs[i] (failed entries are zero). Cancelling ctx stops dispatching
-// new benchmarks, lets in-flight ones drain, and folds ctx.Err() into
-// the returned error; benchmarks never dispatched are left zero
-// without an error of their own.
+// ProfileBenchmarksCtx measures the given benchmarks in parallel,
+// returning results in input order. Parallelism is a fixed pool of
+// cfg.Workers goroutines pulling from a work queue (internal/pool).
+// One failing — or panicking — benchmark never stops the others. Every
+// failure is wrapped with the offending benchmark's name and all of
+// them are joined into the returned error; results[i] is valid exactly
+// when no error names bs[i] (failed entries are zero). Cancelling ctx
+// stops dispatching new benchmarks, lets in-flight ones drain, and
+// folds ctx.Err() into the returned error; benchmarks never dispatched
+// are left zero without an error of their own.
 func ProfileBenchmarksCtx(ctx context.Context, bs []Benchmark, cfg Config) ([]ProfileResult, error) {
 	cfg = cfg.withDefaults()
 	results := make([]ProfileResult, len(bs))

@@ -1,6 +1,7 @@
 package mica
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -23,7 +24,7 @@ func profileSubset(t *testing.T, stride int) []ProfileResult {
 			picks = append(picks, b)
 		}
 	}
-	res, err := ProfileBenchmarks(picks, testConfig())
+	res, err := ProfileBenchmarksCtx(context.Background(), picks, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestPitfallRenderersNeedPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ProfileBenchmarks([]Benchmark{bz, bl}, testConfig())
+	res, err := ProfileBenchmarksCtx(context.Background(), []Benchmark{bz, bl}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,24 +240,6 @@ func TestKiviatFromSpace(t *testing.T) {
 	}
 	if _, err := s.Kiviat(-1, []int{0}); err == nil {
 		t.Error("out-of-range benchmark accepted")
-	}
-}
-
-func TestPredictIPCFromInherentBehaviour(t *testing.T) {
-	res := profileSubset(t, 3) // ~41 benchmarks
-	s := NewSpace(res)
-	ev, err := s.PredictIPC(nil, 0, 5) // EV56 IPC from all 47 chars
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.RankCorrelation < 0.5 {
-		t.Errorf("rank correlation = %g; inherent behaviour should predict IPC ordering", ev.RankCorrelation)
-	}
-	if _, err := s.PredictIPC(nil, 99, 5); err == nil {
-		t.Error("bad metric index accepted")
-	}
-	if _, err := s.PredictIPC(nil, 0, 0); err == nil {
-		t.Error("k=0 accepted")
 	}
 }
 

@@ -51,7 +51,7 @@ func AnalyzePhases(b Benchmark, cfg PhaseConfig) (*PhaseResult, error) {
 	return phases.Analyze(m, cfg)
 }
 
-// PhasePipelineConfig parameterizes the registry-wide phase pipeline.
+// PhasePipelineConfig parameterizes a Run of the phase pipelines.
 type PhasePipelineConfig struct {
 	// Phase is the per-benchmark phase-analysis configuration.
 	Phase PhaseConfig
@@ -70,39 +70,10 @@ type BenchmarkPhases struct {
 	Result    *PhaseResult
 }
 
-// AnalyzePhasesAll runs phase analysis over every benchmark in the
-// registry, sharded over a fixed worker pool, with results in Table I
-// order. Each worker pools one profiler across all the benchmarks it
-// processes (Reset between intervals and between benchmarks), so
-// analyzer tables are built once per worker rather than once per
-// interval; results are bit-identical to analyzing each benchmark in
-// isolation.
-func AnalyzePhasesAll(cfg PhasePipelineConfig) ([]BenchmarkPhases, error) {
-	return AnalyzePhasesBenchmarks(Benchmarks(), cfg)
-}
-
-// AnalyzePhasesBenchmarks is AnalyzePhasesAll over an explicit
-// benchmark list, returning results in input order. On any failure it
-// returns nil results and an error naming every failed benchmark;
-// AnalyzePhasesBenchmarksCtx is the fault-tolerant form that also
-// returns the partial results.
-func AnalyzePhasesBenchmarks(bs []Benchmark, cfg PhasePipelineConfig) ([]BenchmarkPhases, error) {
-	results, err := AnalyzePhasesBenchmarksCtx(context.Background(), bs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// AnalyzePhasesBenchmarksCtx is AnalyzePhasesBenchmarks with
-// cancellation and per-benchmark fault isolation: a failing or
-// panicking benchmark is reported — wrapped with its name, all
-// failures joined into the returned error — while the others complete.
-// results[i].Result is non-nil exactly when bs[i] succeeded; failed or
-// never-dispatched (cancelled) entries carry a nil Result. Cancelling
-// ctx stops dispatching new benchmarks, drains in-flight ones, and
-// folds ctx.Err() into the returned error.
-func AnalyzePhasesBenchmarksCtx(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig) ([]BenchmarkPhases, error) {
+// runPhases is Run's in-memory per-benchmark phase path: each
+// benchmark's intervals are characterized and clustered on its own.
+// results[i].Result is non-nil exactly when bs[i] succeeded.
+func runPhases(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig) (*Report, error) {
 	results := make([]BenchmarkPhases, len(bs))
 	for i := range results {
 		results[i].Benchmark = bs[i]
@@ -115,7 +86,7 @@ func AnalyzePhasesBenchmarksCtx(ctx context.Context, bs []Benchmark, cfg PhasePi
 		results[i].Result = res
 		return nil
 	})
-	return results, err
+	return &Report{Phases: results}, err
 }
 
 // phasePipelineCtx is the shared sharded front half of every phase
@@ -165,40 +136,12 @@ func phasePipelineCtx(ctx context.Context, bs []Benchmark, cfg PhasePipelineConf
 	return namePoolErrors(err, what, func(i int) string { return bs[i].Name() })
 }
 
-// AnalyzePhasesJoint builds a shared cross-benchmark phase vocabulary:
-// every benchmark's intervals are characterized by the sharded pooled
-// pipeline (one profiler per worker, Reset between intervals and
-// benchmarks — no per-benchmark clustering), then ALL intervals are
+// runPhasesJoint is Run's in-memory joint phase path: every
+// benchmark's intervals are characterized by the sharded pooled
+// pipeline (no per-benchmark clustering), then ALL intervals are
 // concatenated into one provenance-indexed matrix and clustered once.
-// The result reports per-benchmark occupancy of the shared phases and
-// cross-benchmark representative intervals. On a single benchmark it
-// is bit-identical to AnalyzePhases.
-func AnalyzePhasesJoint(bs []Benchmark, cfg PhasePipelineConfig) (*PhaseJointResult, error) {
-	return AnalyzePhasesJointCtx(context.Background(), bs, cfg)
-}
-
-// AnalyzePhasesJointCtx is AnalyzePhasesJoint with cancellation and
-// full error collection. A joint vocabulary built from a silently
-// shrunken benchmark set would be a different vocabulary, so any
-// characterization failure (or cancellation) is fatal to the joint
-// result — but every failing benchmark is still isolated, named and
-// reported in one joined error rather than crashing the pipeline or
-// stopping at the first failure. The store-backed form
-// (AnalyzePhasesJointStoreCtx) is the one that commits partial work.
-func AnalyzePhasesJointCtx(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig) (*PhaseJointResult, error) {
-	named, err := characterizeBenchmarksCtx(ctx, bs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return phases.AnalyzeJoint(named, cfg.Phase)
-}
-
-// characterizeBenchmarksCtx is the profiling front half of the joint
-// pipeline: interval characterization for every benchmark, sharded
-// over the fixed worker pool, clustering skipped. On any failure the
-// named slice is nil — the joint paths never consume partial sets
-// implicitly.
-func characterizeBenchmarksCtx(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig) ([]phases.BenchmarkIntervals, error) {
+// On a single benchmark it is bit-identical to AnalyzePhases.
+func runPhasesJoint(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig) (*Report, error) {
 	named := make([]phases.BenchmarkIntervals, len(bs))
 	err := phasePipelineCtx(ctx, bs, cfg, "characterization of", func(m trace.Source, prof *micachar.Profiler, i int) error {
 		res, err := phases.CharacterizeWith(m, prof, cfg.Phase)
@@ -211,7 +154,11 @@ func characterizeBenchmarksCtx(ctx context.Context, bs []Benchmark, cfg PhasePip
 	if err != nil {
 		return nil, err
 	}
-	return named, nil
+	j, err := phases.AnalyzeJoint(named, cfg.Phase)
+	if err != nil {
+		return nil, err
+	}
+	return &Report{Joint: j}, nil
 }
 
 // Reduced (phase-aware) profiling re-exports: the SimPoint-style
@@ -242,44 +189,8 @@ func KeyCharacteristics() []int { return phases.KeyCharacteristics() }
 // KeySubset returns KeyCharacteristics as an Options.Subset mask.
 func KeySubset() []bool { return phases.KeySubset() }
 
-// AnalyzeReduced runs two-pass reduced profiling on one benchmark: a
-// cheap sampled pass measuring only cfg.Subset (default: the paper's 8
-// key characteristics) positions every interval in the phase space,
-// the intervals are clustered, and a replay pass pays the full
-// 47-characteristic + HPC measurement only on the per-phase
-// representative intervals, extrapolating whole-run vectors as
-// phase-weighted sums.
-func AnalyzeReduced(b Benchmark, cfg ReducedConfig) (*ReducedResult, error) {
-	cheap, err := b.Source()
-	if err != nil {
-		return nil, err
-	}
-	replay, err := b.Source()
-	if err != nil {
-		return nil, err
-	}
-	rr, err := phases.AnalyzeReduced(cheap, replay, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("mica: reduced profiling of %s: %w", b.Name(), err)
-	}
-	return rr, nil
-}
-
-// ProfileReduced is the reduced counterpart of Profile: it measures one
-// benchmark with the two-pass pipeline and returns the extrapolated
-// whole-run vectors as a ProfileResult, so the entire analysis stack
-// (NewSpace, Analyze, the figure renderers) runs unchanged on reduced
-// profiles.
-func ProfileReduced(b Benchmark, cfg ReducedConfig) (ProfileResult, error) {
-	rr, err := AnalyzeReduced(b, cfg)
-	if err != nil {
-		return ProfileResult{}, err
-	}
-	return ProfileResult{Benchmark: b, Chars: rr.Chars, HPC: rr.HPC, Insts: rr.TotalInsts()}, nil
-}
-
 // ProfileExact measures the exact matched-grid full profile of one
-// benchmark: the same interval grid as AnalyzeReduced, with the full
+// benchmark: the same interval grid as reduced profiling, with the full
 // characterization paid on every interval. It is the differential
 // oracle reduced extrapolations are scored against (bench/'s reduced
 // workload checks its worst error with it) and the cost baseline of
@@ -296,8 +207,7 @@ func ProfileExact(b Benchmark, cfg ReducedConfig) (*PhaseExactProfile, error) {
 	return ex, nil
 }
 
-// ReducedPipelineConfig parameterizes the registry-wide reduced
-// pipelines.
+// ReducedPipelineConfig parameterizes a Run of the reduced pipelines.
 type ReducedPipelineConfig struct {
 	// Reduced is the per-benchmark reduced-profiling configuration.
 	Reduced ReducedConfig
@@ -314,31 +224,13 @@ type BenchmarkReduced struct {
 	Result    *ReducedResult
 }
 
-// AnalyzeReducedBenchmarks runs reduced profiling over a benchmark
-// list, sharded over the fixed worker pool. Each worker pools one
-// cheap-pass and one full-pass profiler across all the benchmarks it
-// processes (Reset between intervals and benchmarks), so analyzer
-// tables are built twice per worker rather than twice per benchmark.
-// Results are in input order. On any failure it returns nil results
-// and an error naming every failed benchmark;
-// AnalyzeReducedBenchmarksCtx is the fault-tolerant form that also
-// returns the partial results.
-func AnalyzeReducedBenchmarks(bs []Benchmark, cfg ReducedPipelineConfig) ([]BenchmarkReduced, error) {
-	results, err := AnalyzeReducedBenchmarksCtx(context.Background(), bs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// AnalyzeReducedBenchmarksCtx is AnalyzeReducedBenchmarks with
-// cancellation and per-benchmark fault isolation: a failing or
-// panicking benchmark is reported — wrapped with its name, all
-// failures joined into the returned error — while the others complete.
+// runReduced is Run's in-memory per-benchmark reduced path, sharded
+// over the fixed worker pool. Each worker pools one cheap-pass and one
+// full-pass profiler across all the benchmarks it processes (Reset
+// between intervals and benchmarks), so analyzer tables are built
+// twice per worker rather than twice per benchmark.
 // results[i].Result is non-nil exactly when bs[i] succeeded.
-// Cancelling ctx stops dispatching new benchmarks, drains in-flight
-// ones, and folds ctx.Err() into the returned error.
-func AnalyzeReducedBenchmarksCtx(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig) ([]BenchmarkReduced, error) {
+func runReduced(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig) (*Report, error) {
 	rcfg := cfg.Reduced.WithDefaults()
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -382,10 +274,10 @@ func AnalyzeReducedBenchmarksCtx(ctx context.Context, bs []Benchmark, cfg Reduce
 		}
 		return nil
 	})
-	return results, namePoolErrors(err, "reduced profiling of", func(i int) string { return bs[i].Name() })
+	return &Report{Reduced: results}, namePoolErrors(err, "reduced profiling of", func(i int) string { return bs[i].Name() })
 }
 
-// AnalyzeReducedJoint runs joint-vocabulary-driven reduction: every
+// runReducedJoint is Run's in-memory joint reduced path: every
 // benchmark's intervals are characterized by the cheap sampled pass
 // (sharded, pooled), ALL intervals are clustered once into a shared
 // phase vocabulary, and only the shared representative intervals are
@@ -393,16 +285,7 @@ func AnalyzeReducedBenchmarksCtx(ctx context.Context, bs []Benchmark, cfg Reduce
 // from the shared measurements weighted by its occupancy row. This is
 // the cross-benchmark redundancy payoff: K full interval measurements
 // for the whole set instead of K per benchmark.
-func AnalyzeReducedJoint(bs []Benchmark, cfg ReducedPipelineConfig) (*PhaseJointReduced, error) {
-	return AnalyzeReducedJointCtx(context.Background(), bs, cfg)
-}
-
-// AnalyzeReducedJointCtx is AnalyzeReducedJoint with cancellation and
-// full error collection. Like AnalyzePhasesJointCtx, a
-// characterization failure is fatal to the joint result (the shared
-// vocabulary must cover the requested set), but every failing
-// benchmark is isolated, named and reported in one joined error.
-func AnalyzeReducedJointCtx(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig) (*PhaseJointReduced, error) {
+func runReducedJoint(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig) (*Report, error) {
 	rcfg := cfg.Reduced.WithDefaults()
 	named := make([]phases.BenchmarkIntervals, len(bs))
 	pcfg := PhasePipelineConfig{Phase: rcfg.CheapConfig(), Workers: cfg.Workers, Progress: cfg.Progress}
@@ -427,5 +310,5 @@ func AnalyzeReducedJointCtx(ctx context.Context, bs []Benchmark, cfg ReducedPipe
 	if err != nil {
 		return nil, fmt.Errorf("mica: joint reduced replay: %w", err)
 	}
-	return jr, nil
+	return &Report{JointReduced: jr}, nil
 }

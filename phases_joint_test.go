@@ -1,13 +1,14 @@
 package mica
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
 )
 
 // TestAnalyzePhasesJointSingleBenchmarkBitIdentical is the top-level
-// differential contract: the joint pipeline run over exactly one
+// differential contract: the joint Run path over exactly one
 // registry benchmark must reproduce AnalyzePhases bit for bit —
 // vectors, assignment, K and representatives.
 func TestAnalyzePhasesJointSingleBenchmarkBitIdentical(t *testing.T) {
@@ -21,10 +22,13 @@ func TestAnalyzePhasesJointSingleBenchmarkBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		joint, err := AnalyzePhasesJoint([]Benchmark{b}, PhasePipelineConfig{Phase: cfg, Workers: 1})
+		rep, err := Run(context.Background(), Request{
+			Benchmarks: []Benchmark{b}, Joint: true, Phases: &PhasePipelineConfig{Phase: cfg, Workers: 1},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		joint := rep.Joint
 		if !reflect.DeepEqual(joint.Vectors.Data, want.Vectors.Data) {
 			t.Errorf("%s: joint vectors diverge from AnalyzePhases", name)
 		}
@@ -57,10 +61,11 @@ func TestAnalyzePhasesJointRegistryScale(t *testing.T) {
 		Phase:   PhaseConfig{IntervalLen: 200, MaxIntervals: 1000, MaxK: 6, Seed: 2006},
 		Workers: 4,
 	}
-	joint, err := AnalyzePhasesJoint(bs, pcfg)
+	rep, err := Run(context.Background(), Request{Benchmarks: bs, Joint: true, Phases: &pcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	joint := rep.Joint
 	if len(joint.Benchmarks) != 20 {
 		t.Fatalf("joint space has %d benchmarks, want 20", len(joint.Benchmarks))
 	}
@@ -118,9 +123,13 @@ func TestAnalyzePhasesJointReportsErrors(t *testing.T) {
 	}
 	broken := good
 	broken.Kernel = "no-such-kernel"
-	_, err = AnalyzePhasesJoint([]Benchmark{good, broken}, PhasePipelineConfig{
-		Phase:   PhaseConfig{IntervalLen: 500, MaxIntervals: 3, MaxK: 2, Seed: 1},
-		Workers: 1,
+	_, err = Run(context.Background(), Request{
+		Benchmarks: []Benchmark{good, broken},
+		Joint:      true,
+		Phases: &PhasePipelineConfig{
+			Phase:   PhaseConfig{IntervalLen: 500, MaxIntervals: 3, MaxK: 2, Seed: 1},
+			Workers: 1,
+		},
 	})
 	if err == nil {
 		t.Fatal("broken benchmark accepted")

@@ -1,6 +1,7 @@
 package mica
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -93,7 +94,7 @@ func TestAnalyzePhasesHonorsOptions(t *testing.T) {
 }
 
 // TestAnalyzePhasesAllRegistryPaperScale is the acceptance test for the
-// registry-wide pipeline: the full 122-benchmark registry at >= 1000
+// registry-wide phase Run path: the full 122-benchmark registry at >= 1000
 // intervals per benchmark under the fixed worker pool, with results in
 // Table I order and bit-identical to the unpooled per-interval-profiler
 // reference path on sampled benchmarks.
@@ -103,10 +104,11 @@ func TestAnalyzePhasesAllRegistryPaperScale(t *testing.T) {
 	}
 	pcfg := PhaseConfig{IntervalLen: 400, MaxIntervals: 1000, MaxK: 3, Seed: 2006}
 	cfg := PhasePipelineConfig{Phase: pcfg, Workers: 4}
-	results, err := AnalyzePhasesAll(cfg)
+	rep, err := Run(context.Background(), Request{Benchmarks: Benchmarks(), Phases: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rep.Phases
 	all := Benchmarks()
 	if len(results) != len(all) {
 		t.Fatalf("got %d results, want %d", len(results), len(all))
@@ -175,16 +177,17 @@ func TestAnalyzePhasesBenchmarksOrder(t *testing.T) {
 	}
 	pcfg := PhaseConfig{IntervalLen: 1_000, MaxIntervals: 12, MaxK: 3, Seed: 9}
 	var seen []string
-	results, err := AnalyzePhasesBenchmarks(bs, PhasePipelineConfig{
+	rep, err := Run(context.Background(), Request{Benchmarks: bs, Phases: &PhasePipelineConfig{
 		Phase:   pcfg,
 		Workers: 2,
 		Progress: func(done, total int, name string) {
 			seen = append(seen, name)
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rep.Phases
 	if len(results) != len(bs) || len(seen) != len(bs) {
 		t.Fatalf("got %d results, %d progress calls", len(results), len(seen))
 	}
@@ -213,9 +216,12 @@ func TestAnalyzePhasesBenchmarksReportsErrors(t *testing.T) {
 	}
 	broken := good
 	broken.Kernel = "no-such-kernel"
-	_, err = AnalyzePhasesBenchmarks([]Benchmark{good, broken}, PhasePipelineConfig{
-		Phase:   PhaseConfig{IntervalLen: 500, MaxIntervals: 3, MaxK: 2, Seed: 1},
-		Workers: 1,
+	_, err = Run(context.Background(), Request{
+		Benchmarks: []Benchmark{good, broken},
+		Phases: &PhasePipelineConfig{
+			Phase:   PhaseConfig{IntervalLen: 500, MaxIntervals: 3, MaxK: 2, Seed: 1},
+			Workers: 1,
+		},
 	})
 	if err == nil {
 		t.Fatal("broken benchmark accepted")

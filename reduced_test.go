@@ -1,6 +1,7 @@
 package mica
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -31,6 +32,19 @@ func reducedAcceptanceConfig() ReducedConfig {
 	}}
 }
 
+// reduceOne runs the in-memory per-benchmark reduced Run path on one
+// benchmark.
+func reduceOne(b Benchmark, cfg ReducedConfig) (*ReducedResult, error) {
+	rep, err := Run(context.Background(), Request{
+		Benchmarks: []Benchmark{b},
+		Reduced:    &ReducedPipelineConfig{Reduced: cfg, Workers: 1},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Reduced[0].Result, nil
+}
+
 // TestReducedErrorBoundRegistry is the differential acceptance test:
 // on every benchmark of the tracked set, the reduced extrapolation of
 // ALL 47 characteristics and 13 HPC metrics must stay within 5%
@@ -46,7 +60,7 @@ func TestReducedErrorBoundRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := AnalyzeReduced(b, cfg)
+		rr, err := reduceOne(b, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +109,7 @@ func TestReducedSpeedupRegistry(t *testing.T) {
 		}
 		fullTime += time.Since(start)
 		start = time.Now()
-		if _, err := AnalyzeReduced(b, cfg); err != nil {
+		if _, err := reduceOne(b, cfg); err != nil {
 			t.Fatal(err)
 		}
 		redTime += time.Since(start)
@@ -120,10 +134,11 @@ func TestReducedRegistryScaleSmoke(t *testing.T) {
 	cfg := ReducedPipelineConfig{
 		Reduced: ReducedConfig{Phase: PhaseConfig{IntervalLen: 1_000, MaxIntervals: 20, MaxK: 4, Seed: 2006}},
 	}
-	results, err := AnalyzeReducedBenchmarks(bs, cfg)
+	rep, err := Run(context.Background(), Request{Benchmarks: bs, Reduced: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rep.Reduced
 	if len(results) != len(bs) {
 		t.Fatalf("got %d results for %d benchmarks", len(results), len(bs))
 	}
@@ -152,14 +167,15 @@ func TestReducedRegistryScaleSmoke(t *testing.T) {
 	}
 	// The pipeline must be deterministic across worker counts: one
 	// worker and many workers give bit-identical extrapolations.
-	serial, err := AnalyzeReducedBenchmarks(bs[:4], ReducedPipelineConfig{Reduced: cfg.Reduced, Workers: 1})
+	serialRep, err := Run(context.Background(), Request{Benchmarks: bs[:4], Reduced: &ReducedPipelineConfig{Reduced: cfg.Reduced, Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := AnalyzeReducedBenchmarks(bs[:4], ReducedPipelineConfig{Reduced: cfg.Reduced, Workers: 4})
+	parallelRep, err := Run(context.Background(), Request{Benchmarks: bs[:4], Reduced: &ReducedPipelineConfig{Reduced: cfg.Reduced, Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	serial, parallel := serialRep.Reduced, parallelRep.Reduced
 	for i := range serial {
 		if serial[i].Result.Chars != parallel[i].Result.Chars {
 			t.Errorf("%s: worker count changes the extrapolation", serial[i].Benchmark.Name())
@@ -167,9 +183,9 @@ func TestReducedRegistryScaleSmoke(t *testing.T) {
 	}
 }
 
-// TestProfileReducedFeedsAnalysisStack: ProfileReduced must produce
-// ProfileResults the whole analysis stack accepts — the reduced
-// pipeline is a drop-in cheap front end for NewSpace/Analyze.
+// TestProfileReducedFeedsAnalysisStack: reduced profiles, as
+// ProfileResults, must be accepted by the whole analysis stack — the
+// reduced pipeline is a drop-in cheap front end for NewSpace/Analyze.
 func TestProfileReducedFeedsAnalysisStack(t *testing.T) {
 	cfg := ReducedConfig{Phase: PhaseConfig{IntervalLen: 1_000, MaxIntervals: 20, MaxK: 4, Seed: 2006}}
 	var results []ProfileResult
@@ -178,10 +194,11 @@ func TestProfileReducedFeedsAnalysisStack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := ProfileReduced(b, cfg)
+		rr, err := reduceOne(b, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pr := ProfileResult{Benchmark: b, Chars: rr.Chars, HPC: rr.HPC, Insts: rr.TotalInsts()}
 		if pr.Insts == 0 {
 			t.Fatalf("%s: reduced profile covers zero instructions", name)
 		}

@@ -1,0 +1,112 @@
+package mica
+
+import (
+	"context"
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// TestRunProgressOncePerBenchmark tables all eight Run paths on a
+// fresh build: Progress is called exactly once per benchmark, done
+// counts 1..n in call order, and the report sets exactly the result
+// field the request selects (plus the build stats for store paths).
+func TestRunProgressOncePerBenchmark(t *testing.T) {
+	bs := storeBenchmarks(t, "MiBench/sha/large", "CommBench/drr/drr")
+	phase := PhaseConfig{IntervalLen: 500, MaxIntervals: 4, MaxK: 2, Seed: 1}
+	for _, reduced := range []bool{false, true} {
+		for _, joint := range []bool{false, true} {
+			for _, inStore := range []bool{false, true} {
+				name := fmt.Sprintf("reduced=%v/joint=%v/store=%v", reduced, joint, inStore)
+				t.Run(name, func(t *testing.T) {
+					var mu sync.Mutex
+					var dones []int
+					var names []string
+					progress := func(done, total int, name string) {
+						mu.Lock()
+						defer mu.Unlock()
+						if total != len(bs) {
+							t.Errorf("progress total = %d, want %d", total, len(bs))
+						}
+						dones = append(dones, done)
+						names = append(names, name)
+					}
+					req := Request{Benchmarks: bs, Joint: joint}
+					if reduced {
+						req.Reduced = &ReducedPipelineConfig{Reduced: ReducedConfig{Phase: phase}, Workers: 2, Progress: progress}
+					} else {
+						req.Phases = &PhasePipelineConfig{Phase: phase, Workers: 2, Progress: progress}
+					}
+					if inStore {
+						req.Store.Dir = filepath.Join(t.TempDir(), "store")
+					}
+					rep, err := Run(context.Background(), req)
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					if want := []int{1, 2}; !reflect.DeepEqual(dones, want) {
+						t.Errorf("progress done sequence %v, want %v", dones, want)
+					}
+					seen := make(map[string]int)
+					for _, n := range names {
+						seen[n]++
+					}
+					for _, b := range bs {
+						if seen[b.Name()] != 1 {
+							t.Errorf("%s reported %d times, want once", b.Name(), seen[b.Name()])
+						}
+					}
+
+					set := map[string]bool{
+						"Phases":       rep.Phases != nil,
+						"Joint":        rep.Joint != nil,
+						"Reduced":      rep.Reduced != nil,
+						"JointReduced": rep.JointReduced != nil,
+					}
+					want := map[bool]map[bool]string{false: {false: "Phases", true: "Joint"}, true: {false: "Reduced", true: "JointReduced"}}[reduced][joint]
+					for field, ok := range set {
+						if ok != (field == want) {
+							t.Errorf("report field %s set = %v, want only %s", field, ok, want)
+						}
+					}
+					if (rep.Store != nil) != inStore {
+						t.Errorf("report store stats set = %v, want %v", rep.Store != nil, inStore)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRunRejectsContradictoryRequests: a request must pick exactly one
+// pipeline, and store options only make sense with a store directory.
+func TestRunRejectsContradictoryRequests(t *testing.T) {
+	bs := storeBenchmarks(t, "MiBench/sha/large")
+	pcfg := &PhasePipelineConfig{Phase: storeTestConfig}
+	rcfg := &ReducedPipelineConfig{Reduced: ReducedConfig{Phase: storeTestConfig}}
+	cases := []struct {
+		name string
+		req  Request
+		want string
+	}{
+		{"no pipeline", Request{Benchmarks: bs}, "exactly one of Phases and Reduced"},
+		{"both pipelines", Request{Benchmarks: bs, Phases: pcfg, Reduced: rcfg}, "exactly one of Phases and Reduced"},
+		{"incremental without dir", Request{Benchmarks: bs, Phases: pcfg, Store: StoreOptions{Incremental: true}}, "need Store.Dir"},
+		{"warm start without dir", Request{Benchmarks: bs, Joint: true, Reduced: rcfg, Store: StoreOptions{WarmStart: true}}, "need Store.Dir"},
+		{"quantize without dir", Request{Benchmarks: bs, Phases: pcfg, Store: StoreOptions{Quantize: true}}, "need Store.Dir"},
+		{"cache budget without dir", Request{Benchmarks: bs, Phases: pcfg, Store: StoreOptions{CacheBytes: 1 << 20}}, "need Store.Dir"},
+	}
+	for _, tc := range cases {
+		rep, err := Run(context.Background(), tc.req)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if rep != nil {
+			t.Errorf("%s: rejected request returned a report", tc.name)
+		}
+	}
+}

@@ -318,23 +318,21 @@ func characterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipeli
 	return st, stats, pipeErr
 }
 
-// AnalyzePhasesStoreCtx is AnalyzePhasesBenchmarksCtx through the
-// interval-vector store: every benchmark is characterized into (or,
-// with opt.Incremental, reused from) the store in opt.Dir, then each
-// benchmark's phases are clustered from its stored shard. The result
-// differs from the in-memory pipeline only by the shard encoding's
-// rounding of the interval vectors (float32 by default). The
-// characterization half has CharacterizeToStoreCtx's resumable
-// semantics; a characterization failure returns no results. Otherwise
-// results[i].Result is non-nil exactly when bs[i] was clustered. The
-// internally opened store is always closed before returning.
-func AnalyzePhasesStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig, opt StoreOptions) ([]BenchmarkPhases, *StoreBuildStats, error) {
+// runPhasesStore is Run's store-backed per-benchmark phase path: every
+// benchmark is characterized into (or, with opt.Incremental, reused
+// from) the store in opt.Dir, then each benchmark's phases are
+// clustered from its stored shard. The result differs from the
+// in-memory path only by the shard encoding's rounding of the interval
+// vectors (float32 by default). A characterization failure returns no
+// results. The internally opened store is always closed before
+// returning.
+func runPhasesStore(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig, opt StoreOptions) (*Report, error) {
 	st, stats, err := CharacterizeToStoreCtx(ctx, bs, cfg, opt)
 	if st != nil {
 		defer st.Close()
 	}
 	if err != nil {
-		return nil, stats, err
+		return storeFailure(stats), err
 	}
 	results := make([]BenchmarkPhases, len(bs))
 	for i := range results {
@@ -346,7 +344,7 @@ func AnalyzePhasesStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipelin
 			return nil
 		})
 	captureCacheStats(st, stats)
-	return results, stats, err
+	return &Report{Phases: results, Store: stats}, err
 }
 
 // shardPipelineCtx is the per-benchmark back half of the store-backed
@@ -395,53 +393,38 @@ func shardPipelineCtx(ctx context.Context, st *IVStore, bs []Benchmark, workers 
 	return namePoolErrors(err, what, func(i int) string { return bs[i].Name() })
 }
 
-// AnalyzePhasesJointStoreCtx is AnalyzePhasesJointCtx through the
-// interval-vector store: every benchmark is characterized into (or
-// reused from) the store in opt.Dir, then the registry-wide joint
-// vocabulary is clustered by streaming rows shard-by-shard —
-// bit-identical to the in-memory path on data that round-trips the
-// shard encoding, with peak memory O(workers x shard + k·d) instead
-// of O(benchmarks x intervals x 47). The returned result's Vectors
-// matrix is nil by design; everything else (assignment, K,
-// representatives, occupancy, provenance) is fully populated.
-//
-// The characterization half has CharacterizeToStoreCtx's resumable
-// semantics — whatever was staged before a failure or cancellation is
-// committed for the next incremental run — but like the in-memory
-// joint path, any characterization failure is fatal to the joint
-// RESULT: a vocabulary silently built over a shrunken set would not be
-// the requested one. The returned stats (non-nil whenever the build
-// started) say exactly which benchmarks were characterized, reused,
-// failed or skipped. The internally opened store is always closed
-// before returning.
-func AnalyzePhasesJointStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig, opt StoreOptions) (*PhaseJointResult, *StoreBuildStats, error) {
+// runPhasesJointStore is Run's store-backed joint phase path: every
+// benchmark is characterized into (or reused from) the store in
+// opt.Dir, then the registry-wide joint vocabulary is clustered by
+// streaming rows shard-by-shard — bit-identical to the in-memory path
+// on data that round-trips the shard encoding, with peak memory
+// O(workers x shard + k·d) instead of O(benchmarks x intervals x 47).
+// The joint result's Vectors matrix is nil by design; everything else
+// (assignment, K, representatives, occupancy, provenance) is fully
+// populated. The internally opened store is always closed before
+// returning.
+func runPhasesJointStore(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig, opt StoreOptions) (*Report, error) {
 	st, stats, err := CharacterizeToStoreCtx(ctx, bs, cfg, opt)
 	if st != nil {
 		defer st.Close()
 	}
 	if err != nil {
-		return nil, stats, err
+		return storeFailure(stats), err
 	}
-	var warm *phases.JointWarmState
-	if opt.WarmStart {
-		warm = loadWarmState(st)
-	}
-	j, warmUsed, err := phases.AnalyzeJointStoreWarmCtx(ctx, st, cfg.Phase, cfg.Workers, warm)
-	if stats != nil {
-		stats.WarmStarted = warmUsed
-	}
+	j, warmUsed, err := AnalyzePhasesJointOpenStoreCtx(ctx, st, cfg.Phase, cfg.Workers, opt.WarmStart)
+	stats.WarmStarted = warmUsed
 	captureCacheStats(st, stats)
 	if err != nil {
-		return nil, stats, err
+		return storeFailure(stats), err
 	}
-	saveWarmState(st, j)
-	return j, stats, nil
+	return &Report{Joint: j, Store: stats}, nil
 }
 
 // AnalyzePhasesJointOpenStoreCtx clusters the joint cross-benchmark
 // vocabulary of an ALREADY-OPEN committed store, characterizing
 // nothing — the serving-side entry point: mica-serve opens its store
-// once at startup and answers phase and similarity queries from it.
+// once at startup and answers phase and similarity queries from it,
+// and Run's joint store paths cluster through it after their build.
 // Warm-start state is read from and saved back to the store's aux
 // files exactly as the build pipelines do (best-effort both ways).
 // The caller keeps ownership of st; warmUsed reports whether a prior
@@ -452,7 +435,7 @@ func AnalyzePhasesJointOpenStoreCtx(ctx context.Context, st *IVStore, cfg PhaseC
 	if warmStart {
 		warm = loadWarmState(st)
 	}
-	j, warmUsed, err = phases.AnalyzeJointStoreWarmCtx(ctx, st, cfg, workers, warm)
+	j, warmUsed, err = phases.AnalyzeJointStore(ctx, st, cfg, workers, warm)
 	if err != nil {
 		return nil, warmUsed, err
 	}

@@ -38,14 +38,17 @@ func TestAnalyzePhasesJointStoreMatchesInMemory(t *testing.T) {
 	bs := storeBenchmarks(t, "MiBench/sha/large", "CommBench/drr/drr", "SPEC2000/gzip/program")
 	pcfg := PhasePipelineConfig{Phase: storeTestConfig, Workers: 2}
 
-	want, err := AnalyzePhasesJoint(bs, pcfg)
+	mem, err := Run(context.Background(), Request{Benchmarks: bs, Joint: true, Phases: &pcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "store")})
+	rep, err := Run(context.Background(), Request{
+		Benchmarks: bs, Joint: true, Phases: &pcfg, Store: StoreOptions{Dir: filepath.Join(t.TempDir(), "store")},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, got, stats := mem.Joint, rep.Joint, rep.Store
 	if len(stats.Characterized) != len(bs) || len(stats.Reused) != 0 {
 		t.Fatalf("fresh build stats %+v, want all characterized", stats)
 	}
@@ -85,7 +88,7 @@ func TestCharacterizeToStoreIncremental(t *testing.T) {
 	if profiled != len(bs) || len(stats.Characterized) != len(bs) {
 		t.Fatalf("fresh build characterized %d (progress %d), want %d", len(stats.Characterized), profiled, len(bs))
 	}
-	baseline, err := phases.AnalyzeJointStore(mustOpenStore(t, dir), storeTestConfig, 1)
+	baseline, _, err := phases.AnalyzeJointStore(t.Context(), mustOpenStore(t, dir), storeTestConfig, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestCharacterizeToStoreIncremental(t *testing.T) {
 	if profiled != 0 || len(stats.Characterized) != 0 || len(stats.Reused) != len(bs) {
 		t.Fatalf("unchanged rerun profiled %d, stats %+v", profiled, stats)
 	}
-	again, err := phases.AnalyzeJointStore(st, storeTestConfig, 1)
+	again, _, err := phases.AnalyzeJointStore(t.Context(), st, storeTestConfig, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +248,7 @@ func TestCharacterizeToStoreQuantized(t *testing.T) {
 	if q*3 >= f {
 		t.Errorf("quant8 store %d bytes vs float32 %d — expected well under a third", q, f)
 	}
-	j, err := phases.AnalyzeJointStore(stQ, pcfg.Phase, 1)
+	j, _, err := phases.AnalyzeJointStore(t.Context(), stQ, pcfg.Phase, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,10 +300,13 @@ func TestJointStoreRegistryScale(t *testing.T) {
 		Phase:   PhaseConfig{IntervalLen: 400, MaxIntervals: 1000, MaxK: 3, Seed: 2006},
 		Workers: 4,
 	}
-	j, stats, err := AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "registry")})
+	rep, err := Run(context.Background(), Request{
+		Benchmarks: bs, Joint: true, Phases: &pcfg, Store: StoreOptions{Dir: filepath.Join(t.TempDir(), "registry")},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	j, stats := rep.Joint, rep.Store
 	if len(stats.Characterized) != len(bs) {
 		t.Fatalf("characterized %d benchmarks, want %d", len(stats.Characterized), len(bs))
 	}
@@ -338,15 +344,16 @@ func TestAnalyzePhasesStoreMatchesInMemory(t *testing.T) {
 		Workers:  2,
 		Progress: func(done, total int, name string) { profiled++ },
 	}
-	want, err := AnalyzePhasesBenchmarks(bs, PhasePipelineConfig{Phase: storeTestConfig, Workers: 2})
+	mem, err := Run(context.Background(), Request{Benchmarks: bs, Phases: &PhasePipelineConfig{Phase: storeTestConfig, Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := StoreOptions{Dir: filepath.Join(t.TempDir(), "store"), Incremental: true}
-	got, stats, err := AnalyzePhasesStoreCtx(context.Background(), bs, pcfg, opt)
+	req := Request{Benchmarks: bs, Phases: &pcfg, Store: StoreOptions{Dir: filepath.Join(t.TempDir(), "store"), Incremental: true}}
+	rep, err := Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, got, stats := mem.Phases, rep.Phases, rep.Store
 	if profiled != len(bs) || len(stats.Characterized) != len(bs) {
 		t.Fatalf("fresh build characterized %v (progress %d), want all %d", stats.Characterized, profiled, len(bs))
 	}
@@ -385,10 +392,11 @@ func TestAnalyzePhasesStoreMatchesInMemory(t *testing.T) {
 	}
 
 	profiled = 0
-	again, stats, err := AnalyzePhasesStoreCtx(context.Background(), bs, pcfg, opt)
+	rep, err = Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	again, stats := rep.Phases, rep.Store
 	if profiled != 0 || len(stats.Characterized) != 0 || len(stats.Reused) != len(bs) {
 		t.Fatalf("unchanged rerun profiled %d, stats %+v", profiled, stats)
 	}

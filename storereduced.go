@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -51,25 +52,40 @@ func CharacterizeReducedToStoreCtx(ctx context.Context, bs []Benchmark, cfg Redu
 		})
 }
 
-// AnalyzeReducedStoreCtx is AnalyzeReducedBenchmarksCtx through the
-// interval-vector store: the cheap pass lands in (or is reused from)
-// the store in opt.Dir, then each benchmark's phases are clustered
-// from its stored shard and replayed with the full profiler. With
-// opt.Incremental, an unchanged benchmark skips its cheap pass
-// entirely — only the replay (whose cost the reduction already
-// bounded to a few intervals per phase) is paid again. The cheap half
-// has CharacterizeToStoreCtx's resumable semantics; like the in-memory
-// pipeline, the returned error joins every failed benchmark while
-// results[i].Result is non-nil exactly when bs[i] made it through both
-// passes.
+// AnalyzeReducedStoreCtx is Run's store-backed per-benchmark reduced
+// path as a function: the reduced pipeline with Store set to opt,
+// whose Dir must name the store.
 func AnalyzeReducedStoreCtx(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig, opt StoreOptions) ([]BenchmarkReduced, *StoreBuildStats, error) {
+	if opt.Dir == "" {
+		return nil, nil, errors.New("mica: store characterization needs a directory")
+	}
+	rep, err := Run(ctx, Request{Benchmarks: bs, Reduced: &cfg, Store: opt})
+	if rep == nil {
+		return nil, nil, err
+	}
+	return rep.Reduced, rep.Store, err
+}
+
+// runReducedStore is Run's store-backed per-benchmark reduced path:
+// the cheap pass lands in (or is reused from) the store in opt.Dir,
+// then each benchmark's phases are clustered from its stored shard and
+// replayed with the full profiler. With opt.Incremental, an unchanged
+// benchmark skips its cheap pass entirely — only the replay (whose
+// cost the reduction already bounded to a few intervals per phase) is
+// paid again. Progress reports each benchmark once, after its replay,
+// as the in-memory path does. A cheap-pass failure returns no results;
+// otherwise results[i].Result is non-nil exactly when bs[i] made it
+// through both passes.
+func runReducedStore(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig, opt StoreOptions) (*Report, error) {
 	rcfg := cfg.Reduced.WithDefaults()
-	st, stats, err := CharacterizeReducedToStoreCtx(ctx, bs, cfg, opt)
+	cheap := cfg
+	cheap.Progress = nil
+	st, stats, err := CharacterizeReducedToStoreCtx(ctx, bs, cheap, opt)
 	if st != nil {
 		defer st.Close()
 	}
 	if err != nil {
-		return nil, stats, err
+		return storeFailure(stats), err
 	}
 	results := make([]BenchmarkReduced, len(bs))
 	for i := range results {
@@ -93,45 +109,36 @@ func AnalyzeReducedStoreCtx(ctx context.Context, bs []Benchmark, cfg ReducedPipe
 			return nil
 		})
 	captureCacheStats(st, stats)
-	return results, stats, err
+	return &Report{Reduced: results, Store: stats}, err
 }
 
-// AnalyzeReducedJointStoreCtx is AnalyzeReducedJointCtx through the
-// interval-vector store: the cheap pass lands in the store, the shared
-// vocabulary is clustered by streaming the store's rows (warm-started
-// from the previous run's state when opt.WarmStart), and the joint
-// replay measures only the shared representatives, gathered back
-// through the decoded-shard cache. As with the other joint paths, a
-// characterization failure is fatal to the joint result (partial cheap
-// work is still committed for the next incremental run).
-func AnalyzeReducedJointStoreCtx(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig, opt StoreOptions) (*PhaseJointReduced, *StoreBuildStats, error) {
+// runReducedJointStore is Run's store-backed joint reduced path: the
+// cheap pass lands in the store, the shared vocabulary is clustered by
+// streaming the store's rows (warm-started from the previous run's
+// state when opt.WarmStart), and the joint replay measures only the
+// shared representatives, gathered back through the decoded-shard
+// cache.
+func runReducedJointStore(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig, opt StoreOptions) (*Report, error) {
 	rcfg := cfg.Reduced.WithDefaults()
 	st, stats, err := CharacterizeReducedToStoreCtx(ctx, bs, cfg, opt)
 	if st != nil {
 		defer st.Close()
 	}
 	if err != nil {
-		return nil, stats, err
+		return storeFailure(stats), err
 	}
-	var warm *phases.JointWarmState
-	if opt.WarmStart {
-		warm = loadWarmState(st)
-	}
-	j, warmUsed, err := phases.AnalyzeJointStoreWarmCtx(ctx, st, rcfg.CheapConfig(), cfg.Workers, warm)
-	if stats != nil {
-		stats.WarmStarted = warmUsed
-	}
+	j, warmUsed, err := AnalyzePhasesJointOpenStoreCtx(ctx, st, rcfg.CheapConfig(), cfg.Workers, opt.WarmStart)
+	stats.WarmStarted = warmUsed
 	if err != nil {
 		captureCacheStats(st, stats)
-		return nil, stats, err
+		return storeFailure(stats), err
 	}
-	saveWarmState(st, j)
 	jr, err := phases.ReplayJointStore(st, j, func(bi int) (trace.Source, error) {
 		return bs[bi].Source()
 	}, rcfg)
 	captureCacheStats(st, stats)
 	if err != nil {
-		return nil, stats, fmt.Errorf("mica: store-backed joint reduced replay: %w", err)
+		return storeFailure(stats), fmt.Errorf("mica: store-backed joint reduced replay: %w", err)
 	}
-	return jr, stats, nil
+	return &Report{JointReduced: jr, Store: stats}, nil
 }

@@ -48,10 +48,11 @@ func TestAnalyzeReducedStoreMatchesInMemory(t *testing.T) {
 	bs := storeBenchmarks(t, reducedStoreBenchSet...)
 	cfg := ReducedPipelineConfig{Reduced: reducedAcceptanceConfig(), Workers: 2}
 
-	want, err := AnalyzeReducedBenchmarks(bs, cfg)
+	mem, err := Run(context.Background(), Request{Benchmarks: bs, Reduced: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := mem.Reduced
 	got, stats, err := AnalyzeReducedStoreCtx(context.Background(), bs, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "store")})
 	if err != nil {
 		t.Fatal(err)
@@ -106,14 +107,17 @@ func TestAnalyzeReducedJointStoreMatchesInMemory(t *testing.T) {
 	bs := storeBenchmarks(t, reducedStoreBenchSet...)
 	cfg := ReducedPipelineConfig{Reduced: reducedAcceptanceConfig(), Workers: 2}
 
-	want, err := AnalyzeReducedJoint(bs, cfg)
+	mem, err := Run(context.Background(), Request{Benchmarks: bs, Joint: true, Reduced: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := AnalyzeReducedJointStoreCtx(context.Background(), bs, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "store")})
+	rep, err := Run(context.Background(), Request{
+		Benchmarks: bs, Joint: true, Reduced: &cfg, Store: StoreOptions{Dir: filepath.Join(t.TempDir(), "store")},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, got, stats := mem.JointReduced, rep.JointReduced, rep.Store
 	if stats.WarmStarted {
 		t.Error("fresh joint store run claims a warm start")
 	}
@@ -148,8 +152,15 @@ func TestJointStoreWarmStartIncremental(t *testing.T) {
 		Progress: func(done, total int, name string) { profiled++ },
 	}
 	opt := StoreOptions{Dir: dir, Incremental: true, WarmStart: true}
+	jointStore := func(pcfg PhasePipelineConfig) (*PhaseJointResult, *StoreBuildStats, error) {
+		rep, err := Run(context.Background(), Request{Benchmarks: bs, Joint: true, Phases: &pcfg, Store: opt})
+		if err != nil {
+			return nil, nil, err
+		}
+		return rep.Joint, rep.Store, nil
+	}
 
-	fresh, stats, err := AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, opt)
+	fresh, stats, err := jointStore(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +173,7 @@ func TestJointStoreWarmStartIncremental(t *testing.T) {
 
 	// Unchanged rerun: everything reused, warm path taken, identical K.
 	profiled = 0
-	again, stats, err := AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, opt)
+	again, stats, err := jointStore(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +198,7 @@ func TestJointStoreWarmStartIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	profiled = 0
-	warm, stats, err := AnalyzePhasesJointStoreCtx(context.Background(), bs, pcfg, opt)
+	warm, stats, err := jointStore(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +217,7 @@ func TestJointStoreWarmStartIncremental(t *testing.T) {
 	// shards (the stamp changed), falling back to fresh seeding.
 	changed := pcfg
 	changed.Phase.IntervalLen = 600
-	_, stats, err = AnalyzePhasesJointStoreCtx(context.Background(), bs, changed, opt)
+	_, stats, err = jointStore(changed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,11 +89,11 @@ func TestTraceReducedMatchesLiveVM(t *testing.T) {
 	replay := tracePair(t, live, diffBudget)
 
 	cfg := ReducedConfig{Phase: diffPhaseCfg}
-	want, err := AnalyzeReduced(live, cfg)
+	want, err := reduceOne(live, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyzeReduced(replay, cfg)
+	got, err := reduceOne(replay, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +119,17 @@ func TestTraceJointStoreMatchesLiveVM(t *testing.T) {
 	}
 
 	cfg := PhasePipelineConfig{Phase: diffPhaseCfg, Workers: 2}
-	want, _, err := AnalyzePhasesJointStoreCtx(context.Background(), lives, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "live")})
-	if err != nil {
-		t.Fatal(err)
+	jointStore := func(bs []Benchmark, dir string) *PhaseJointResult {
+		rep, err := Run(context.Background(), Request{
+			Benchmarks: bs, Joint: true, Phases: &cfg, Store: StoreOptions{Dir: filepath.Join(t.TempDir(), dir)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Joint
 	}
-	got, _, err := AnalyzePhasesJointStoreCtx(context.Background(), replays, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "replay")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := jointStore(lives, "live")
+	got := jointStore(replays, "replay")
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("store-backed joint analysis diverges: replay K=%d over %d rows, live K=%d over %d rows",
 			got.K, len(got.Rows), want.K, len(want.Rows))
