@@ -343,12 +343,12 @@ func BenchmarkClusterSweep(b *testing.B) {
 		b.ReportMetric(float64(sel.Best.K), "K")
 	}
 	b.Run("naive", func(b *testing.B) {
-		run(b, func() cluster.Selection { return cluster.SelectKNaive(m, maxK, 0.9, 2006) })
+		run(b, func() cluster.Selection { return cluster.SelectKNaive(m, maxK, 2006) })
 	})
+	// 20k rows is above the 8192-row switch, so the default sweep runs
+	// the minibatch engine.
 	b.Run("parallel-minibatch", func(b *testing.B) {
-		run(b, func() cluster.Selection {
-			return cluster.SelectKOpt(m, maxK, 0.9, 2006, cluster.SweepOptions{Engine: cluster.EngineMiniBatch})
-		})
+		run(b, func() cluster.Selection { return cluster.SelectK(m, maxK, 2006) })
 	})
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -16,7 +17,24 @@ var engines = []struct {
 	run  func(m *stats.Matrix, k int, seed int64) Result
 }{
 	{"lloyd", KMeans},
-	{"minibatch", MiniBatchKMeans},
+	{"minibatch", miniBatchKMeans},
+}
+
+// miniBatchKMeans runs the minibatch engine alone, as a sweep would
+// for one k above the row threshold.
+func miniBatchKMeans(m *stats.Matrix, k int, seed int64) Result {
+	return ownAssign(kmeansRun(m, k, seed, engineMiniBatch, nil, newScratch()))
+}
+
+// sweep runs the k-sweep over an in-memory matrix with a forced
+// engine.
+func sweep(t *testing.T, m *stats.Matrix, maxK int, seed int64, opt SweepOptions, eng engine) Selection {
+	t.Helper()
+	sel, err := selectK(context.Background(), func() Rows { return m }, maxK, seed, opt, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
 }
 
 // bigBlobs builds well-separated blobs with enough rows to exercise
@@ -99,7 +117,7 @@ func TestMiniBatchSSEWithinFivePercentOverlapping(t *testing.T) {
 	for _, k := range []int{2, 4, 8} {
 		seed := deriveSeed(2006, k)
 		exact := KMeans(m, k, seed)
-		mini := MiniBatchKMeans(m, k, seed)
+		mini := miniBatchKMeans(m, k, seed)
 		if mini.SSE > exact.SSE*1.05 {
 			t.Errorf("k=%d: minibatch SSE %.1f exceeds exact %.1f by more than 5%%",
 				k, mini.SSE, exact.SSE)
@@ -165,13 +183,14 @@ func TestEnginesEdgeCasesMatchLloyd(t *testing.T) {
 }
 
 // TestSelectKOptLloydMatchesNaive is the differential contract of the
-// parallel sweep: with the exact engine it must be bit-identical to
-// the serial reference sweep, regardless of worker count.
+// parallel sweep: with the exact engine forced it must be
+// bit-identical to the serial reference sweep, regardless of worker
+// count.
 func TestSelectKOptLloydMatchesNaive(t *testing.T) {
 	m, _ := bigBlobs(60, 5)
-	want := SelectKNaive(m, 8, 0.9, 99)
+	want := SelectKNaive(m, 8, 99)
 	for _, workers := range []int{1, 4} {
-		got := SelectKOpt(m, 8, 0.9, 99, SweepOptions{Engine: EngineLloyd, Workers: workers})
+		got := sweep(t, m, 8, 99, SweepOptions{Workers: workers}, engineLloyd)
 		if got.Best.K != want.Best.K {
 			t.Fatalf("workers=%d: K %d vs naive %d", workers, got.Best.K, want.Best.K)
 		}
@@ -194,9 +213,9 @@ func TestSelectKOptLloydMatchesNaive(t *testing.T) {
 // not depend on worker count or scheduling, for the auto engine too.
 func TestSelectKParallelDeterministic(t *testing.T) {
 	m, _ := bigBlobs(50, 6)
-	base := SelectKOpt(m, 6, 0.9, 17, SweepOptions{Workers: 1})
+	base := sweep(t, m, 6, 17, SweepOptions{Workers: 1}, engineAuto)
 	for _, workers := range []int{2, 5} {
-		got := SelectKOpt(m, 6, 0.9, 17, SweepOptions{Workers: workers})
+		got := sweep(t, m, 6, 17, SweepOptions{Workers: workers}, engineAuto)
 		if !reflect.DeepEqual(got, base) {
 			t.Errorf("workers=%d: sweep outcome differs from serial", workers)
 		}
@@ -207,7 +226,7 @@ func TestSelectKParallelDeterministic(t *testing.T) {
 // swept k, positive and generally decreasing on clusterable data.
 func TestSelectKSSEsPopulated(t *testing.T) {
 	m, _ := bigBlobs(40, 7)
-	sel := SelectK(m, 6, 0.9, 3)
+	sel := SelectK(m, 6, 3)
 	if len(sel.SSEs) != 6 {
 		t.Fatalf("SSEs has %d entries, want 6", len(sel.SSEs))
 	}
@@ -225,11 +244,11 @@ func TestSelectKSSEsPopulated(t *testing.T) {
 // Selection instead of panicking (the pre-rework code indexed
 // results[-1]).
 func TestSelectKDegenerate(t *testing.T) {
-	sel := SelectK(stats.NewMatrix(0, 5), 10, 0.9, 1)
+	sel := SelectK(stats.NewMatrix(0, 5), 10, 1)
 	if len(sel.Scores) != 0 || sel.Best.Centroids != nil {
 		t.Errorf("empty-matrix sweep returned %+v", sel)
 	}
-	sel = SelectKNaive(stats.NewMatrix(0, 5), 10, 0.9, 1)
+	sel = SelectKNaive(stats.NewMatrix(0, 5), 10, 1)
 	if len(sel.Scores) != 0 {
 		t.Errorf("empty-matrix naive sweep returned %+v", sel)
 	}

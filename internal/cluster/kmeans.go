@@ -6,18 +6,17 @@
 //
 // Two Result-compatible engines are available:
 //
-//   - KMeans: Lloyd iterations with k-means++ seeding, the exact
+//   - Lloyd iterations with k-means++ seeding (KMeans), the exact
 //     reference engine.
-//   - MiniBatchKMeans: Sculley-style sampled minibatch updates with
-//     center-drift convergence and a short full-data polish, for
-//     matrices where full Lloyd passes dominate phase-analysis wall
-//     time.
+//   - Sculley-style sampled minibatch updates with center-drift
+//     convergence and a short full-data polish, for matrices where
+//     full Lloyd passes dominate phase-analysis wall time.
 //
-// SelectK sweeps K in parallel over the fixed worker pool
-// (internal/pool), choosing the engine per SweepOptions (exact for
-// small matrices, minibatch above a row threshold) and reusing per-k
-// scratch buffers so a sweep's steady-state allocation is the O(k·d)
-// centroids per k, not fresh O(n) slices per run.
+// SelectK and SelectKRows sweep K in parallel over the fixed worker
+// pool (internal/pool), choosing the engine by row count (exact below
+// 8192 rows, minibatch at or above) and reusing per-k scratch buffers
+// so a sweep's steady-state allocation is the O(k·d) centroids per k,
+// not fresh O(n) slices per run.
 //
 // Seeding scheme: every per-k run inside a sweep uses an independent
 // seed derived from the sweep seed by a splitmix64 finalizer
@@ -52,7 +51,7 @@ type Result struct {
 // KMeans clusters the rows of m into k clusters using k-means++ seeding
 // and Lloyd iterations. It is deterministic for a given seed.
 func KMeans(m *stats.Matrix, k int, seed int64) Result {
-	return ownAssign(kmeansRun(m, k, seed, EngineLloyd, SweepOptions{}.withDefaults(), newScratch()))
+	return ownAssign(kmeansRun(m, k, seed, engineLloyd, nil, newScratch()))
 }
 
 // KMeansNaiveSeed is KMeans with first-K-rows seeding instead of
@@ -314,34 +313,35 @@ func seedPlusPlus(m Rows, k int, rng *rand.Rand, sc *scratch) *stats.Matrix {
 	return cents
 }
 
-// kmeansRun dispatches one clustering run to an engine. The returned
+// kmeansRun dispatches one clustering run to an engine, seeded from
+// warm when it is usable and by k-means++ otherwise. The returned
 // Result's Assign aliases sc.assign; callers that retain it across
 // runs must copy (ownAssign). sc.counts holds the per-cluster
 // occupancy of the returned assignment.
-func kmeansRun(m Rows, k int, seed int64, eng Engine, opt SweepOptions, sc *scratch) Result {
+func kmeansRun(m Rows, k int, seed int64, eng engine, warm *WarmStart, sc *scratch) Result {
 	if deg, ok := degenerate(m, k); ok {
 		return deg
 	}
 	if k > m.Len() {
 		k = m.Len()
 	}
-	if eng == EngineAuto {
-		if m.Len() >= opt.MiniBatchRows {
-			eng = EngineMiniBatch
+	if eng == engineAuto {
+		if m.Len() >= miniBatchRows {
+			eng = engineMiniBatch
 		} else {
-			eng = EngineLloyd
+			eng = engineLloyd
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	if opt.Warm.usable(m.Dim()) {
-		seeds := warmSeeds(m, k, opt.Warm, rng, sc)
-		if eng == EngineMiniBatch {
-			return miniBatchFrom(m, seeds, rng, opt, sc)
+	if warm.usable(m.Dim()) {
+		seeds := warmSeeds(m, k, warm, rng, sc)
+		if eng == engineMiniBatch {
+			return miniBatchFrom(m, seeds, rng, sc)
 		}
 		return lloydFrom(m, seeds, sc)
 	}
-	if eng == EngineMiniBatch {
-		return miniBatchRun(m, k, rng, opt, sc)
+	if eng == engineMiniBatch {
+		return miniBatchRun(m, k, rng, sc)
 	}
 	return lloydFrom(m, seedPlusPlus(m, k, rng, sc), sc)
 }

@@ -108,7 +108,7 @@ func TestBICPrefersTrueK(t *testing.T) {
 
 func TestSelectKNinetyPercentRule(t *testing.T) {
 	m, _ := threeBlobs(40, 5)
-	sel := SelectK(m, 10, 0.9, 99)
+	sel := SelectK(m, 10, 99)
 	if sel.Best.K < 2 || sel.Best.K > 5 {
 		t.Errorf("selected K = %d for 3 blobs, want near 3", sel.Best.K)
 	}
@@ -122,7 +122,7 @@ func TestSelectKNinetyPercentRule(t *testing.T) {
 
 func TestSelectKSingletonData(t *testing.T) {
 	m := stats.FromRows([][]float64{{1, 2}, {1.1, 2.1}, {0.9, 1.9}})
-	sel := SelectK(m, 10, 0.9, 1)
+	sel := SelectK(m, 10, 1)
 	if sel.Best.K < 1 || sel.Best.K > 3 {
 		t.Errorf("selected K = %d out of range", sel.Best.K)
 	}

@@ -7,11 +7,11 @@ import (
 )
 
 const (
-	// defaultBatchSize is the minibatch sample size per iteration.
-	defaultBatchSize = 1024
-	// defaultMiniBatchRows is the row count at which EngineAuto switches
-	// from exact Lloyd to minibatch inside a sweep.
-	defaultMiniBatchRows = 8192
+	// batchSize is the minibatch sample size per iteration.
+	batchSize = 1024
+	// miniBatchRows is the row count at which engineAuto switches from
+	// exact Lloyd to minibatch inside a sweep.
+	miniBatchRows = 8192
 	// polishIters caps the full-data Lloyd refinement rounds run after
 	// the minibatch phase: they pin down centroid means, repair any
 	// cluster the sampling left empty, and leave the assignment
@@ -35,25 +35,16 @@ const (
 	miniBatchRestarts = 3
 )
 
-// MiniBatchKMeans clusters the rows of m with sampled minibatch k-means
-// (Sculley, WWW 2010): k-means++ seeding on a sample, then per-center
-// streaming-mean updates from random batches until the centers stop
-// drifting, then a short full-data polish. It trades a bounded SSE gap
-// (a few percent versus exact Lloyd) for touching only a fraction of
-// the rows per iteration — the enabling engine for BIC sweeps over
-// 100k+-interval phase matrices. Deterministic for a given seed.
-//
-// Small inputs (where a full Lloyd pass is already cheap, or where k
-// approaches n and sampling would starve clusters) fall back to the
-// exact engine, so edge-case behavior matches KMeans.
-func MiniBatchKMeans(m *stats.Matrix, k int, seed int64) Result {
-	sc := newScratch()
-	return ownAssign(kmeansRun(m, k, seed, EngineMiniBatch, SweepOptions{}.withDefaults(), sc))
-}
-
-// miniBatchRun is the engine body; rng is already seeded and sc
-// provides the reusable buffers. Assign in the returned Result aliases
-// sc.assign.
+// miniBatchRun is the minibatch engine (Sculley, WWW 2010): k-means++
+// seeding on a sample, then per-center streaming-mean updates from
+// random batches until the centers stop drifting, then a short
+// full-data polish. It trades a bounded SSE gap (a few percent versus
+// exact Lloyd) for touching only a fraction of the rows per iteration
+// — the enabling engine for BIC sweeps over 100k+-interval phase
+// matrices. Small inputs (where a full Lloyd pass is already cheap, or
+// where k approaches n and sampling would starve clusters) fall back
+// to the exact engine. rng is already seeded and sc provides the
+// reusable buffers. Assign in the returned Result aliases sc.assign.
 //
 // Random row access goes through gather: indices for the seeding
 // sample and for every minibatch are drawn first, the rows are copied
@@ -63,9 +54,9 @@ func MiniBatchKMeans(m *stats.Matrix, k int, seed int64) Result {
 // into one visit per touched shard — without changing a single
 // floating-point operation or rng draw, so results stay bit-identical
 // to the pre-gather engine.
-func miniBatchRun(m Rows, k int, rng *rand.Rand, opt SweepOptions, sc *scratch) Result {
+func miniBatchRun(m Rows, k int, rng *rand.Rand, sc *scratch) Result {
 	n, d := m.Len(), m.Dim()
-	batch := opt.BatchSize
+	batch := batchSize
 	if n <= 4*batch || 8*k >= n {
 		// Exact fallback: the batch would cover most of the data anyway,
 		// or clusters are small enough that sampling could starve them.
@@ -178,10 +169,10 @@ func miniBatchPolish(m Rows, cents *stats.Matrix, sc *scratch) Result {
 // polish. Small inputs fall back to exact refinement, mirroring
 // miniBatchRun's fallback. cents is refined in place (callers pass a
 // private copy).
-func miniBatchFrom(m Rows, cents *stats.Matrix, rng *rand.Rand, opt SweepOptions, sc *scratch) Result {
+func miniBatchFrom(m Rows, cents *stats.Matrix, rng *rand.Rand, sc *scratch) Result {
 	n, d := m.Len(), m.Dim()
 	k := cents.Rows
-	batch := opt.BatchSize
+	batch := batchSize
 	if n <= 4*batch || 8*k >= n {
 		return lloydFrom(m, cents, sc)
 	}

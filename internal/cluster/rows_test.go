@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -45,9 +46,9 @@ func (r *reverseGatherRows) Gather(idx []int, dst *stats.Matrix) {
 // source.
 func TestEnginesOnVolatileRows(t *testing.T) {
 	m := SyntheticPhaseBlobs(600, 5, 11)
-	for _, eng := range []Engine{EngineLloyd, EngineMiniBatch} {
-		want := ownAssign(kmeansRun(m, 4, 42, eng, SweepOptions{}.withDefaults(), newScratch()))
-		got := ownAssign(kmeansRun(newVolatile(m), 4, 42, eng, SweepOptions{}.withDefaults(), newScratch()))
+	for _, eng := range []engine{engineLloyd, engineMiniBatch} {
+		want := ownAssign(kmeansRun(m, 4, 42, eng, nil, newScratch()))
+		got := ownAssign(kmeansRun(newVolatile(m), 4, 42, eng, nil, newScratch()))
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("engine %d diverges on a volatile row source", eng)
 		}
@@ -59,17 +60,20 @@ func TestEnginesOnVolatileRows(t *testing.T) {
 // path — for minibatch above the auto-switch threshold.
 func TestSelectKRowsMatchesSelectK(t *testing.T) {
 	small := SyntheticPhaseBlobs(500, 4, 7)
-	big := SyntheticPhaseBlobs(9000, 6, 7) // above defaultMiniBatchRows: EngineAuto picks minibatch
+	big := SyntheticPhaseBlobs(9000, 6, 7) // above miniBatchRows: engineAuto picks minibatch
 	for _, tc := range []struct {
 		name string
 		m    *stats.Matrix
 	}{{"small-exact", small}, {"big-minibatch", big}} {
-		want := SelectK(tc.m, 6, 0.9, 2006)
+		want := SelectK(tc.m, 6, 2006)
 		for _, open := range []func() Rows{
 			func() Rows { return newVolatile(tc.m) },
 			func() Rows { return &reverseGatherRows{*newVolatile(tc.m)} },
 		} {
-			got := SelectKRows(open, 6, 0.9, 2006, SweepOptions{})
+			got, err := SelectKRows(context.Background(), open, 6, 2006, SweepOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("%s: SelectKRows diverges from SelectK", tc.name)
 			}

@@ -103,18 +103,3 @@ func warmSeeds(m Rows, k int, w *WarmStart, rng *rand.Rand, sc *scratch) *stats.
 	}
 	return cents
 }
-
-// KMeansSeeded clusters m's rows into len(seeds) clusters starting
-// from the given seed centroids (exact Lloyd refinement). The seed
-// matrix is not mutated. Deterministic: identical inputs give
-// identical results, with no randomness involved.
-func KMeansSeeded(m *stats.Matrix, seeds *stats.Matrix) Result {
-	k := seeds.Rows
-	if deg, ok := degenerate(m, k); ok {
-		return deg
-	}
-	sc := newScratch()
-	cents := stats.NewMatrix(k, seeds.Cols)
-	copy(cents.Data, seeds.Data)
-	return ownAssign(lloydFrom(m, cents, sc))
-}

@@ -8,17 +8,17 @@ import (
 	"mica/internal/stats"
 )
 
-// TestKMeansSeededFixedPoint: seeding an exact refinement with
+// TestKMeansSeededFixedPoint: warm-starting an exact run with
 // already-converged centroids reproduces the same clustering (the
-// seeds are a Lloyd fixed point), and the caller's seed matrix is not
-// mutated.
+// seeds are a Lloyd fixed point), and the caller's warm centroids are
+// not mutated.
 func TestKMeansSeededFixedPoint(t *testing.T) {
 	m, _ := threeBlobs(30, 5)
 	ref := KMeans(m, 3, 42)
 	seeds := stats.NewMatrix(3, m.Cols)
 	copy(seeds.Data, ref.Centroids.Data)
 	before := append([]float64(nil), seeds.Data...)
-	res := KMeansSeeded(m, seeds)
+	res := ownAssign(kmeansRun(m, 3, 1, engineLloyd, &WarmStart{Centroids: seeds}, newScratch()))
 	if !reflect.DeepEqual(res.Assign, ref.Assign) {
 		t.Fatal("seeding with converged centroids changed the assignment")
 	}
@@ -26,7 +26,7 @@ func TestKMeansSeededFixedPoint(t *testing.T) {
 		t.Fatalf("warm SSE %v worse than the seeds' %v", res.SSE, ref.SSE)
 	}
 	if !reflect.DeepEqual(seeds.Data, before) {
-		t.Fatal("KMeansSeeded mutated the caller's seed matrix")
+		t.Fatal("the warm run mutated the caller's seed matrix")
 	}
 }
 
@@ -36,11 +36,11 @@ func TestKMeansSeededFixedPoint(t *testing.T) {
 // than the warm seeds allow.
 func TestWarmSweepMatchesFreshK(t *testing.T) {
 	m, _ := threeBlobs(40, 9)
-	fresh := SelectK(m, 6, 0.9, 42)
-	warm := SelectKOpt(m, 6, 0.9, 42, SweepOptions{Warm: &WarmStart{
+	fresh := SelectK(m, 6, 42)
+	warm := sweep(t, m, 6, 42, SweepOptions{Warm: &WarmStart{
 		Centroids: fresh.Best.Centroids,
 		Counts:    occupancy(fresh.Best),
-	}})
+	}}, engineAuto)
 	if warm.Best.K != fresh.Best.K {
 		t.Fatalf("warm sweep chose K=%d, fresh chose K=%d", warm.Best.K, fresh.Best.K)
 	}
@@ -53,10 +53,10 @@ func TestWarmSweepMatchesFreshK(t *testing.T) {
 // fresh one.
 func TestWarmSweepDeterministic(t *testing.T) {
 	m, _ := threeBlobs(25, 11)
-	prev := SelectK(m, 5, 0.9, 7)
+	prev := SelectK(m, 5, 7)
 	w := &WarmStart{Centroids: prev.Best.Centroids, Counts: occupancy(prev.Best)}
-	a := SelectKOpt(m, 5, 0.9, 7, SweepOptions{Warm: w})
-	b := SelectKOpt(m, 5, 0.9, 7, SweepOptions{Warm: w})
+	a := sweep(t, m, 5, 7, SweepOptions{Warm: w}, engineAuto)
+	b := sweep(t, m, 5, 7, SweepOptions{Warm: w}, engineAuto)
 	if !reflect.DeepEqual(a.Best.Assign, b.Best.Assign) || a.Best.K != b.Best.K {
 		t.Fatal("warm sweep is not deterministic")
 	}
@@ -106,8 +106,8 @@ func TestWarmSeedsShapes(t *testing.T) {
 func TestWarmMismatchedDimsFallsBack(t *testing.T) {
 	m, _ := threeBlobs(20, 4)
 	bad := &WarmStart{Centroids: stats.NewMatrix(3, 7)}
-	fresh := SelectK(m, 4, 0.9, 13)
-	got := SelectKOpt(m, 4, 0.9, 13, SweepOptions{Warm: bad})
+	fresh := SelectK(m, 4, 13)
+	got := sweep(t, m, 4, 13, SweepOptions{Warm: bad}, engineAuto)
 	if !reflect.DeepEqual(got.Best.Assign, fresh.Best.Assign) || got.Best.K != fresh.Best.K {
 		t.Fatal("mismatched warm centroids perturbed the sweep")
 	}
@@ -119,10 +119,9 @@ func TestWarmMismatchedDimsFallsBack(t *testing.T) {
 func TestWarmMiniBatchEngine(t *testing.T) {
 	m, _ := bigBlobs(2000, 2) // above the fallback threshold: real sampled path
 	prev := KMeans(m, 3, 42)
-	sel := SelectKOpt(m, 3, 0.9, 42, SweepOptions{
-		Engine: EngineMiniBatch,
-		Warm:   &WarmStart{Centroids: prev.Centroids, Counts: occupancy(prev)},
-	})
+	sel := sweep(t, m, 3, 42, SweepOptions{
+		Warm: &WarmStart{Centroids: prev.Centroids, Counts: occupancy(prev)},
+	}, engineMiniBatch)
 	if sel.Best.K != 3 {
 		t.Fatalf("warm minibatch sweep chose K=%d, want 3", sel.Best.K)
 	}

@@ -179,8 +179,3 @@ func (p *Profiler) Vector() Vector {
 	}
 	return v
 }
-
-// Mix exposes the instruction-mix analyzer (nil if disabled); used by the
-// HPC characterization, which includes the instruction mix as the paper
-// does for Figure 2.
-func (p *Profiler) Mix() *MixAnalyzer { return p.mix }

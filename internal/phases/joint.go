@@ -148,7 +148,7 @@ func (j *JointResult) clusterJoint(cfg Config) {
 	nspan := obs.StartSpan("phases.normalize")
 	norm := stats.ZScoreNormalize(j.Vectors)
 	nspan.End()
-	sel := cluster.SelectK(norm, cfg.MaxK, 0.9, cfg.Seed)
+	sel := cluster.SelectK(norm, cfg.MaxK, cfg.Seed)
 	j.deriveFrom(norm, sel)
 }
 

@@ -245,7 +245,7 @@ func (res *Result) cluster(cfg Config) {
 	nspan := obs.StartSpan("phases.normalize")
 	norm := stats.ZScoreNormalize(res.Vectors)
 	nspan.End()
-	sel := cluster.SelectK(norm, cfg.MaxK, 0.9, cfg.Seed)
+	sel := cluster.SelectK(norm, cfg.MaxK, cfg.Seed)
 	res.Assign = sel.Best.Assign
 	res.K = sel.Best.K
 
@@ -341,6 +341,3 @@ func (r *Result) ReconstructionError() float64 {
 	}
 	return sum / float64(len(w))
 }
-
-// PhaseOf returns the phase of interval i.
-func (r *Result) PhaseOf(i int) int { return r.Assign[i] }

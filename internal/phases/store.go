@@ -98,9 +98,9 @@ func AnalyzeJointStore(ctx context.Context, st *ivstore.Store, cfg Config, worke
 		warmUsed = true
 	}
 
-	sel, err := cluster.SelectKRowsCtx(ctx, func() cluster.Rows {
+	sel, err := cluster.SelectKRows(ctx, func() cluster.Rows {
 		return cluster.Normalized(st.Rows(), mean, std)
-	}, cfg.MaxK, 0.9, cfg.Seed, opt)
+	}, cfg.MaxK, cfg.Seed, opt)
 	if err != nil {
 		return nil, warmUsed, fmt.Errorf("phases: joint clustering of %s: %w", st.Dir(), err)
 	}

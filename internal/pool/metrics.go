@@ -2,11 +2,11 @@ package pool
 
 import "mica/internal/obs"
 
-// Pool metrics on the default registry. Batch (RunCtx/Run) items and
+// Pool metrics on the default registry. Batch (RunCtx) items and
 // long-lived Queue tasks are separate families so a server's steady
 // task stream doesn't drown the pipeline batch counts.
 var (
-	metItems    = obs.Default().Counter("mica_pool_items_total", "Work items dispatched by RunCtx/Run.")
+	metItems    = obs.Default().Counter("mica_pool_items_total", "Work items dispatched by RunCtx.")
 	metFailed   = obs.Default().Counter("mica_pool_item_failures_total", "Work items that returned an error.")
 	metPanics   = obs.Default().Counter("mica_pool_item_panics_total", "Work items recovered from a panic.")
 	metBusy     = obs.Default().Counter("mica_pool_busy_seconds_total", "Total worker time spent inside work items and queue tasks.")

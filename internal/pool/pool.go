@@ -26,8 +26,9 @@
 //     returned error includes ctx.Err(). Items never dispatched are
 //     simply skipped, not errors.
 //
-// Run is the legacy non-cancellable form: fn returns nothing, panics
-// propagate and kill the process. New pipeline code should use RunCtx.
+// RunCtx is the only batch entry point; Queue is its long-lived
+// counterpart for work that arrives over time (the serving daemon's
+// job stream).
 package pool
 
 import (
@@ -172,52 +173,4 @@ func joinWith(ctxErr error, errs []error) error {
 		}
 	}
 	return errors.Join(all...)
-}
-
-// Run executes fn(worker, i) for every i in [0, n) on a fixed pool of
-// goroutines pulling from a shared work queue. workers <= 0 means
-// GOMAXPROCS; the pool never exceeds n. Run returns after every item
-// has completed. It is the legacy non-cancellable entry point: fn has
-// no error channel and a panic in fn propagates. New pipeline code
-// should use RunCtx.
-func Run(n, workers int, fn func(worker, i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		// Degenerate pool: run inline, keeping call order and avoiding
-		// goroutine overhead for serial configurations.
-		for i := 0; i < n; i++ {
-			runLegacyItem(0, i, fn)
-		}
-		return
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for i := range work {
-				runLegacyItem(worker, i, fn)
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-}
-
-// runLegacyItem counts one legacy Run item. Panics still propagate —
-// the busy time of a crashing item is recorded on the way out.
-func runLegacyItem(worker, i int, fn func(worker, i int)) {
-	metItems.Inc()
-	begin := time.Now()
-	defer func() { metBusy.Add(time.Since(begin).Seconds()) }()
-	fn(worker, i)
 }

@@ -3,7 +3,6 @@ package pool
 import (
 	"errors"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -26,28 +25,22 @@ var ErrQueueClosed = errors.New("pool: queue closed")
 // contract, so callers can pool expensive per-worker state (one
 // profiler per worker) exactly as the batch pipelines do.
 type Queue struct {
-	tasks   chan func(worker int)
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	closed  bool
-	onPanic func(v any, stack []byte)
+	tasks  chan func(worker int)
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	closed bool
 }
 
 // NewQueue starts a queue with the given worker count (<= 0 means
 // GOMAXPROCS) and pending-task capacity (< 0 means unbuffered).
-// onPanic, if non-nil, observes panics recovered from tasks (the
-// task is already over by then); nil drops them after recovery.
-func NewQueue(workers, capacity int, onPanic func(v any, stack []byte)) *Queue {
+func NewQueue(workers, capacity int) *Queue {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if capacity < 0 {
 		capacity = 0
 	}
-	q := &Queue{
-		tasks:   make(chan func(worker int), capacity),
-		onPanic: onPanic,
-	}
+	q := &Queue{tasks: make(chan func(worker int), capacity)}
 	for w := 0; w < workers; w++ {
 		q.wg.Add(1)
 		go func(worker int) {
@@ -67,11 +60,8 @@ func (q *Queue) runTask(worker int, fn func(worker int)) {
 	defer func() {
 		metBusy.Add(time.Since(begin).Seconds())
 		metQDepth.Add(-1)
-		if r := recover(); r != nil {
+		if recover() != nil {
 			metQPanics.Inc()
-			if q.onPanic != nil {
-				q.onPanic(r, debug.Stack())
-			}
 		}
 	}()
 	fn(worker)

@@ -2,7 +2,6 @@ package pool
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -10,7 +9,7 @@ import (
 // TestQueueRunsAllAccepted: every task TrySubmit accepts runs exactly
 // once, and Close drains the accepted backlog before returning.
 func TestQueueRunsAllAccepted(t *testing.T) {
-	q := NewQueue(4, 64, nil)
+	q := NewQueue(4, 64)
 	var ran atomic.Int64
 	const n = 50
 	for i := 0; i < n; i++ {
@@ -30,7 +29,7 @@ func TestQueueRunsAllAccepted(t *testing.T) {
 func TestQueueSaturation(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
-	q := NewQueue(1, 1, nil)
+	q := NewQueue(1, 1)
 	defer q.Close()
 	// Occupy the single worker...
 	if err := q.TrySubmit(func(worker int) { close(started); <-release }); err != nil {
@@ -50,7 +49,7 @@ func TestQueueSaturation(t *testing.T) {
 // TestQueueClosed: Close rejects later submissions with ErrQueueClosed
 // and is idempotent.
 func TestQueueClosed(t *testing.T) {
-	q := NewQueue(2, 4, nil)
+	q := NewQueue(2, 4)
 	q.Close()
 	q.Close()
 	if err := q.TrySubmit(func(worker int) {}); !errors.Is(err, ErrQueueClosed) {
@@ -58,20 +57,12 @@ func TestQueueClosed(t *testing.T) {
 	}
 }
 
-// TestQueuePanicIsolation: a panicking task is recovered, reported to
-// the onPanic hook, and does not take down its worker — subsequent
-// tasks still run.
+// TestQueuePanicIsolation: a panicking task is recovered, counted in
+// mica_pool_queue_panics_total, and does not take down its worker —
+// subsequent tasks still run.
 func TestQueuePanicIsolation(t *testing.T) {
-	var mu sync.Mutex
-	var panics []any
-	q := NewQueue(1, 8, func(v any, stack []byte) {
-		mu.Lock()
-		panics = append(panics, v)
-		mu.Unlock()
-		if len(stack) == 0 {
-			t.Error("panic reported without a stack")
-		}
-	})
+	before := metQPanics.Value()
+	q := NewQueue(1, 8)
 	var ran atomic.Int64
 	if err := q.TrySubmit(func(worker int) { panic("boom") }); err != nil {
 		t.Fatal(err)
@@ -83,10 +74,8 @@ func TestQueuePanicIsolation(t *testing.T) {
 	if ran.Load() != 1 {
 		t.Fatal("task after a panicking task did not run")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(panics) != 1 || panics[0] != "boom" {
-		t.Fatalf("recovered panics %v, want [boom]", panics)
+	if got := metQPanics.Value() - before; got != 1 {
+		t.Fatalf("mica_pool_queue_panics_total rose by %v, want 1", got)
 	}
 }
 
@@ -94,7 +83,7 @@ func TestQueuePanicIsolation(t *testing.T) {
 // that lets submitters pool per-worker state.
 func TestQueueWorkerIDs(t *testing.T) {
 	const workers = 3
-	q := NewQueue(workers, 64, nil)
+	q := NewQueue(workers, 64)
 	var bad atomic.Int64
 	for i := 0; i < 30; i++ {
 		if err := q.TrySubmit(func(worker int) {

@@ -224,3 +224,46 @@ func TestRunCtxBoundsLiveWorkers(t *testing.T) {
 		t.Fatalf("observed %d concurrent items with %d workers", peak, workers)
 	}
 }
+
+// TestRunCtxWorkerIDsInRange: every call sees a worker id in
+// [0, workers), the contract callers index per-worker state with.
+func TestRunCtxWorkerIDsInRange(t *testing.T) {
+	const n, workers = 30, 3
+	var bad int32
+	err := RunCtx(context.Background(), n, workers, func(_ context.Context, worker, _ int) error {
+		if worker < 0 || worker >= workers {
+			atomic.AddInt32(&bad, 1)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad != 0 {
+		t.Fatalf("%d calls saw an out-of-range worker id", bad)
+	}
+}
+
+// TestRunCtxSerialInOrder: with one worker, items run inline on
+// worker 0 in index order.
+func TestRunCtxSerialInOrder(t *testing.T) {
+	var order []int
+	err := RunCtx(context.Background(), 5, 1, func(_ context.Context, worker, i int) error {
+		if worker != 0 {
+			t.Fatalf("serial run used worker %d", worker)
+		}
+		order = append(order, i)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("serial order %v", order)
+		}
+	}
+	if len(order) != 5 {
+		t.Fatalf("ran %d items, want 5", len(order))
+	}
+}

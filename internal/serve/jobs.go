@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mica"
+	"mica/internal/obs"
 	"mica/internal/pool"
 )
 
@@ -73,18 +74,12 @@ type jobManager struct {
 	retain int
 	met    *serverMetrics
 
-	mu        sync.Mutex
-	seq       int
-	byID      map[string]*Job
-	byKey     map[string]*Job
-	finished  []string // finished job ids, oldest first, for retention
-	submitted uint64
-	rejected  uint64
-	executed  uint64
-	deduped   uint64
-	done      uint64
-	failed    uint64
-	running   int
+	mu       sync.Mutex
+	seq      int
+	byID     map[string]*Job
+	byKey    map[string]*Job
+	finished []string // finished job ids, oldest first, for retention
+	running  int
 }
 
 func newJobManager(workers, queueCap, retain int, met *serverMetrics,
@@ -102,10 +97,9 @@ func newJobManager(workers, queueCap, retain int, met *serverMetrics,
 		byID:   make(map[string]*Job),
 		byKey:  make(map[string]*Job),
 	}
-	// Task panics are recovered by the queue (keeping the process up);
-	// execute additionally converts them into job failures, so the
-	// hook only needs to exist as the documented backstop.
-	m.queue = pool.NewQueue(workers, queueCap, nil)
+	// execute converts a panicking characterization into a job
+	// failure; the queue's own recovery is only the backstop.
+	m.queue = pool.NewQueue(workers, queueCap)
 	return m
 }
 
@@ -118,8 +112,6 @@ func (m *jobManager) submit(bench mica.Benchmark, key string) (*Job, bool, error
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if j, ok := m.byKey[key]; ok && j.Status != JobFailed {
-		m.submitted++
-		m.deduped++
 		m.met.jobsSubmitted.Inc()
 		m.met.jobsDeduped.Inc()
 		j.Deduped++
@@ -135,11 +127,9 @@ func (m *jobManager) submit(bench mica.Benchmark, key string) (*Job, bool, error
 		Created:   time.Now(),
 	}
 	if err := m.queue.TrySubmit(func(worker int) { m.execute(worker, j) }); err != nil {
-		m.rejected++
 		m.met.jobsRejected.Inc()
 		return nil, false, err
 	}
-	m.submitted++
 	m.met.jobsSubmitted.Inc()
 	m.met.jobsQueued.Add(1)
 	m.byID[j.ID] = j
@@ -155,7 +145,6 @@ func (m *jobManager) execute(worker int, j *Job) {
 	m.mu.Lock()
 	j.Status = JobRunning
 	m.running++
-	m.executed++
 	m.met.jobsQueued.Add(-1)
 	m.met.jobsRunning.Add(1)
 	m.met.jobsExecuted.Inc()
@@ -180,7 +169,6 @@ func (m *jobManager) execute(worker int, j *Job) {
 	if err != nil {
 		j.Status = JobFailed
 		j.Error = err.Error()
-		m.failed++
 		m.met.jobsFailed.Inc()
 		// Drop the failed key mapping (if this job still owns it) so
 		// the next submission retries instead of polling a corpse.
@@ -190,7 +178,6 @@ func (m *jobManager) execute(worker int, j *Job) {
 	} else {
 		j.Status = JobDone
 		j.Result = res
-		m.done++
 		m.met.jobsDone.Inc()
 	}
 	m.finished = append(m.finished, j.ID)
@@ -226,17 +213,20 @@ func (m *jobManager) get(id string) (Job, bool) {
 	return *j, true
 }
 
-// stats snapshots the job counters.
+// stats snapshots the job counters. They are read from the server's
+// mica_serve_jobs_* metrics, so /stats and /metrics report one source;
+// every increment happens under m.mu, so the snapshot is consistent.
 func (m *jobManager) stats() JobStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	count := func(c *obs.Counter) uint64 { return uint64(c.Value()) }
 	return JobStats{
-		Submitted: m.submitted,
-		Rejected:  m.rejected,
-		Executed:  m.executed,
-		Deduped:   m.deduped,
-		Done:      m.done,
-		Failed:    m.failed,
+		Submitted: count(m.met.jobsSubmitted),
+		Rejected:  count(m.met.jobsRejected),
+		Executed:  count(m.met.jobsExecuted),
+		Deduped:   count(m.met.jobsDeduped),
+		Done:      count(m.met.jobsDone),
+		Failed:    count(m.met.jobsFailed),
 		Queued:    m.queue.Len(),
 		Running:   m.running,
 	}

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mica"
 	"mica/internal/obs"
 )
 
@@ -181,6 +183,90 @@ func TestMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestJobStatsMatchMetrics: the /api/v1/stats job counters and the
+// mica_serve_jobs_* series in /metrics are one source, so after a job
+// mix with a deduplicated, a rejected and a failed submission they
+// report the same numbers.
+func TestJobStatsMatchMetrics(t *testing.T) {
+	st := buildTestStore(t, testBenchmarks, testPhase)
+	s, err := New(st, Config{Phase: testPhase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One worker, one queue slot and a gated job body make the
+	// rejection deterministic; the last benchmark's job fails.
+	release := make(chan struct{})
+	s.jobs.close()
+	s.jobs = newJobManager(1, 1, 0, s.met, func(worker int, b mica.Benchmark) (*CharacterizationResult, error) {
+		<-release
+		if b.Name() == testBenchmarks[1] {
+			return nil, fmt.Errorf("injected failure")
+		}
+		return &CharacterizationResult{Benchmark: b.Name()}, nil
+	})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	submit := func(bench string, status int) jobResponse {
+		var jr jobResponse
+		out := any(&jr)
+		if status != http.StatusAccepted {
+			out = nil
+		}
+		postJSON(t, ts.URL+"/api/v1/characterize", characterizeRequest{Benchmark: bench}, status, out)
+		return jr
+	}
+	j1 := submit(testBenchmarks[0], http.StatusAccepted)
+	waitForRunning(t, s)
+	j2 := submit(testBenchmarks[1], http.StatusAccepted)
+	submit(testBenchmarks[2], http.StatusTooManyRequests)
+	if dup := submit(testBenchmarks[0], http.StatusAccepted); !dup.Deduped {
+		t.Fatal("duplicate submission was not deduplicated")
+	}
+	close(release)
+	if got := pollJob(t, ts.URL, j1.ID); got.Status != JobDone {
+		t.Fatalf("job %s finished %s, want done", j1.ID, got.Status)
+	}
+	if got := pollJob(t, ts.URL, j2.ID); got.Status != JobFailed {
+		t.Fatalf("job %s finished %s, want failed", j2.ID, got.Status)
+	}
+
+	var sr statsResponse
+	getJSON(t, ts.URL+"/api/v1/stats", http.StatusOK, &sr)
+	want := JobStats{Submitted: 3, Rejected: 1, Executed: 2, Deduped: 1, Done: 1, Failed: 1}
+	if sr.Jobs != want {
+		t.Fatalf("stats jobs %+v, want %+v", sr.Jobs, want)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "mica_serve_jobs_") {
+			series[name] = val
+		}
+	}
+	for name, got := range map[string]uint64{
+		"mica_serve_jobs_submitted_total": sr.Jobs.Submitted,
+		"mica_serve_jobs_rejected_total":  sr.Jobs.Rejected,
+		"mica_serve_jobs_executed_total":  sr.Jobs.Executed,
+		"mica_serve_jobs_deduped_total":   sr.Jobs.Deduped,
+		"mica_serve_jobs_done_total":      sr.Jobs.Done,
+		"mica_serve_jobs_failed_total":    sr.Jobs.Failed,
+	} {
+		if series[name] != fmt.Sprint(got) {
+			t.Errorf("%s = %q in /metrics, %d in /api/v1/stats", name, series[name], got)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -84,6 +85,12 @@ func getJSON(t testing.TB, url string, wantStatus int, out any) {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			t.Fatalf("GET %s: decoding body: %v", url, err)
 		}
+	}
+	// Read to EOF: a large body streams out while the handler still
+	// runs, and the request is only counted once the handler returns,
+	// which the end of the body marks.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatalf("GET %s: reading body: %v", url, err)
 	}
 }
 

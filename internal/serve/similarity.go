@@ -110,10 +110,6 @@ func (s *Similarity) Components() (k int, explained float64) {
 	return s.pcaK, s.explained
 }
 
-// HasPhaseSpace reports whether the index was built with a joint
-// vocabulary (enabling SpacePhase queries).
-func (s *Similarity) HasPhaseSpace() bool { return s.occ != nil }
-
 // NormRow returns benchmark name's z-scored signature, or false if it
 // is not indexed. The returned slice is the index's own storage.
 func (s *Similarity) NormRow(name string) ([]float64, bool) {

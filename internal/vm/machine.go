@@ -68,32 +68,8 @@ func (m *Machine) Reset() {
 	m.retired = 0
 }
 
-// SetReg sets an integer register; used by kernel input builders to pass
-// parameters (by convention in r16..r21, the Alpha argument registers).
-func (m *Machine) SetReg(r isa.Reg, v uint64) {
-	if r.IsFP() {
-		panic(fmt.Sprintf("vm: SetReg on FP register %s", r))
-	}
-	if r != isa.RegZero {
-		m.R[r.Index()] = v
-	}
-}
-
-// SetFReg sets a floating-point register.
-func (m *Machine) SetFReg(r isa.Reg, v float64) {
-	if !r.IsFP() {
-		panic(fmt.Sprintf("vm: SetFReg on integer register %s", r))
-	}
-	if r != isa.RegFZero {
-		m.F[r.Index()] = v
-	}
-}
-
 // Reg reads an integer register.
 func (m *Machine) Reg(r isa.Reg) uint64 { return m.R[r.Index()] }
-
-// FReg reads a floating-point register.
-func (m *Machine) FReg(r isa.Reg) float64 { return m.F[r.Index()] }
 
 // execError is a runtime fault with PC context.
 type execError struct {

@@ -90,11 +90,6 @@ func (m *Memory) ByteAt(addr uint64) byte {
 	return p[addr&pageMask]
 }
 
-// SetByte writes one byte.
-func (m *Memory) SetByte(addr uint64, v byte) {
-	m.page(addr, true)[addr&pageMask] = v
-}
-
 // Read fills buf from memory starting at addr.
 func (m *Memory) Read(addr uint64, buf []byte) {
 	for len(buf) > 0 {

@@ -35,7 +35,6 @@ import (
 	"runtime"
 	"sync"
 
-	"mica/internal/kernels"
 	micachar "mica/internal/mica"
 	"mica/internal/pool"
 	"mica/internal/suites"
@@ -128,9 +127,6 @@ func SuiteNames() []string {
 	copy(out, suites.SuiteNames)
 	return out
 }
-
-// KernelNames lists the available workload kernels.
-func KernelNames() []string { return kernels.Names() }
 
 // Config controls benchmark profiling.
 type Config struct {
@@ -238,24 +234,54 @@ func Profile(b Benchmark, cfg Config) (ProfileResult, error) {
 func ProfileBenchmarksCtx(ctx context.Context, bs []Benchmark, cfg Config) ([]ProfileResult, error) {
 	cfg = cfg.withDefaults()
 	results := make([]ProfileResult, len(bs))
+	err := fanOut(ctx, bs, cfg.Workers, cfg.Progress, "profiling", nil, func(_ struct{}, i int) error {
+		var err error
+		results[i], err = Profile(bs[i], cfg)
+		return err
+	})
+	return results, err
+}
+
+// fanOut is the one way the pipelines spread benchmarks over workers:
+// it runs item(state, i) for every bs[i] on pool.RunCtx, under the
+// pool's error contract — isolation (one bad benchmark never stops the
+// others), attribution (every failure, panics included, is wrapped
+// "mica: <what> <benchmark>" by namePoolErrors), collection (all
+// failures joined) and prompt cancellation with in-flight drain. Each
+// worker builds its state once, with newState, before its first item
+// and reuses it for every later one (nil newState: the zero S), so
+// expensive per-worker state — a profiler's analyzer tables — is built
+// at most once per worker. progress, when non-nil, is called after
+// each benchmark that succeeds. workers <= 0 means GOMAXPROCS.
+func fanOut[S any](ctx context.Context, bs []Benchmark, workers int, progress func(done, total int, name string),
+	what string, newState func() S, item func(state S, i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(bs) {
+		workers = len(bs)
+	}
+	states := make([]S, workers)
+	built := make([]bool, workers)
 	var done int
 	var mu sync.Mutex
 
-	err := pool.RunCtx(ctx, len(bs), cfg.Workers, func(_ context.Context, _, i int) error {
-		var err error
-		results[i], err = Profile(bs[i], cfg)
-		if err != nil {
+	err := pool.RunCtx(ctx, len(bs), workers, func(_ context.Context, worker, i int) error {
+		if newState != nil && !built[worker] {
+			states[worker], built[worker] = newState(), true
+		}
+		if err := item(states[worker], i); err != nil {
 			return err
 		}
-		if cfg.Progress != nil {
+		if progress != nil {
 			mu.Lock()
 			done++
-			cfg.Progress(done, len(bs), bs[i].Name())
+			progress(done, len(bs), bs[i].Name())
 			mu.Unlock()
 		}
 		return nil
 	})
-	return results, namePoolErrors(err, "profiling", func(i int) string { return bs[i].Name() })
+	return namePoolErrors(err, what, func(i int) string { return bs[i].Name() })
 }
 
 // namePoolErrors rewraps a pool.RunCtx error so that every per-item
@@ -269,22 +295,12 @@ func namePoolErrors(err error, what string, name func(i int) string) error {
 		return nil
 	}
 	var parts []error
-	var walk func(e error)
-	walk = func(e error) {
-		if joined, ok := e.(interface{ Unwrap() []error }); ok {
-			for _, sub := range joined.Unwrap() {
-				walk(sub)
-			}
-			return
-		}
-		var ie *pool.ItemError
-		if errors.As(e, &ie) {
-			parts = append(parts, fmt.Errorf("mica: %s %s: %w", what, name(ie.Item), e))
-			return
+	walkPoolError(err, func(e error, ie *pool.ItemError) {
+		if ie != nil {
+			e = fmt.Errorf("mica: %s %s: %w", what, name(ie.Item), e)
 		}
 		parts = append(parts, e)
-	}
-	walk(err)
+	})
 	return errors.Join(parts...)
 }
 
@@ -298,19 +314,25 @@ func failedItems(err error) map[int]bool {
 		return nil
 	}
 	failed := make(map[int]bool)
-	var walk func(e error)
-	walk = func(e error) {
-		if joined, ok := e.(interface{ Unwrap() []error }); ok {
-			for _, sub := range joined.Unwrap() {
-				walk(sub)
-			}
-			return
-		}
-		var ie *pool.ItemError
-		if errors.As(e, &ie) {
+	walkPoolError(err, func(_ error, ie *pool.ItemError) {
+		if ie != nil {
 			failed[ie.Item] = true
 		}
-	}
-	walk(err)
+	})
 	return failed
+}
+
+// walkPoolError calls visit for every leaf of a (possibly joined)
+// pool error, with the *pool.ItemError the leaf carries, or nil for a
+// leaf that is not a per-item failure (the context error).
+func walkPoolError(err error, visit func(e error, ie *pool.ItemError)) {
+	if joined, ok := err.(interface{ Unwrap() []error }); ok {
+		for _, sub := range joined.Unwrap() {
+			walkPoolError(sub, visit)
+		}
+		return
+	}
+	var ie *pool.ItemError
+	errors.As(err, &ie)
+	visit(err, ie)
 }

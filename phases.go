@@ -3,12 +3,9 @@ package mica
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	micachar "mica/internal/mica"
 	"mica/internal/phases"
-	"mica/internal/pool"
 	"mica/internal/trace"
 )
 
@@ -92,48 +89,21 @@ func runPhases(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig) (*R
 // phasePipelineCtx is the shared sharded front half of every phase
 // pipeline: it instantiates each benchmark on a fixed worker pool, one
 // pooled profiler per worker (built once, Reset between intervals and
-// benchmarks by the callee), and calls analyze for each. Failures
-// follow the pool's error contract — isolation (one bad benchmark
-// never stops the others), attribution (every failure, panics
-// included, is wrapped with the failing benchmark's name via
-// namePoolErrors), collection (all failures joined), and prompt
-// cancellation with in-flight drain. Both the per-benchmark and joint
-// pipelines run through it, so pooling/progress/fault fixes land in
-// one place. what reads like "phase analysis of" — it is spliced
-// between "mica:" and the benchmark name.
+// benchmarks by the callee), and calls analyze for each, with fanOut's
+// failure, cancellation and progress contract. Both the per-benchmark
+// and joint pipelines run through it, so pooling fixes land in one
+// place. what reads like "phase analysis of" — it is spliced between
+// "mica:" and the benchmark name.
 func phasePipelineCtx(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig, what string,
 	analyze func(m trace.Source, prof *micachar.Profiler, i int) error) error {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(bs) {
-		workers = len(bs)
-	}
-	profs := make([]*micachar.Profiler, workers)
-	var done int
-	var mu sync.Mutex
-
-	err := pool.RunCtx(ctx, len(bs), workers, func(_ context.Context, worker, i int) error {
+	newProf := func() *micachar.Profiler { return micachar.NewProfiler(cfg.Phase.Options) }
+	return fanOut(ctx, bs, cfg.Workers, cfg.Progress, what, newProf, func(prof *micachar.Profiler, i int) error {
 		m, err := bs[i].Source()
 		if err != nil {
 			return err
 		}
-		if profs[worker] == nil {
-			profs[worker] = micachar.NewProfiler(cfg.Phase.Options)
-		}
-		if err := analyze(m, profs[worker], i); err != nil {
-			return err
-		}
-		if cfg.Progress != nil {
-			mu.Lock()
-			done++
-			cfg.Progress(done, len(bs), bs[i].Name())
-			mu.Unlock()
-		}
-		return nil
+		return analyze(m, prof, i)
 	})
-	return namePoolErrors(err, what, func(i int) string { return bs[i].Name() })
 }
 
 // runPhasesJoint is Run's in-memory joint phase path: every
@@ -232,23 +202,18 @@ type BenchmarkReduced struct {
 // results[i].Result is non-nil exactly when bs[i] succeeded.
 func runReduced(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig) (*Report, error) {
 	rcfg := cfg.Reduced.WithDefaults()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(bs) {
-		workers = len(bs)
-	}
 	results := make([]BenchmarkReduced, len(bs))
 	for i := range results {
 		results[i].Benchmark = bs[i]
 	}
-	cheapProfs := make([]*micachar.Profiler, workers)
-	fullProfs := make([]*micachar.Profiler, workers)
-	var done int
-	var mu sync.Mutex
-
-	err := pool.RunCtx(ctx, len(bs), workers, func(_ context.Context, worker, i int) error {
+	// Per-worker state: the cheap-pass and the full-pass profiler.
+	newProfs := func() [2]*micachar.Profiler {
+		return [2]*micachar.Profiler{
+			micachar.NewProfiler(rcfg.CheapConfig().Options),
+			micachar.NewProfiler(rcfg.FullOptions),
+		}
+	}
+	err := fanOut(ctx, bs, cfg.Workers, cfg.Progress, "reduced profiling of", newProfs, func(profs [2]*micachar.Profiler, i int) error {
 		cheap, err := bs[i].Source()
 		if err != nil {
 			return err
@@ -257,24 +222,14 @@ func runReduced(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig) 
 		if err != nil {
 			return err
 		}
-		if cheapProfs[worker] == nil {
-			cheapProfs[worker] = micachar.NewProfiler(rcfg.CheapConfig().Options)
-			fullProfs[worker] = micachar.NewProfiler(rcfg.FullOptions)
-		}
-		res, err := phases.AnalyzeReducedWith(cheap, replay, cheapProfs[worker], fullProfs[worker], rcfg)
+		res, err := phases.AnalyzeReducedWith(cheap, replay, profs[0], profs[1], rcfg)
 		if err != nil {
 			return err
 		}
 		results[i].Result = res
-		if cfg.Progress != nil {
-			mu.Lock()
-			done++
-			cfg.Progress(done, len(bs), bs[i].Name())
-			mu.Unlock()
-		}
 		return nil
 	})
-	return &Report{Reduced: results}, namePoolErrors(err, "reduced profiling of", func(i int) string { return bs[i].Name() })
+	return &Report{Reduced: results}, err
 }
 
 // runReducedJoint is Run's in-memory joint reduced path: every

@@ -165,7 +165,7 @@ func (s *Space) Cluster(cols []int, maxK int, seed int64) ClusterSelection {
 	if cols != nil {
 		m = m.SelectColumns(cols)
 	}
-	return cluster.SelectK(m, maxK, 0.9, seed)
+	return cluster.SelectK(m, maxK, seed)
 }
 
 // Linkage rules for hierarchical clustering, re-exported.

@@ -8,13 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"runtime"
-	"sync"
 
 	"mica/internal/ivstore"
 	micachar "mica/internal/mica"
 	"mica/internal/phases"
-	"mica/internal/pool"
 	"mica/internal/trace"
 )
 
@@ -338,8 +335,8 @@ func runPhasesStore(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig
 	for i := range results {
 		results[i].Benchmark = bs[i]
 	}
-	err = shardPipelineCtx(ctx, st, bs, cfg.Workers, nil, "store-backed phase analysis of",
-		func(_, i int, sd *ivstore.ShardData) error {
+	err = shardPipelineCtx(ctx, st, bs, cfg.Workers, nil, "store-backed phase analysis of", nil,
+		func(_ struct{}, i int, sd *ivstore.ShardData) error {
 			results[i].Result = phases.ResultFromShard(sd, cfg.Phase)
 			return nil
 		})
@@ -348,29 +345,19 @@ func runPhasesStore(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig
 }
 
 // shardPipelineCtx is the per-benchmark back half of the store-backed
-// pipelines: on the fixed worker pool, it hands analyze each bs[i]'s
-// committed shard, read through the store's decoded-shard cache.
-// Failures follow phasePipelineCtx's contract (isolated, joined, and
-// named "mica: <what> <benchmark>"); a benchmark the store holds no
-// shard for is one such failure. progress, when non-nil, is called
-// after each benchmark.
-func shardPipelineCtx(ctx context.Context, st *IVStore, bs []Benchmark, workers int,
-	progress func(done, total int, name string), what string,
-	analyze func(worker, i int, sd *ivstore.ShardData) error) error {
+// pipelines: through fanOut, it hands analyze each bs[i]'s committed
+// shard, read through the store's decoded-shard cache, together with
+// the calling worker's state (built by newState, see fanOut). A
+// benchmark the store holds no shard for is a failure named like any
+// other.
+func shardPipelineCtx[S any](ctx context.Context, st *IVStore, bs []Benchmark, workers int,
+	progress func(done, total int, name string), what string, newState func() S,
+	analyze func(state S, i int, sd *ivstore.ShardData) error) error {
 	shardIdx := make(map[string]int)
 	for i, sh := range st.Shards() {
 		shardIdx[sh.Name] = i
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(bs) {
-		workers = len(bs)
-	}
-	var done int
-	var mu sync.Mutex
-
-	err := pool.RunCtx(ctx, len(bs), workers, func(_ context.Context, worker, i int) error {
+	return fanOut(ctx, bs, workers, progress, what, newState, func(state S, i int) error {
 		si, ok := shardIdx[bs[i].Name()]
 		if !ok {
 			return fmt.Errorf("no committed shard (characterization did not complete)")
@@ -379,18 +366,8 @@ func shardPipelineCtx(ctx context.Context, st *IVStore, bs []Benchmark, workers 
 		if err != nil {
 			return err
 		}
-		if err := analyze(worker, i, sd); err != nil {
-			return err
-		}
-		if progress != nil {
-			mu.Lock()
-			done++
-			progress(done, len(bs), bs[i].Name())
-			mu.Unlock()
-		}
-		return nil
+		return analyze(state, i, sd)
 	})
-	return namePoolErrors(err, what, func(i int) string { return bs[i].Name() })
 }
 
 // runPhasesJointStore is Run's store-backed joint phase path: every

@@ -91,17 +91,14 @@ func runReducedStore(ctx context.Context, bs []Benchmark, cfg ReducedPipelineCon
 	for i := range results {
 		results[i].Benchmark = bs[i]
 	}
-	fullProfs := make([]*micachar.Profiler, len(bs))
-	err = shardPipelineCtx(ctx, st, bs, cfg.Workers, cfg.Progress, "store-backed reduced replay of",
-		func(worker, i int, sd *ivstore.ShardData) error {
+	newProf := func() *micachar.Profiler { return micachar.NewProfiler(rcfg.FullOptions) }
+	err = shardPipelineCtx(ctx, st, bs, cfg.Workers, cfg.Progress, "store-backed reduced replay of", newProf,
+		func(prof *micachar.Profiler, i int, sd *ivstore.ShardData) error {
 			replay, err := bs[i].Source()
 			if err != nil {
 				return err
 			}
-			if fullProfs[worker] == nil {
-				fullProfs[worker] = micachar.NewProfiler(rcfg.FullOptions)
-			}
-			res, err := phases.ReplayReducedShard(replay, fullProfs[worker], sd, rcfg)
+			res, err := phases.ReplayReducedShard(replay, prof, sd, rcfg)
 			if err != nil {
 				return err
 			}
