@@ -33,6 +33,7 @@ import (
 	"mica/internal/cluster"
 	"mica/internal/featsel"
 	"mica/internal/ga"
+	"mica/internal/ivstore"
 	micachar "mica/internal/mica"
 	"mica/internal/phases"
 	"mica/internal/stats"
@@ -752,10 +753,60 @@ func BenchmarkReducedStorePipeline(b *testing.B) {
 	b.ReportMetric(float64(n)/b.Elapsed().Seconds()/1e6, "MIPS")
 }
 
+// BenchmarkJointStoreCluster times store-backed joint clustering alone
+// (phases.AnalyzeJointStore: read and normalize the shards, sweep k,
+// derive the vocabulary) on a synthetic 12,288-row store, large enough
+// for the minibatch engine. The store is built once; "cold" sweeps
+// from k-means++ and "warm" from the cold run's state, as bench/'s
+// joint rerun does. Reported in ns per store row.
+func BenchmarkJointStoreCluster(b *testing.B) {
+	const shards, perShard = 12, 1024
+	m := cluster.SyntheticPhaseBlobs(shards*perShard, 12, 2006)
+	st, err := ivstore.Create(b.TempDir(), ivstore.Config{Dims: NumChars, ConfigHash: "bench"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := make([]string, shards)
+	insts := make([]uint64, perShard)
+	for i := range insts {
+		insts[i] = 1000
+	}
+	for s := range names {
+		names[s] = fmt.Sprintf("synthetic/%02d", s)
+		rows := &stats.Matrix{Rows: perShard, Cols: NumChars, Data: m.Data[s*perShard*NumChars : (s+1)*perShard*NumChars]}
+		if err := st.WriteShard(names[s], insts, rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := st.Commit(names); err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	cfg := phases.Config{MaxK: 6, Seed: 2006}
+	cold, _, err := phases.AnalyzeJointStore(context.Background(), st, cfg, 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		warm *phases.JointWarmState
+	}{{"cold", nil}, {"warm", cold.WarmState(st.ConfigHash())}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, used, err := phases.AnalyzeJointStore(context.Background(), st, cfg, 0, tc.warm)
+				if err != nil || used != (tc.warm != nil) {
+					b.Fatalf("warm start used=%v: %v", used, err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shards*perShard), "ns/row")
+		})
+	}
+}
+
 // BenchmarkJointStorePipeline measures joint phase analysis in two
 // configurations: the in-memory flat-matrix path against the
-// store-backed streaming path (characterize into float32 shards, then
-// cluster by streaming rows shard-by-shard), which bench/'s joint
+// store-backed path (characterize into float32 shards, then cluster
+// the normalized matrix read back from them), which bench/'s joint
 // workload runs at registry scale. Effective MIPS: profiled trace
 // instructions per second of end-to-end wall time.
 func BenchmarkJointStorePipeline(b *testing.B) {

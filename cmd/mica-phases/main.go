@@ -32,11 +32,11 @@
 // interval-vector store instead of keeping one in-memory matrix: every
 // benchmark's intervals are written as a columnar shard (float32, or
 // 8-bit quantized with -quant), and the analysis reads rows back
-// through a byte-budgeted decoded-shard cache (-cachebytes), so
-// registry-scale runs no longer need the whole matrix in memory.
+// through a byte-budgeted decoded-shard cache (-cachebytes); the joint
+// clustering holds one n x 47 normalized matrix beside that cache.
 // -store drives every pipeline but -trace: -bench and -all cluster
 // each benchmark from its shard, -joint clusters the shared
-// vocabulary by streaming rows, and -reduced lands its cheap pass in
+// vocabulary from the stored rows, and -reduced lands its cheap pass in
 // the store while the replay gathers representatives back out of it.
 // With -incremental a rerun reuses every shard whose benchmark and
 // configuration are unchanged and re-characterizes only the rest (an

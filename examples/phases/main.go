@@ -6,9 +6,9 @@
 //
 // It then demonstrates the registry-scale counterpart: several
 // benchmarks characterized into an on-disk interval-vector store and
-// clustered into one SHARED phase vocabulary by streaming shards —
-// the out-of-core joint path — including the incremental rerun that
-// reuses every unchanged shard.
+// clustered into one SHARED phase vocabulary read back from the
+// shards — the store-backed joint path — including the incremental
+// rerun that reuses every unchanged shard.
 //
 //	go run ./examples/phases [benchmark-name]
 package main
@@ -71,9 +71,9 @@ func main() {
 	fmt.Println("simulating only the representatives covers the program's behaviour at a fraction of the cost")
 
 	// Registry-scale joint analysis through the interval-vector store:
-	// each benchmark becomes one on-disk shard, and the clustering
-	// streams rows shard-by-shard instead of materializing the
-	// concatenated matrix — the path that scales to the full
+	// each benchmark becomes one on-disk shard as soon as it is
+	// characterized, and the clustering reads the shards back once
+	// into its normalized matrix — the path that scales to the full
 	// 122-benchmark registry at paper-scale interval counts.
 	fmt.Println("\n--- store-backed joint phase vocabulary ---")
 	set := []string{name, "MiBench/sha/large", "SPEC2000/gzip/program"}

@@ -30,7 +30,7 @@ func miniBatchKMeans(m *stats.Matrix, k int, seed int64) Result {
 // engine.
 func sweep(t *testing.T, m *stats.Matrix, maxK int, seed int64, opt SweepOptions, eng engine) Selection {
 	t.Helper()
-	sel, err := selectK(context.Background(), func() Rows { return m }, maxK, seed, opt, eng)
+	sel, err := selectK(context.Background(), m, maxK, seed, opt, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,5 +296,28 @@ func TestDeriveSeedIndependence(t *testing.T) {
 func TestDeriveSeedDistinctBaseSeeds(t *testing.T) {
 	if deriveSeed(1, 3) == deriveSeed(2, 3) {
 		t.Error("different base seeds share a derived seed at the same k")
+	}
+}
+
+// TestSelectKRowsMatchesSelectK: the cancellable, option-taking sweep
+// is bit-identical to SelectK at every worker count, for the exact
+// engine and for minibatch above the auto-switch threshold.
+func TestSelectKRowsMatchesSelectK(t *testing.T) {
+	small := SyntheticPhaseBlobs(500, 4, 7)
+	big := SyntheticPhaseBlobs(9000, 6, 7) // above miniBatchRows: engineAuto picks minibatch
+	for _, tc := range []struct {
+		name string
+		m    *stats.Matrix
+	}{{"small-exact", small}, {"big-minibatch", big}} {
+		want := SelectK(tc.m, 6, 2006)
+		for _, workers := range []int{1, 2, 6} {
+			got, err := SelectKRows(context.Background(), tc.m, 6, 2006, SweepOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s: SelectKRows at %d workers diverges from SelectK", tc.name, workers)
+			}
+		}
 	}
 }

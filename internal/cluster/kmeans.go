@@ -18,6 +18,12 @@
 // so a sweep's steady-state allocation is the O(k·d) centroids per k,
 // not fresh O(n) slices per run.
 //
+// Every engine runs on one resident row-major *stats.Matrix, which all
+// sweep workers read concurrently and none writes. Memory is therefore
+// the n×d×8 bytes of that matrix plus per-worker O(n) scratch; a
+// store-backed caller (phases.AnalyzeJointStore) materializes the
+// normalized store rows once for the whole sweep.
+//
 // Seeding scheme: every per-k run inside a sweep uses an independent
 // seed derived from the sweep seed by a splitmix64 finalizer
 // (deriveSeed), not seed+k. Consecutive integer seeds fed to
@@ -82,9 +88,9 @@ func ownAssign(r Result) Result {
 
 // degenerate handles the k <= 0 / empty-matrix edge cases shared by
 // every engine.
-func degenerate(m Rows, k int) (Result, bool) {
-	if k <= 0 || m.Len() == 0 {
-		return Result{K: k, Assign: make([]int, m.Len()), Centroids: stats.NewMatrix(0, m.Dim())}, true
+func degenerate(m *stats.Matrix, k int) (Result, bool) {
+	if k <= 0 || m.Rows == 0 {
+		return Result{K: k, Assign: make([]int, m.Rows), Centroids: stats.NewMatrix(0, m.Cols)}, true
 	}
 	return Result{}, false
 }
@@ -95,15 +101,12 @@ func degenerate(m Rows, k int) (Result, bool) {
 // O(n) working slices — the difference between 100k-row sweeps
 // thrashing the allocator and not.
 type scratch struct {
-	assign    []int     // n: current assignment
-	counts    []int     // k: cluster occupancy
-	minD      []float64 // n: k-means++ shortest-distance table
-	prev      []float64 // k*d: previous centroids (drift tracking)
-	batch     []int     // minibatch sample indices
-	upd       []int     // k: minibatch per-center update counts
-	sample    []float64 // minibatch seeding sample rows
-	sampleIdx []int     // minibatch seeding sample row indices
-	gat       []float64 // batch*d: gathered minibatch rows
+	assign []int     // n: current assignment
+	counts []int     // k: cluster occupancy
+	minD   []float64 // n: k-means++ shortest-distance table
+	prev   []float64 // k*d: previous centroids (drift tracking)
+	upd    []int     // k: minibatch per-center update counts
+	sample []float64 // minibatch seeding sample rows
 }
 
 func newScratch() *scratch { return &scratch{} }
@@ -153,12 +156,12 @@ func nearest(row []float64, cents *stats.Matrix) (int, float64) {
 // shared assignment routine, so an assignment re-derived from stored
 // centroids (Selection materialization) is bit-identical to the
 // engine's own final pass.
-func assignAll(m Rows, cents *stats.Matrix, assign []int, counts []int) float64 {
+func assignAll(m, cents *stats.Matrix, assign []int, counts []int) float64 {
 	for c := range counts {
 		counts[c] = 0
 	}
 	sse := 0.0
-	for i := 0; i < m.Len(); i++ {
+	for i := 0; i < m.Rows; i++ {
 		c, d := nearest(m.Row(i), cents)
 		assign[i] = c
 		counts[c]++
@@ -171,7 +174,7 @@ func assignAll(m Rows, cents *stats.Matrix, assign []int, counts []int) float64 
 // members under assign, re-seeding any empty cluster at the point
 // farthest from its current centroid (which also reassigns that
 // point).
-func updateCentroids(m Rows, cents *stats.Matrix, assign, counts []int) {
+func updateCentroids(m, cents *stats.Matrix, assign, counts []int) {
 	k, d := cents.Rows, cents.Cols
 	for c := 0; c < k; c++ {
 		counts[c] = 0
@@ -180,7 +183,7 @@ func updateCentroids(m Rows, cents *stats.Matrix, assign, counts []int) {
 			row[j] = 0
 		}
 	}
-	for i := 0; i < m.Len(); i++ {
+	for i := 0; i < m.Rows; i++ {
 		c := assign[i]
 		counts[c]++
 		row, crow := m.Row(i), cents.Row(c)
@@ -212,7 +215,7 @@ func updateCentroids(m Rows, cents *stats.Matrix, assign, counts []int) {
 		// Re-seed an empty cluster at the point farthest from its
 		// centroid.
 		far, farD := 0, -1.0
-		for i := 0; i < m.Len(); i++ {
+		for i := 0; i < m.Rows; i++ {
 			dist := sqDist(m.Row(i), cents.Row(assign[i]))
 			if dist > farD {
 				far, farD = i, dist
@@ -227,8 +230,8 @@ func updateCentroids(m Rows, cents *stats.Matrix, assign, counts []int) {
 // returned Result's Assign aliases sc.assign and is consistent with
 // the returned centroids: Assign is exactly assignAll(cents) and SSE
 // and sc.counts are computed from that assignment.
-func lloydFrom(m Rows, cents *stats.Matrix, sc *scratch) Result {
-	n := m.Len()
+func lloydFrom(m, cents *stats.Matrix, sc *scratch) Result {
+	n := m.Rows
 	k := cents.Rows
 	assign := ints(&sc.assign, n)
 	counts := ints(&sc.counts, k)
@@ -274,8 +277,8 @@ func lloydFrom(m Rows, cents *stats.Matrix, sc *scratch) Result {
 
 // seedPlusPlus picks k initial centroids with the k-means++ rule,
 // reusing sc.minD for the shortest-distance table.
-func seedPlusPlus(m Rows, k int, rng *rand.Rand, sc *scratch) *stats.Matrix {
-	n, d := m.Len(), m.Dim()
+func seedPlusPlus(m *stats.Matrix, k int, rng *rand.Rand, sc *scratch) *stats.Matrix {
+	n, d := m.Rows, m.Cols
 	cents := stats.NewMatrix(k, d)
 	first := rng.Intn(n)
 	copy(cents.Row(0), m.Row(first))
@@ -318,22 +321,22 @@ func seedPlusPlus(m Rows, k int, rng *rand.Rand, sc *scratch) *stats.Matrix {
 // Result's Assign aliases sc.assign; callers that retain it across
 // runs must copy (ownAssign). sc.counts holds the per-cluster
 // occupancy of the returned assignment.
-func kmeansRun(m Rows, k int, seed int64, eng engine, warm *WarmStart, sc *scratch) Result {
+func kmeansRun(m *stats.Matrix, k int, seed int64, eng engine, warm *WarmStart, sc *scratch) Result {
 	if deg, ok := degenerate(m, k); ok {
 		return deg
 	}
-	if k > m.Len() {
-		k = m.Len()
+	if k > m.Rows {
+		k = m.Rows
 	}
 	if eng == engineAuto {
-		if m.Len() >= miniBatchRows {
+		if m.Rows >= miniBatchRows {
 			eng = engineMiniBatch
 		} else {
 			eng = engineLloyd
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	if warm.usable(m.Dim()) {
+	if warm.usable(m.Cols) {
 		seeds := warmSeeds(m, k, warm, rng, sc)
 		if eng == engineMiniBatch {
 			return miniBatchFrom(m, seeds, rng, sc)

@@ -46,16 +46,11 @@ const (
 // to the exact engine. rng is already seeded and sc provides the
 // reusable buffers. Assign in the returned Result aliases sc.assign.
 //
-// Random row access goes through gather: indices for the seeding
-// sample and for every minibatch are drawn first, the rows are copied
-// into a scratch matrix in one batched read, and the update loop runs
-// over the copies in draw order. For an in-memory matrix this is just
-// a copy; for a sharded store source it turns 1024 random row reads
-// into one visit per touched shard — without changing a single
-// floating-point operation or rng draw, so results stay bit-identical
-// to the pre-gather engine.
-func miniBatchRun(m Rows, k int, rng *rand.Rand, sc *scratch) Result {
-	n, d := m.Len(), m.Dim()
+// The seeding sample is copied out of m into scratch, since seeding and
+// restart scoring run on it as a matrix of its own; minibatch updates
+// read their rows straight from m in draw order.
+func miniBatchRun(m *stats.Matrix, k int, rng *rand.Rand, sc *scratch) Result {
+	n, d := m.Rows, m.Cols
 	batch := batchSize
 	if n <= 4*batch || 8*k >= n {
 		// Exact fallback: the batch would cover most of the data anyway,
@@ -73,13 +68,11 @@ func miniBatchRun(m Rows, k int, rng *rand.Rand, sc *scratch) Result {
 	if sampleN > n {
 		sampleN = n
 	}
-	sampleIdx := ints(&sc.sampleIdx, sampleN)
-	for j := range sampleIdx {
-		sampleIdx[j] = rng.Intn(n)
-	}
 	sampleData := floats(&sc.sample, sampleN*d)
 	sample := &stats.Matrix{Rows: sampleN, Cols: d, Data: sampleData}
-	gather(m, sampleIdx, sample)
+	for j := 0; j < sampleN; j++ {
+		copy(sample.Row(j), m.Row(rng.Intn(n)))
+	}
 	scale := 0.0
 	for _, v := range sampleData {
 		scale += v * v
@@ -89,42 +82,11 @@ func miniBatchRun(m Rows, k int, rng *rand.Rand, sc *scratch) Result {
 	// characteristic spaces.
 	tol := 1e-6 * (1 + scale/float64(sampleN)) * float64(k)
 
-	upd := ints(&sc.upd, k)
-	idx := ints(&sc.batch, batch)
-	prev := floats(&sc.prev, k*d)
-	batchRows := &stats.Matrix{Rows: batch, Cols: d, Data: floats(&sc.gat, batch*d)}
-
 	var cents *stats.Matrix
 	bestScore := 0.0
 	for attempt := 0; attempt < miniBatchRestarts; attempt++ {
 		try := seedPlusPlus(sample, k, rng, sc)
-		for c := range upd {
-			upd[c] = 0
-		}
-		for iter := 0; iter < miniBatchIters; iter++ {
-			copy(prev, try.Data)
-			for j := range idx {
-				idx[j] = rng.Intn(n)
-			}
-			gather(m, idx, batchRows)
-			for j := range idx {
-				row := batchRows.Row(j)
-				c, _ := nearest(row, try)
-				upd[c]++
-				eta := 1 / float64(upd[c])
-				crow := try.Row(c)
-				for j := 0; j < d; j++ {
-					crow[j] += eta * (row[j] - crow[j])
-				}
-			}
-			drift := 0.0
-			for c := 0; c < k; c++ {
-				drift += sqDist(prev[c*d:(c+1)*d], try.Row(c))
-			}
-			if drift <= tol && iter+1 >= miniBatchMinIters {
-				break
-			}
-		}
+		miniBatchRefine(m, try, tol, rng, sc)
 		// Score the attempt on the sample (a full-data pass would cost
 		// what the restarts are meant to stay below).
 		score := 0.0
@@ -146,8 +108,8 @@ func miniBatchRun(m Rows, k int, rng *rand.Rand, sc *scratch) Result {
 
 // miniBatchPolish runs the bounded full-data Lloyd tail shared by the
 // restart path and the warm path.
-func miniBatchPolish(m Rows, cents *stats.Matrix, sc *scratch) Result {
-	n, k := m.Len(), cents.Rows
+func miniBatchPolish(m, cents *stats.Matrix, sc *scratch) Result {
+	n, k := m.Rows, cents.Rows
 	assign := ints(&sc.assign, n)
 	counts := ints(&sc.counts, k)
 	var sse, prevSSE float64
@@ -169,9 +131,8 @@ func miniBatchPolish(m Rows, cents *stats.Matrix, sc *scratch) Result {
 // polish. Small inputs fall back to exact refinement, mirroring
 // miniBatchRun's fallback. cents is refined in place (callers pass a
 // private copy).
-func miniBatchFrom(m Rows, cents *stats.Matrix, rng *rand.Rand, sc *scratch) Result {
-	n, d := m.Len(), m.Dim()
-	k := cents.Rows
+func miniBatchFrom(m, cents *stats.Matrix, rng *rand.Rand, sc *scratch) Result {
+	n, k := m.Rows, cents.Rows
 	batch := batchSize
 	if n <= 4*batch || 8*k >= n {
 		return lloydFrom(m, cents, sc)
@@ -183,34 +144,32 @@ func miniBatchFrom(m Rows, cents *stats.Matrix, rng *rand.Rand, sc *scratch) Res
 	if sampleN > n {
 		sampleN = n
 	}
-	sampleIdx := ints(&sc.sampleIdx, sampleN)
-	for j := range sampleIdx {
-		sampleIdx[j] = rng.Intn(n)
-	}
-	sampleData := floats(&sc.sample, sampleN*d)
-	sample := &stats.Matrix{Rows: sampleN, Cols: d, Data: sampleData}
-	gather(m, sampleIdx, sample)
 	scale := 0.0
-	for _, v := range sampleData {
-		scale += v * v
+	for j := 0; j < sampleN; j++ {
+		for _, v := range m.Row(rng.Intn(n)) {
+			scale += v * v
+		}
 	}
 	tol := 1e-6 * (1 + scale/float64(sampleN)) * float64(k)
+	miniBatchRefine(m, cents, tol, rng, sc)
+	return miniBatchPolish(m, cents, sc)
+}
 
+// miniBatchRefine runs the sampled phase of both minibatch entry
+// points: per-center streaming-mean updates of cents from random
+// batches of m, until the centers drift by at most tol (after
+// miniBatchMinIters iterations) or miniBatchIters is reached.
+func miniBatchRefine(m, cents *stats.Matrix, tol float64, rng *rand.Rand, sc *scratch) {
+	n, d, k := m.Rows, m.Cols, cents.Rows
 	upd := ints(&sc.upd, k)
 	for c := range upd {
 		upd[c] = 0
 	}
-	idx := ints(&sc.batch, batch)
 	prev := floats(&sc.prev, k*d)
-	batchRows := &stats.Matrix{Rows: batch, Cols: d, Data: floats(&sc.gat, batch*d)}
 	for iter := 0; iter < miniBatchIters; iter++ {
 		copy(prev, cents.Data)
-		for j := range idx {
-			idx[j] = rng.Intn(n)
-		}
-		gather(m, idx, batchRows)
-		for j := range idx {
-			row := batchRows.Row(j)
+		for b := 0; b < batchSize; b++ {
+			row := m.Row(rng.Intn(n))
 			c, _ := nearest(row, cents)
 			upd[c]++
 			eta := 1 / float64(upd[c])
@@ -227,5 +186,4 @@ func miniBatchFrom(m Rows, cents *stats.Matrix, rng *rand.Rand, sc *scratch) Res
 			break
 		}
 	}
-	return miniBatchPolish(m, cents, sc)
 }

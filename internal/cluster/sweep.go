@@ -75,39 +75,33 @@ type Selection struct {
 // re-raised after every other k has finished; SelectKRows returns it
 // as an error instead.
 func SelectK(m *stats.Matrix, maxK int, seed int64) Selection {
-	sel, err := selectK(context.Background(), func() Rows { return m }, maxK, seed, SweepOptions{}, engineAuto)
+	sel, err := selectK(context.Background(), m, maxK, seed, SweepOptions{}, engineAuto)
 	if err != nil {
 		panic(err)
 	}
 	return sel
 }
 
-// SelectKRows is SelectK over an arbitrary row source — the entry
-// point of store-backed clustering, where rows are streamed
-// shard-by-shard off disk instead of materialized in one flat matrix —
-// with cancellation, error reporting and the options of opt. open is
-// called once per sweep worker (plus once for the sizing and final
-// materialization passes), so sources with internal caches — a shard
-// reader — are never shared between goroutines. Results are
-// bit-identical to SelectK on the materialized matrix: the engines run
-// the same floating-point operations in the same order, only the row
-// fetches differ.
+// SelectKRows is SelectK with cancellation, error reporting and the
+// options of opt — the entry point of store-backed clustering, which
+// hands it the store's rows as one resident normalized matrix. Every
+// sweep worker reads m concurrently and never writes it. Results are
+// bit-identical to SelectK on the same matrix.
 //
 // The sweep stops dispatching per-k runs when ctx is cancelled
 // (in-flight runs drain). On any error (cancellation, per-k panic) the
-// returned Selection is zero; per-k errors carry the item (k-1) and
-// worker via pool.ItemError.
-func SelectKRows(ctx context.Context, open func() Rows, maxK int, seed int64, opt SweepOptions) (Selection, error) {
-	return selectK(ctx, open, maxK, seed, opt, engineAuto)
+// returned Selection is zero; per-k errors carry the worker and the
+// dispatch index maxK-k via pool.ItemError.
+func SelectKRows(ctx context.Context, m *stats.Matrix, maxK int, seed int64, opt SweepOptions) (Selection, error) {
+	return selectK(ctx, m, maxK, seed, opt, engineAuto)
 }
 
 // selectK is the sweep behind SelectK and SelectKRows, with the engine
 // exposed so in-package tests can force one.
-func selectK(ctx context.Context, open func() Rows, maxK int, seed int64, opt SweepOptions, eng engine) (Selection, error) {
+func selectK(ctx context.Context, m *stats.Matrix, maxK int, seed int64, opt SweepOptions, eng engine) (Selection, error) {
 	span := obs.StartSpan("cluster.sweep-k")
 	defer span.End()
-	main := open()
-	n, d := main.Len(), main.Dim()
+	n, d := m.Rows, m.Cols
 	metRowsClustered.Add(float64(n))
 	if maxK > n {
 		maxK = n
@@ -136,15 +130,18 @@ func selectK(ctx context.Context, open func() Rows, maxK int, seed int64, opt Sw
 		workers = maxK
 	}
 	scratches := make([]*scratch, workers)
-	sources := make([]Rows, workers)
-	err := pool.RunCtx(ctx, maxK, workers, func(_ context.Context, worker, i int) error {
+	// Dispatch the largest k first: its run is the longest, so
+	// ascending order would leave it running alone at the tail. Seeds
+	// come from (seed, k) and results land by index, so the order
+	// changes no result.
+	err := pool.RunCtx(ctx, maxK, workers, func(_ context.Context, worker, item int) error {
 		if scratches[worker] == nil {
 			scratches[worker] = newScratch()
-			sources[worker] = open()
 		}
 		sc := scratches[worker]
-		k := i + 1
-		res := kmeansRun(sources[worker], k, deriveSeed(seed, k), eng, opt.Warm, sc)
+		k := maxK - item
+		i := k - 1
+		res := kmeansRun(m, k, deriveSeed(seed, k), eng, opt.Warm, sc)
 		runs[i] = runStats{
 			k:      res.K,
 			cents:  res.Centroids,
@@ -183,7 +180,7 @@ func selectK(ctx context.Context, open func() Rows, maxK int, seed int64, opt Sw
 	r := runs[chosen]
 	assign := make([]int, n)
 	counts := make([]int, r.k)
-	assignAll(main, r.cents, assign, counts)
+	assignAll(m, r.cents, assign, counts)
 	return Selection{
 		Best:     Result{K: r.k, Assign: assign, Centroids: r.cents, SSE: r.sse},
 		Scores:   scores,

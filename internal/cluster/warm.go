@@ -42,7 +42,7 @@ func (w *WarmStart) usable(d int) bool {
 // The returned matrix is freshly allocated — engines mutate their
 // seed matrix in place, and the caller's warm state must survive the
 // sweep's many runs.
-func warmSeeds(m Rows, k int, w *WarmStart, rng *rand.Rand, sc *scratch) *stats.Matrix {
+func warmSeeds(m *stats.Matrix, k int, w *WarmStart, rng *rand.Rand, sc *scratch) *stats.Matrix {
 	prev := w.Centroids
 	d := prev.Cols
 	cents := stats.NewMatrix(k, d)
@@ -64,7 +64,7 @@ func warmSeeds(m Rows, k int, w *WarmStart, rng *rand.Rand, sc *scratch) *stats.
 		}
 	default: // k > prev.Rows: keep all, extend with the k-means++ rule
 		copy(cents.Data[:prev.Rows*d], prev.Data)
-		n := m.Len()
+		n := m.Rows
 		minD := floats(&sc.minD, n)
 		for i := range minD {
 			minD[i] = sqDist(m.Row(i), cents.Row(0))

@@ -179,8 +179,8 @@ func TestReaderUsesSharedCache(t *testing.T) {
 	defer opened.Close()
 	r1, r2 := opened.Rows(), opened.Rows()
 	for i := 0; i < opened.NumRows(); i++ {
-		want := append([]float64(nil), r1.Row(i)...)
-		if !reflect.DeepEqual(r2.Row(i), want) {
+		want := append([]float64(nil), mustRow(t, r1, i)...)
+		if !reflect.DeepEqual(mustRow(t, r2, i), want) {
 			t.Fatalf("row %d diverges between readers", i)
 		}
 	}
@@ -190,8 +190,8 @@ func TestReaderUsesSharedCache(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentReaders: many goroutines scanning and gathering
-// through the shared cache under a tiny budget (constant eviction
+// TestCacheConcurrentReaders: many goroutines scanning and reading
+// rows at random through the shared cache under a tiny budget (constant eviction
 // churn) stay bit-identical to a reference scan. Run with -race.
 func TestCacheConcurrentReaders(t *testing.T) {
 	st := buildStore(t, t.TempDir(), Config{Dims: 6}, []string{"a", "b", "c", "d"}, 30)
@@ -204,7 +204,7 @@ func TestCacheConcurrentReaders(t *testing.T) {
 	ref := stats.NewMatrix(n, 6)
 	refReader := opened.Rows()
 	for i := 0; i < n; i++ {
-		copy(ref.Row(i), refReader.Row(i))
+		copy(ref.Row(i), mustRow(t, refReader, i))
 	}
 	sd, err := opened.ReadShard(0)
 	if err != nil {
@@ -221,19 +221,16 @@ func TestCacheConcurrentReaders(t *testing.T) {
 			r := opened.Rows()
 			if g%2 == 0 {
 				for i := 0; i < n; i++ {
-					if !reflect.DeepEqual(r.Row(i), ref.Row(i)) {
+					if !reflect.DeepEqual(mustRow(t, r, i), ref.Row(i)) {
 						errs <- "scan diverged"
 						return
 					}
 				}
 				return
 			}
-			idx := []int{n - 1, 0, n / 2, 1, n - 2, n / 3}
-			dst := stats.NewMatrix(len(idx), 6)
-			r.Gather(idx, dst)
-			for j, i := range idx {
-				if !reflect.DeepEqual(dst.Row(j), ref.Row(i)) {
-					errs <- "gather diverged"
+			for _, i := range []int{n - 1, 0, n / 2, 1, n - 2, n / 3} {
+				if !reflect.DeepEqual(mustRow(t, r, i), ref.Row(i)) {
+					errs <- "random read diverged"
 					return
 				}
 			}

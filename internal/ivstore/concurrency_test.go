@@ -11,7 +11,7 @@ import (
 
 // TestConcurrentReadersDuringCommitWithPrune exercises the staleness
 // contract documented in the package comment: multiple shared-flock
-// Readers keep serving Row and Gather from their Open-time manifest
+// Readers keep serving sequential and random row reads from their Open-time manifest
 // snapshot while a writer re-creates the store and runs Commit — whose
 // prune must be skipped (the readers hold the shared lock), so the
 // snapshot's files stay on disk and every concurrent read stays
@@ -35,7 +35,7 @@ func TestConcurrentReadersDuringCommitWithPrune(t *testing.T) {
 	ref := stats.NewMatrix(n, 5)
 	refReader := readers[0].Rows()
 	for i := 0; i < n; i++ {
-		copy(ref.Row(i), refReader.Row(i))
+		copy(ref.Row(i), mustRow(t, refReader, i))
 	}
 
 	var wg sync.WaitGroup
@@ -46,8 +46,6 @@ func TestConcurrentReadersDuringCommitWithPrune(t *testing.T) {
 			go func(rd *Store, g int) {
 				defer wg.Done()
 				r := rd.Rows()
-				idx := []int{n - 1, 0, n / 2, 3}
-				dst := stats.NewMatrix(len(idx), 5)
 				for {
 					select {
 					case <-stop:
@@ -56,16 +54,15 @@ func TestConcurrentReadersDuringCommitWithPrune(t *testing.T) {
 					}
 					if g%2 == 0 {
 						for i := 0; i < n; i++ {
-							if !reflect.DeepEqual(r.Row(i), ref.Row(i)) {
+							if !reflect.DeepEqual(mustRow(t, r, i), ref.Row(i)) {
 								t.Errorf("reader scan diverged at row %d during commit", i)
 								return
 							}
 						}
 					} else {
-						r.Gather(idx, dst)
-						for j, i := range idx {
-							if !reflect.DeepEqual(dst.Row(j), ref.Row(i)) {
-								t.Errorf("reader gather diverged at row %d during commit", i)
+						for _, i := range []int{n - 1, 0, n / 2, 3} {
+							if !reflect.DeepEqual(mustRow(t, r, i), ref.Row(i)) {
+								t.Errorf("reader random read diverged at row %d during commit", i)
 								return
 							}
 						}
@@ -109,7 +106,7 @@ func TestConcurrentReadersDuringCommitWithPrune(t *testing.T) {
 	for _, rd := range readers {
 		r := rd.Rows()
 		for i := 0; i < n; i++ {
-			if !reflect.DeepEqual(r.Row(i), ref.Row(i)) {
+			if !reflect.DeepEqual(mustRow(t, r, i), ref.Row(i)) {
 				t.Fatalf("stale snapshot row %d unreadable after commit", i)
 			}
 		}

@@ -6,14 +6,15 @@
 // shard inventory, the vector dimensionality, the value encoding and
 // the configuration hash the vectors were characterized under.
 //
-// The store exists so the joint clustering pipeline never has to
-// materialize the registry-wide interval matrix (122 benchmarks x 10k+
-// intervals x 47 columns) in memory: shards are appended one benchmark
-// at a time as pipeline workers finish, and the read side streams rows
-// shard-by-shard (Reader) through a shared byte-budgeted decoded-shard
-// LRU (SetCacheBytes, CacheStats, CachedShard), so repeated clustering
-// passes decode each shard once while peak memory stays within the
-// budget, not the whole matrix.
+// The store exists so registry-scale joint phase analysis persists its
+// characterizations (122 benchmarks x 10k+ intervals x 47 columns)
+// instead of holding them in memory while the pipeline runs: shards
+// are appended one benchmark at a time as pipeline workers finish. The
+// read side serves decoded shards through a shared byte-budgeted LRU
+// (SetCacheBytes, CacheStats, CachedShard). Joint clustering reads
+// every shard once through it into one resident normalized n×d matrix,
+// so its peak memory is that matrix's n×d×8 bytes plus the cache
+// budget; Reader serves single rows by global index.
 //
 // Two value encodings are supported. Float32 (the default) stores
 // each value as an IEEE-754 single — half the bytes of the float64
@@ -55,9 +56,9 @@
 //
 // # Staleness contract
 //
-// A reader's view is the manifest snapshot it loaded at Open: Row,
-// Gather, ReadShard and CachedShard keep serving that shard list even
-// if a writer commits a newer manifest to the same directory. The
+// A reader's view is the manifest snapshot it loaded at Open: RowErr,
+// ReadShard and CachedShard keep serving that shard list even if a
+// writer commits a newer manifest to the same directory. The
 // snapshot stays readable because a committing writer that cannot
 // upgrade its lock past live readers skips pruning ("prune skipped"
 // warning) — superseded shard files remain on disk until some later
@@ -73,11 +74,7 @@
 // incremental rerun re-characterizes exactly the dropped benchmarks.
 //
 // All errors are ordinary wrapped errors naming the store, shard or
-// file involved; no API panics on corrupt input (fuzzed), and the
-// only panicking paths are the streaming Reader's Row and Gather,
-// whose cluster-engine contract requires a pre-validated store — the
-// RowErr/GatherErr variants serve the same rows with ordinary errors
-// for consumers (serving handlers) that must survive a corrupt shard.
+// file involved; no API panics on corrupt input (fuzzed).
 package ivstore
 
 import (
@@ -700,53 +697,25 @@ func (s *Store) ReadShard(i int) (*ShardData, error) {
 	return &ShardData{Name: sh.Name, Insts: insts, Vecs: vecs}, nil
 }
 
-// Reader streams a committed store's rows in global row order. Row(i)
+// Reader reads a committed store's rows by global row index. RowErr
 // resolves shards through the store's shared byte-budgeted LRU
-// (CachedShard) and pins the current shard locally, so sequential
-// scans pay one cache lookup per shard transition, repeated passes hit
-// shards already decoded by any reader, and peak memory is bounded by
-// the cache budget plus each live reader's pinned shard. Concurrent
-// consumers (sweep workers) take one Reader each via Store.Rows.
-//
-// Reader implements the cluster engines' row-source contract (Len,
-// Dim, Row, Gather). The store's files must not be mutated while a
-// Reader is live. Row and Gather panic if a shard fails to decode
-// mid-stream, since the cluster engines have no error channel — Open
-// and the callers' initial full pass surface genuine corruption as
-// ordinary errors first. Consumers that can report errors (a serving
-// handler answering one request among many) should use RowErr and
-// GatherErr instead, which degrade a corrupt shard to an error on the
-// affected read.
+// (CachedShard) and pins the current shard locally, so a run of reads
+// within one shard pays one cache lookup. A Reader is not safe for
+// concurrent use; concurrent consumers take one Reader each via
+// Store.Rows. The store's files must not be mutated while a Reader is
+// live.
 type Reader struct {
 	st   *Store
 	cur  int // pinned shard index, -1 when empty
 	data *ShardData
 }
 
-// Rows returns a fresh streaming row source over the committed store.
+// Rows returns a fresh row reader over the committed store.
 func (s *Store) Rows() *Reader { return &Reader{st: s, cur: -1} }
 
-// Len returns the total row count.
-func (r *Reader) Len() int { return r.st.NumRows() }
-
-// Dim returns the column count.
-func (r *Reader) Dim() int { return r.st.Dims() }
-
-// Row returns global row i, valid until the next Row or Gather call.
-// It panics if the shard holding i fails to decode; error-aware
-// consumers should use RowErr.
-func (r *Reader) Row(i int) []float64 {
-	row, err := r.RowErr(i)
-	if err != nil {
-		panic(fmt.Sprintf("ivstore: streaming read: %v", err))
-	}
-	return row
-}
-
-// RowErr returns global row i, valid until the next Row, RowErr,
-// Gather, or GatherErr call. A shard that fails to decode mid-stream
-// is reported as an error rather than a panic, so a serving boundary
-// can fail the one affected query and keep running.
+// RowErr returns global row i, valid until the next RowErr call. A
+// shard that fails to decode is reported as an error, so a serving
+// boundary can fail the one affected query and keep running.
 func (r *Reader) RowErr(i int) ([]float64, error) {
 	s := r.shardOf(i)
 	if s != r.cur {
@@ -770,35 +739,5 @@ func (r *Reader) load(s int) error {
 		return err
 	}
 	r.cur, r.data = s, data
-	return nil
-}
-
-// Gather copies the rows named by idx into dst in caller order,
-// visiting each distinct shard once per call (reads are executed in
-// row order) — the batched random-access path of minibatch k-means.
-// It panics if a shard fails to decode; error-aware consumers should
-// use GatherErr.
-func (r *Reader) Gather(idx []int, dst *stats.Matrix) {
-	if err := r.GatherErr(idx, dst); err != nil {
-		panic(fmt.Sprintf("ivstore: streaming read: %v", err))
-	}
-}
-
-// GatherErr copies the rows named by idx into dst in caller order,
-// visiting each distinct shard once per call, reporting a mid-stream
-// decode failure as an error instead of panicking.
-func (r *Reader) GatherErr(idx []int, dst *stats.Matrix) error {
-	order := make([]int, len(idx))
-	for j := range order {
-		order[j] = j
-	}
-	sort.Slice(order, func(a, b int) bool { return idx[order[a]] < idx[order[b]] })
-	for _, j := range order {
-		row, err := r.RowErr(idx[j])
-		if err != nil {
-			return err
-		}
-		copy(dst.Row(j), row)
-	}
 	return nil
 }

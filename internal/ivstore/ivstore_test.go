@@ -65,7 +65,7 @@ func buildStore(t *testing.T, dir string, cfg Config, names []string, rows int) 
 
 // TestRoundTripFloat32: a written float32 store reads back exactly the
 // float32-rounded source values, through both ReadShard and the
-// streaming Reader, with row order equal to commit order.
+// Reader, with row order equal to commit order.
 func TestRoundTripFloat32(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Dims: 9, ConfigHash: "h1"}
@@ -115,7 +115,7 @@ func TestRoundTripFloat32(t *testing.T) {
 					t.Fatalf("%s (%d,%d): %v, want float32 round %v", name, i, j, sd.Vecs.At(i, j), exp)
 				}
 			}
-			if got := reader.Row(row); !reflect.DeepEqual(got, sd.Vecs.Row(i)) {
+			if got := mustRow(t, reader, row); !reflect.DeepEqual(got, sd.Vecs.Row(i)) {
 				t.Fatalf("reader row %d diverges from shard row", row)
 			}
 			row++
@@ -178,23 +178,20 @@ func TestQuant8ErrorBound(t *testing.T) {
 	}
 }
 
-// TestReaderGather: gathered rows land in caller order (including
-// duplicates and cross-shard jumps) and match Row-by-Row reads.
-func TestReaderGather(t *testing.T) {
+// TestReaderRandomAccess: rows read in an arbitrary order (including
+// repeats and cross-shard jumps) match a second reader's reads.
+func TestReaderRandomAccess(t *testing.T) {
 	st := buildStore(t, t.TempDir(), Config{Dims: 5}, []string{"a", "b", "c"}, 30)
 	opened, err := Open(st.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := opened.NumRows()
-	idx := []int{n - 1, 0, 31, 31, 7, n - 2, 45}
-	dst := stats.NewMatrix(len(idx), 5)
-	opened.Rows().Gather(idx, dst)
-	ref := opened.Rows()
-	for j, i := range idx {
-		want := append([]float64(nil), ref.Row(i)...)
-		if !reflect.DeepEqual(dst.Row(j), want) {
-			t.Fatalf("gather slot %d (row %d) diverges", j, i)
+	r, ref := opened.Rows(), opened.Rows()
+	for j, i := range []int{n - 1, 0, 31, 31, 7, n - 2, 45} {
+		got := append([]float64(nil), mustRow(t, r, i)...)
+		if !reflect.DeepEqual(got, mustRow(t, ref, i)) {
+			t.Fatalf("read %d (row %d) diverges", j, i)
 		}
 	}
 }
@@ -462,4 +459,15 @@ func reheader(raw []byte, rows, cols uint32) []byte {
 // input fails only the check it is aimed at.
 func withCRC(raw []byte) []byte {
 	return binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(raw))
+}
+
+// mustRow reads global row i through r, reporting a read error on t
+// (safe from any goroutine) and returning nil in its place.
+func mustRow(t testing.TB, r *Reader, i int) []float64 {
+	t.Helper()
+	row, err := r.RowErr(i)
+	if err != nil {
+		t.Error(err)
+	}
+	return row
 }

@@ -3,8 +3,6 @@ package ivstore
 import (
 	"sync"
 	"testing"
-
-	"mica/internal/stats"
 )
 
 // referenceRows decodes every shard directly (bypassing the cache) and
@@ -40,7 +38,7 @@ func rowsEqual(a, b []float64) bool {
 }
 
 // TestStoreConcurrentReadersStress drives N goroutines, each with its
-// own Reader doing full scans plus Gather batches over one shared
+// own Reader doing full scans plus strided random reads over one shared
 // store (run under -race in CI). Phase one asserts the singleflight
 // property — exactly one decode per shard no matter how many readers
 // race on first touch — and the CacheStats invariants. Phase two keeps
@@ -60,7 +58,7 @@ func TestStoreConcurrentReadersStress(t *testing.T) {
 
 	scan := func(g int) error {
 		r := opened.Rows()
-		for i := 0; i < r.Len(); i++ {
+		for i := 0; i < opened.NumRows(); i++ {
 			row, err := r.RowErr(i)
 			if err != nil {
 				return err
@@ -70,18 +68,14 @@ func TestStoreConcurrentReadersStress(t *testing.T) {
 				return nil
 			}
 		}
-		// A strided Gather that touches every shard in one call.
-		idx := make([]int, 0, r.Len()/7+1)
-		for i := g % 7; i < r.Len(); i += 7 {
-			idx = append(idx, i)
-		}
-		dst := stats.NewMatrix(len(idx), opened.Dims())
-		if err := r.GatherErr(idx, dst); err != nil {
-			return err
-		}
-		for j, i := range idx {
-			if !rowsEqual(dst.Row(j), ref[i]) {
-				t.Errorf("reader %d: gathered row %d diverges", g, i)
+		// A strided pass that touches every shard.
+		for i := g % 7; i < opened.NumRows(); i += 7 {
+			row, err := r.RowErr(i)
+			if err != nil {
+				return err
+			}
+			if !rowsEqual(row, ref[i]) {
+				t.Errorf("reader %d: strided row %d diverges", g, i)
 				return nil
 			}
 		}

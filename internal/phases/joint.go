@@ -154,11 +154,10 @@ func (j *JointResult) clusterJoint(cfg Config) {
 
 // deriveFrom fills the clustering-derived half of a JointResult
 // (assignment, representatives, occupancy) from a finished sweep over
-// the normalized rows. norm may be a materialized matrix (in-memory
-// path) or a streaming store view (AnalyzeJointStore); rows are
-// consumed one at a time in ascending order, so either source yields
-// bit-identical results.
-func (j *JointResult) deriveFrom(norm cluster.Rows, sel cluster.Selection) {
+// the normalized rows. norm is the z-scored joint matrix: a copy of
+// Vectors on the in-memory path, and on the store path the resident
+// matrix AnalyzeJointStore builds from the shards and drops on return.
+func (j *JointResult) deriveFrom(norm *stats.Matrix, sel cluster.Selection) {
 	j.Assign = sel.Best.Assign
 	j.K = sel.Best.K
 

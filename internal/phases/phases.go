@@ -15,10 +15,10 @@
 // interval cap is deliberately modest (DefaultConfig: 100 intervals,
 // the quick-look grid); paper-scale runs raise MaxIntervals to 10k+
 // and memory still grows only with the intervals actually produced,
-// never with the trace length. Registry-scale JOINT analysis goes one
-// step further: AnalyzeJointStore streams interval vectors
-// shard-by-shard out of an on-disk store (internal/ivstore), so not
-// even the per-benchmark matrices need to coexist in memory.
+// never with the trace length. Registry-scale JOINT analysis keeps the
+// per-benchmark characterizations in an on-disk store
+// (internal/ivstore) instead of memory; AnalyzeJointStore reads them
+// back once into the one normalized matrix it clusters.
 package phases
 
 import (

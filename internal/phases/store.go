@@ -14,29 +14,27 @@ import (
 
 // AnalyzeJointStore is AnalyzeJoint over a committed interval-vector
 // store instead of in-memory characterizations: the registry-scale
-// joint path. Rows are streamed shard-by-shard through the store's
-// byte-budgeted decoded-shard cache (repeated clustering passes decode
-// each shard once while the budget holds), the per-column
-// normalization statistics are accumulated in the same order
-// stats.ZScoreNormalize uses, and the clustering runs the same engines
-// through cluster.SelectKRows — so on data that round-trips the store
-// encoding exactly, the resulting vocabulary (assignment, K,
-// representatives, occupancy) is bit-identical to AnalyzeJoint on the
-// materialized matrix. With the default float32 shards the stored
-// rows are the float64 vectors rounded to float32 (relative error
-// <= 2^-24); the differential tests pin both facts.
+// joint path. One sequential pass over the store's decoded-shard cache
+// copies every row into a resident n×d matrix, which is z-scored in
+// place with the column statistics stats.ZScoreNormalize computes, and
+// the clustering runs the same engines on it through
+// cluster.SelectKRows — so on data that round-trips the store encoding
+// exactly, the resulting vocabulary (assignment, K, representatives,
+// occupancy) is bit-identical to AnalyzeJoint on the materialized
+// matrix. With the default float32 shards the stored rows are the
+// float64 vectors rounded to float32 (relative error <= 2^-24); the
+// differential tests pin both facts.
 //
-// The returned JointResult carries everything except the concatenated
-// Vectors matrix, which is exactly what the store exists not to
-// materialize — Vectors is nil, and representative vectors can be
-// fetched per shard via the store. workers bounds sweep parallelism
-// (0 = GOMAXPROCS); workers share the store's decoded-shard cache, so
-// peak memory is O(cache budget + k·d).
+// The normalized matrix lives only for the duration of the call, so
+// the returned JointResult's Vectors is nil; representative vectors
+// can be fetched per shard via the store. workers bounds sweep
+// parallelism (0 = GOMAXPROCS); workers share the one matrix. Peak
+// memory is the n×d×8 bytes of the normalized matrix plus the store's
+// decoded-shard cache budget.
 //
 // Cancelling ctx stops the clustering sweep from dispatching per-k
-// runs and returns ctx's error; a panicking sweep worker (a corrupt
-// row surfacing mid-stream) is isolated and returned as an error
-// instead of killing the process.
+// runs and returns ctx's error; a panicking sweep worker is isolated
+// and returned as an error instead of killing the process.
 //
 // A non-nil warm seeds the analysis from a previous run's state: when
 // warm matches the store (configuration hash, dimensionality) and the
@@ -52,44 +50,33 @@ import (
 // The store must not be mutated while the analysis runs.
 func AnalyzeJointStore(ctx context.Context, st *ivstore.Store, cfg Config, workers int, warm *JointWarmState) (*JointResult, bool, error) {
 	cfg = cfg.withDefaults()
-	shards := st.Shards()
-	if len(shards) == 0 {
+	if len(st.Shards()) == 0 {
 		return nil, false, fmt.Errorf("phases: joint analysis of an empty store %s", st.Dir())
 	}
 	if st.Dims() != mica.NumChars {
 		return nil, false, fmt.Errorf("phases: store %s has %d-dimensional rows, want %d", st.Dir(), st.Dims(), mica.NumChars)
 	}
 
-	// One validating pass over every shard builds the provenance
-	// (RowRefs, per-row instruction counts). This is also where a
-	// corrupt shard surfaces as an ordinary error, before the
-	// streaming passes below (whose Reader has no error channel) start.
-	// The pass goes through the decoded-shard cache, so the shards it
-	// decodes are the ones the normalization and clustering passes
-	// reuse.
+	// The pass that builds the normalized matrix also records the
+	// provenance (RowRefs, per-row instruction counts), and is where a
+	// corrupt shard surfaces as an ordinary error.
 	n := st.NumRows()
 	j := &JointResult{
 		Benchmarks: st.Benchmarks(),
 		Rows:       make([]RowRef, 0, n),
 		RowInsts:   make([]uint64, 0, n),
 	}
-	for si := range shards {
-		sd, err := st.CachedShard(si)
-		if err != nil {
-			return nil, false, fmt.Errorf("phases: joint analysis: %w", err)
-		}
+	nspan := obs.StartSpan("phases.normalize")
+	norm, mean, std, err := normalizedStore(st, func(si int, sd *ivstore.ShardData) {
 		for ii, insts := range sd.Insts {
 			j.Rows = append(j.Rows, RowRef{Bench: si, Interval: ii})
 			j.RowInsts = append(j.RowInsts, insts)
 		}
-	}
-
-	// Normalization statistics, streamed shard-by-shard in the same
-	// accumulation order stats.ZScoreNormalize uses (ColumnStats is
-	// pinned bit-identical to it).
-	nspan := obs.StartSpan("phases.normalize")
-	mean, std := cluster.ColumnStats(st.Rows())
+	})
 	nspan.End()
+	if err != nil {
+		return nil, false, fmt.Errorf("phases: joint analysis: %w", err)
+	}
 
 	opt := cluster.SweepOptions{Workers: workers}
 	warmUsed := false
@@ -98,17 +85,41 @@ func AnalyzeJointStore(ctx context.Context, st *ivstore.Store, cfg Config, worke
 		warmUsed = true
 	}
 
-	sel, err := cluster.SelectKRows(ctx, func() cluster.Rows {
-		return cluster.Normalized(st.Rows(), mean, std)
-	}, cfg.MaxK, cfg.Seed, opt)
+	sel, err := cluster.SelectKRows(ctx, norm, cfg.MaxK, cfg.Seed, opt)
 	if err != nil {
 		return nil, warmUsed, fmt.Errorf("phases: joint clustering of %s: %w", st.Dir(), err)
 	}
 
-	j.deriveFrom(cluster.Normalized(st.Rows(), mean, std), sel)
+	j.deriveFrom(norm, sel)
 	j.centroids = sel.Best.Centroids
 	j.normMean, j.normStd = mean, std
 	return j, warmUsed, nil
+}
+
+// normalizedStore copies every committed row of st into one n×d matrix
+// in a single sequential pass over the decoded-shard cache and
+// z-scores it in place, returning the matrix and the column statistics
+// it was normalized with — bit for bit what stats.ZScoreNormalize
+// gives on the concatenated rows. visit, when non-nil, sees each
+// decoded shard in store order, so a caller folds its per-shard work
+// into the same pass.
+func normalizedStore(st *ivstore.Store, visit func(si int, sd *ivstore.ShardData)) (norm *stats.Matrix, mean, std []float64, err error) {
+	d := st.Dims()
+	norm = stats.NewMatrix(st.NumRows(), d)
+	r := 0
+	for si := range st.Shards() {
+		sd, err := st.CachedShard(si)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		copy(norm.Data[r*d:], sd.Vecs.Data)
+		r += sd.Vecs.Rows
+		if visit != nil {
+			visit(si, sd)
+		}
+	}
+	mean, std = stats.ZScoreInPlace(norm)
+	return norm, mean, std, nil
 }
 
 // WarmMaxDrift is the normalization-statistic drift above which a warm

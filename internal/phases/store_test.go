@@ -1,6 +1,7 @@
 package phases
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -229,5 +230,77 @@ func TestAnalyzeJointStoreRejects(t *testing.T) {
 	}
 	if _, _, err := AnalyzeJointStore(t.Context(), empty, Config{}, 0, nil); err == nil {
 		t.Error("empty store accepted")
+	}
+}
+
+// minibatchBenches is a synthetic benchmark set whose joint matrix is
+// large enough (8,400 rows) for the sweep to pick the minibatch engine,
+// so the store-backed sampled path is compared against memory.
+func minibatchBenches() []BenchmarkIntervals {
+	benches := make([]BenchmarkIntervals, 6)
+	for i := range benches {
+		benches[i] = synthBench(fmt.Sprintf("mb/%d", i), 1400, int64(40+i))
+	}
+	return benches
+}
+
+// TestAnalyzeJointStoreMinibatchBitIdentical is the store-vs-memory
+// differential at minibatch scale: the store-backed vocabulary equals
+// AnalyzeJoint on the float32-rounded vectors bit for bit, cold and
+// warm-started from its own state, at one and two sweep workers.
+func TestAnalyzeJointStoreMinibatchBitIdentical(t *testing.T) {
+	benches := minibatchBenches()
+	cfg := Config{IntervalLen: 1000, MaxIntervals: 1400, MaxK: 5, Seed: 2006}
+	want, err := AnalyzeJoint(roundF32(benches), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(want.Rows); n < 8192 {
+		t.Fatalf("joint matrix has %d rows, below the minibatch threshold", n)
+	}
+	st := storeFrom(t, t.TempDir(), ivstore.Float32, benches)
+	for _, workers := range []int{1, 2} {
+		cold, _, err := AnalyzeJointStore(t.Context(), st, cfg, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareJoint(t, fmt.Sprintf("cold, %d workers", workers), cold, want)
+
+		warm, used, err := AnalyzeJointStore(t.Context(), st, cfg, workers, cold.WarmState(st.ConfigHash()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !used {
+			t.Fatal("matching warm state was not used")
+		}
+		compareJoint(t, fmt.Sprintf("warm, %d workers", workers), warm, want)
+	}
+}
+
+// TestAnalyzeJointStoreOneShardCache: with the decoded-shard cache
+// budgeted to a single shard, the vocabulary equals the default-budget
+// one, and the analysis decodes each shard at most twice — it reads
+// the store in one sequential pass, not once per clustering pass.
+func TestAnalyzeJointStoreOneShardCache(t *testing.T) {
+	cfg := Config{IntervalLen: 1000, MaxIntervals: 1400, MaxK: 5, Seed: 2006}
+	st := storeFrom(t, t.TempDir(), ivstore.Float32, minibatchBenches())
+	want, _, err := AnalyzeJointStore(t.Context(), st, cfg, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st.SetCacheBytes(0)
+	if _, err := st.CachedShard(0); err != nil {
+		t.Fatal(err)
+	}
+	st.SetCacheBytes(st.CacheStats().Bytes) // every shard decodes to the same size
+	got, _, err := AnalyzeJointStore(t.Context(), st, cfg, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareJoint(t, "one-shard cache vs default budget", got, want)
+	shards := uint64(len(st.Shards()))
+	if d := st.CacheStats().Decodes; d > 2*shards {
+		t.Errorf("one-shard budget: %d decodes for %d shards, want <= %d", d, shards, 2*shards)
 	}
 }

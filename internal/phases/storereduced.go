@@ -13,22 +13,20 @@ import (
 	"fmt"
 	"sort"
 
-	"mica/internal/cluster"
 	"mica/internal/ivstore"
 	"mica/internal/mica"
 	"mica/internal/stats"
 	"mica/internal/trace"
 )
 
-// measurementPlanRows is measurementPlan over any normalized row
-// source: for each phase, the reps rows closest to the phase's mean
-// (ties broken by ascending row index), returned as row index ->
-// phase. Rows are consumed one at a time in ascending index order in
-// both passes, so a streaming store view yields the same plan a
-// materialized matrix would, bit for bit, when the underlying values
-// match.
-func measurementPlanRows(norm cluster.Rows, assign []int, k, reps int) map[int]int {
-	n, d := norm.Len(), norm.Dim()
+// measurementPlanRows is measurementPlan over a normalized matrix: for
+// each phase, the reps rows closest to the phase's mean (ties broken by
+// ascending row index), returned as row index -> phase. The in-memory
+// path hands it the z-scored joint matrix and the store path the
+// matrix normalizedStore builds, so both yield the same plan, bit for
+// bit, when the underlying values match.
+func measurementPlanRows(norm *stats.Matrix, assign []int, k, reps int) map[int]int {
+	n, d := norm.Rows, norm.Cols
 	means := stats.NewMatrix(k, d)
 	counts := make([]int, k)
 	for i := 0; i < n; i++ {
@@ -77,22 +75,18 @@ func measurementPlanRows(norm cluster.Rows, assign []int, k, reps int) map[int]i
 
 // ReplayJointStore is ReplayJoint for a store-backed joint vocabulary
 // (one whose Vectors matrix was never materialized): the measurement
-// plan is computed by streaming the store's rows through the same
-// z-score view the clustering used, and the replay itself is the
-// shared joint replay. When j carries its clustering's normalization
-// statistics (a result of AnalyzeJointStore in this process), they are
-// reused; otherwise they are recomputed from the store, which yields
-// the identical statistics for an unchanged store.
+// plan is computed over the same normalized matrix the clustering ran
+// on, rebuilt from the store by normalizedStore, and the replay itself
+// is the shared joint replay.
 func ReplayJointStore(st *ivstore.Store, j *JointResult, sources func(bench int) (trace.Source, error), cfg ReducedConfig) (*JointReduced, error) {
 	cfg = cfg.WithDefaults()
 	if st.NumRows() != len(j.Rows) {
 		return nil, fmt.Errorf("phases: joint store replay: store has %d rows, vocabulary has %d", st.NumRows(), len(j.Rows))
 	}
-	mean, std := j.normMean, j.normStd
-	if mean == nil || std == nil {
-		mean, std = cluster.ColumnStats(st.Rows())
+	norm, _, _, err := normalizedStore(st, nil)
+	if err != nil {
+		return nil, fmt.Errorf("phases: joint store replay: %w", err)
 	}
-	norm := cluster.Normalized(st.Rows(), mean, std)
 	plan := measurementPlanRows(norm, j.Assign, j.K, cfg.RepsPerPhase)
 	return replayJointPlan(j, plan, sources, cfg)
 }

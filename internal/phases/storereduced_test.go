@@ -5,16 +5,15 @@ import (
 	"strings"
 	"testing"
 
-	"mica/internal/cluster"
 	"mica/internal/ivstore"
 	"mica/internal/mica"
 	"mica/internal/stats"
 	"mica/internal/trace"
 )
 
-// TestMeasurementPlanRowsMatchesMatrix: the generalized planner over a
-// streaming store view produces the same plan as the matrix-backed one
-// over the same (float32-rounded) data.
+// TestMeasurementPlanRowsMatchesMatrix: the planner over the matrix
+// normalizedStore builds from a store produces the same plan as over
+// the in-memory joint matrix of the same (float32-rounded) data.
 func TestMeasurementPlanRowsMatchesMatrix(t *testing.T) {
 	benches := []BenchmarkIntervals{
 		synthBench("p/a", 50, 31),
@@ -29,8 +28,11 @@ func TestMeasurementPlanRowsMatchesMatrix(t *testing.T) {
 	}
 	planMem := jointMeasurementPlan(want, 2)
 
-	mean, std := cluster.ColumnStats(st.Rows())
-	planStore := measurementPlanRows(cluster.Normalized(st.Rows(), mean, std), want.Assign, want.K, 2)
+	norm, _, _, err := normalizedStore(st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planStore := measurementPlanRows(norm, want.Assign, want.K, 2)
 	if !reflect.DeepEqual(planMem, planStore) {
 		t.Fatalf("store-backed plan %v differs from matrix plan %v", planStore, planMem)
 	}

@@ -37,14 +37,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Len returns the number of rows; with Dim and Row it lets a Matrix
-// serve as a row source for streaming consumers (cluster.Rows) without
-// an adapter.
-func (m *Matrix) Len() int { return m.Rows }
-
-// Dim returns the number of columns.
-func (m *Matrix) Dim() int { return m.Cols }
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

@@ -38,18 +38,55 @@ func Std(xs []float64) float64 {
 // Constant columns (zero standard deviation) become all-zero.
 func ZScoreNormalize(m *Matrix) *Matrix {
 	out := m.Clone()
-	for j := 0; j < m.Cols; j++ {
-		col := m.Column(j)
-		mu, sd := Mean(col), Std(col)
-		for i := 0; i < m.Rows; i++ {
-			if sd == 0 {
-				out.Set(i, j, 0)
+	ZScoreInPlace(out)
+	return out
+}
+
+// ZScoreInPlace is ZScoreNormalize without the copy: it overwrites m
+// with its z-scores and returns the per-column mean and standard
+// deviation it normalized with.
+func ZScoreInPlace(m *Matrix) (mean, std []float64) {
+	mean, std = columnStats(m)
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for j, v := range row {
+			if std[j] == 0 {
+				row[j] = 0
 			} else {
-				out.Set(i, j, (m.At(i, j)-mu)/sd)
+				row[j] = (v - mean[j]) / std[j]
 			}
 		}
 	}
-	return out
+	return mean, std
+}
+
+// columnStats returns the per-column mean and population standard
+// deviation of m. Each column's sums accumulate in row order, so the
+// results equal Mean and Std on the column bit for bit.
+func columnStats(m *Matrix) (mean, std []float64) {
+	mean = make([]float64, m.Cols)
+	std = make([]float64, m.Cols)
+	if m.Rows == 0 {
+		return mean, std
+	}
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			mean[j] += v
+		}
+	}
+	for j := range mean {
+		mean[j] /= float64(m.Rows)
+	}
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			dv := v - mean[j]
+			std[j] += dv * dv
+		}
+	}
+	for j := range std {
+		std[j] = math.Sqrt(std[j] / float64(m.Rows))
+	}
+	return mean, std
 }
 
 // Pearson returns the Pearson correlation coefficient of x and y. It is 0

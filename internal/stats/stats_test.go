@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -60,6 +61,68 @@ func TestSelectColumns(t *testing.T) {
 	s := m.SelectColumns([]int{2, 0})
 	if s.Cols != 2 || s.At(0, 0) != 3 || s.At(1, 1) != 4 {
 		t.Errorf("SelectColumns wrong: %+v", s)
+	}
+}
+
+// randomMatrix is a deterministic rows x cols matrix of values on
+// mixed scales, with column 3 held constant.
+func randomMatrix(rows, cols int, seed int64) *Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	m := NewMatrix(rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			m.Set(i, j, rng.NormFloat64()*float64(j+1)+float64(j*j))
+		}
+		m.Set(i, 3, 3.25)
+	}
+	return m
+}
+
+// TestColumnStatsMatchesStats: the row-order column statistics equal
+// Mean/Std on the materialized columns bit for bit.
+func TestColumnStatsMatchesStats(t *testing.T) {
+	m := randomMatrix(257, 47, 9)
+	mean, std := columnStats(m)
+	for j := 0; j < m.Cols; j++ {
+		col := m.Column(j)
+		if mean[j] != Mean(col) {
+			t.Errorf("col %d: mean %v != Mean %v", j, mean[j], Mean(col))
+		}
+		if std[j] != Std(col) {
+			t.Errorf("col %d: std %v != Std %v", j, std[j], Std(col))
+		}
+	}
+	// Empty matrix: defined, all-zero statistics.
+	mean, std = columnStats(NewMatrix(0, 3))
+	for j := range mean {
+		if mean[j] != 0 || std[j] != 0 || math.IsNaN(mean[j]) {
+			t.Fatalf("empty matrix stats not zero: %v %v", mean, std)
+		}
+	}
+}
+
+// TestZScoreInPlaceMatchesColumns: in-place z-scoring is, element for
+// element, (x - Mean(col)) / Std(col) with constant columns zeroed, and
+// it returns those statistics.
+func TestZScoreInPlaceMatchesColumns(t *testing.T) {
+	m := randomMatrix(300, 47, 5)
+	z := m.Clone()
+	mean, std := ZScoreInPlace(z)
+	for j := 0; j < m.Cols; j++ {
+		col := m.Column(j)
+		mu, sd := Mean(col), Std(col)
+		if mean[j] != mu || std[j] != sd {
+			t.Fatalf("col %d: returned stats (%v, %v), want (%v, %v)", j, mean[j], std[j], mu, sd)
+		}
+		for i := 0; i < m.Rows; i++ {
+			want := 0.0
+			if sd != 0 {
+				want = (m.At(i, j) - mu) / sd
+			}
+			if z.At(i, j) != want {
+				t.Fatalf("z(%d,%d) = %v, want %v", i, j, z.At(i, j), want)
+			}
+		}
 	}
 }
 

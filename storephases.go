@@ -372,10 +372,11 @@ func shardPipelineCtx[S any](ctx context.Context, st *IVStore, bs []Benchmark, w
 
 // runPhasesJointStore is Run's store-backed joint phase path: every
 // benchmark is characterized into (or reused from) the store in
-// opt.Dir, then the registry-wide joint vocabulary is clustered by
-// streaming rows shard-by-shard — bit-identical to the in-memory path
-// on data that round-trips the shard encoding, with peak memory
-// O(workers x shard + k·d) instead of O(benchmarks x intervals x 47).
+// opt.Dir, then the registry-wide joint vocabulary is clustered over
+// one normalized matrix read from the shards — bit-identical to the
+// in-memory path on data that round-trips the shard encoding. The
+// characterizations never coexist in memory; the clustering holds the
+// n x 47 x 8-byte normalized matrix beside the decoded-shard cache.
 // The joint result's Vectors matrix is nil by design; everything else
 // (assignment, K, representatives, occupancy, provenance) is fully
 // populated. The internally opened store is always closed before

@@ -288,9 +288,9 @@ func TestCharacterizeToStoreRefusesCorrupt(t *testing.T) {
 // TestJointStoreRegistryScale is the registry-scale acceptance run:
 // the full 122-benchmark registry at 1000 intervals per benchmark,
 // characterized into a store and clustered entirely store-backed. The
-// point is that it completes with bounded memory (rows are never
-// materialized as one matrix) and yields a structurally sound shared
-// vocabulary.
+// point is that it completes with the characterizations kept out of
+// memory (the clustering holds only its n×47 normalized matrix beside
+// the shard cache) and yields a structurally sound shared vocabulary.
 func TestJointStoreRegistryScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("registry-scale store run skipped in -short mode")

@@ -110,11 +110,10 @@ func runReducedStore(ctx context.Context, bs []Benchmark, cfg ReducedPipelineCon
 }
 
 // runReducedJointStore is Run's store-backed joint reduced path: the
-// cheap pass lands in the store, the shared vocabulary is clustered by
-// streaming the store's rows (warm-started from the previous run's
-// state when opt.WarmStart), and the joint replay measures only the
-// shared representatives, gathered back through the decoded-shard
-// cache.
+// cheap pass lands in the store, the shared vocabulary is clustered
+// over the normalized matrix read once from the store's shards
+// (warm-started from the previous run's state when opt.WarmStart), and
+// the joint replay measures only the shared representatives.
 func runReducedJointStore(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig, opt StoreOptions) (*Report, error) {
 	rcfg := cfg.Reduced.WithDefaults()
 	st, stats, err := CharacterizeReducedToStoreCtx(ctx, bs, cfg, opt)
