@@ -14,8 +14,9 @@ import (
 // The analysis golden pins the paper's downstream science, not just the
 // raw vectors: the Figure 1 correlation, the Table III quadrants, the
 // Table IV GA selection, the correlation-elimination order, the
-// Figure 5 CE series and the Figure 4 AUCs, all from Analyze over the
-// full 122-benchmark registry. Every optimization of the ROC sweep, the
+// Figure 5 CE series, the Figure 4 AUCs and the Figure 6 clusters
+// (K, assignment and every BIC score of the default K = 1..70 sweep),
+// all from Analyze over the full 122-benchmark registry. Every optimization of the ROC sweep, the
 // GA or its fitness must leave these bit-for-bit unchanged.
 //
 // Regenerate with: go test -run TestAnalysisGolden -update-analysis-golden .
@@ -40,6 +41,9 @@ type analysisGolden struct {
 	AUCAll         float64         `json:"auc_all"`
 	AUCGA          float64         `json:"auc_ga"`
 	AUCCE          map[int]float64 `json:"auc_ce"`
+	ClusterK       int             `json:"cluster_k"`
+	ClusterAssign  []int           `json:"cluster_assign"`
+	ClusterScores  []float64       `json:"cluster_scores"`
 }
 
 func analysisGoldenRun(t *testing.T) analysisGolden {
@@ -50,9 +54,7 @@ func analysisGoldenRun(t *testing.T) analysisGolden {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acfg := DefaultAnalysisConfig()
-	acfg.ClusterMaxK = 4 // clustering is not pinned here
-	a := Analyze(res, acfg)
+	a := Analyze(res, DefaultAnalysisConfig())
 	return analysisGolden{
 		Budget:         analysisGoldenBudget,
 		Rho:            a.Rho,
@@ -66,6 +68,9 @@ func analysisGoldenRun(t *testing.T) analysisGolden {
 		AUCAll:         a.AUCAll,
 		AUCGA:          a.AUCGA,
 		AUCCE:          a.AUCCE,
+		ClusterK:       a.Clusters.Best.K,
+		ClusterAssign:  a.Clusters.Best.Assign,
+		ClusterScores:  a.Clusters.Scores,
 	}
 }
 
@@ -138,5 +143,17 @@ func TestAnalysisGolden(t *testing.T) {
 	}
 	for k, w := range want.AUCCE {
 		sameBits("AUCCE", got.AUCCE[k], w)
+	}
+	if got.ClusterK != want.ClusterK {
+		t.Errorf("Clusters.Best.K = %d, want %d", got.ClusterK, want.ClusterK)
+	}
+	if !slices.Equal(got.ClusterAssign, want.ClusterAssign) {
+		t.Errorf("Clusters.Best.Assign = %v, want %v", got.ClusterAssign, want.ClusterAssign)
+	}
+	if len(got.ClusterScores) != len(want.ClusterScores) {
+		t.Fatalf("Clusters.Scores has %d entries, want %d", len(got.ClusterScores), len(want.ClusterScores))
+	}
+	for i := range want.ClusterScores {
+		sameBits("Clusters.Scores", got.ClusterScores[i], want.ClusterScores[i])
 	}
 }
