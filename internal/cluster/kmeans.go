@@ -18,9 +18,17 @@
 // so a sweep's steady-state allocation is the O(k·d) centroids per k,
 // not fresh O(n) slices per run.
 //
+// Every full-data pass of either engine is one bounded assignment pass
+// (assignAll): each row keeps a lower bound on its distance to the
+// runner-up centroid (Hamerly, "Making k-means even faster", SDM 2010),
+// and a row whose own centroid is provably nearest skips the other
+// k−1 centroids. The bounds change which rows are scanned, never an
+// assignment or an SSE bit.
+//
 // Every engine runs on one resident row-major *stats.Matrix, which all
 // sweep workers read concurrently and none writes. Memory is therefore
-// the n×d×8 bytes of that matrix plus per-worker O(n) scratch; a
+// the n×d×8 bytes of that matrix plus per-worker O(n) scratch (the
+// assignment, and the 8n bytes of assignment-pass bounds); a
 // store-backed caller (phases.AnalyzeJointStore) materializes the
 // normalized store rows once for the whole sweep.
 //
@@ -37,6 +45,7 @@ import (
 	"math"
 	"math/rand"
 
+	"mica/internal/obs"
 	"mica/internal/stats"
 )
 
@@ -107,6 +116,7 @@ type scratch struct {
 	prev   []float64 // k*d: previous centroids (drift tracking)
 	upd    []int     // k: minibatch per-center update counts
 	sample []float64 // minibatch seeding sample rows
+	lower  []float64 // n: assignment-pass bounds (see assignAll)
 }
 
 func newScratch() *scratch { return &scratch{} }
@@ -138,44 +148,139 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-// nearest returns the index of the centroid closest to row, and the
-// squared distance. Ties break to the lowest centroid index (strict
-// less-than scan), the invariant every engine and assignAll share.
-func nearest(row []float64, cents *stats.Matrix) (int, float64) {
-	best, bestD := 0, math.Inf(1)
-	for c := 0; c < cents.Rows; c++ {
-		if d := sqDist(row, cents.Row(c)); d < bestD {
-			best, bestD = c, d
-		}
+// Margins of the assignment pass's bounds. sqDist sums d non-negative
+// terms in a fixed order, so a computed squared distance is within
+// (d+2)·2^-53 of the true one, relatively; 1e-9 exceeds that for any d
+// below 10^6, so every bound stays strictly below the computed
+// distance it bounds.
+const (
+	// boundShrink scales a freshly stored runner-up bound.
+	boundShrink = 1 - 1e-9
+	// moveGrow scales the centroid move a bound decays by.
+	moveGrow = 1 + 1e-9
+	// minBound: a bound at or below it never prunes. Distances under
+	// ~1e-157 square into subnormals, whose absolute rounding the
+	// relative margins above do not cover.
+	minBound = 1e-150
+)
+
+var (
+	metAssignRows    = obs.Default().Counter("mica_cluster_assign_rows_total", "Row visits in full-data k-means assignment passes.")
+	metAssignRescans = obs.Default().Counter("mica_cluster_assign_rescans_total", "Assignment-pass row visits that scanned every centroid.")
+)
+
+// sqDist2 is sqDist of x to a and to b at once: the two sums are
+// independent, so interleaving them keeps the adder busy where one
+// sum would wait on its own latency. Each still adds its terms in
+// sqDist's order, so both results are bit-identical to sqDist's.
+func sqDist2(x, a, b []float64) (float64, float64) {
+	a, b = a[:len(x)], b[:len(x)]
+	sa, sb := 0.0, 0.0
+	for i, v := range x {
+		da, db := v-a[i], v-b[i]
+		sa += da * da
+		sb += db * db
 	}
-	return best, bestD
+	return sa, sb
 }
 
-// assignAll assigns every row of m to its nearest centroid, filling
-// assign and counts, and returns the total SSE. It is the single
-// shared assignment routine, so an assignment re-derived from stored
-// centroids (Selection materialization) is bit-identical to the
-// engine's own final pass.
-func assignAll(m, cents *stats.Matrix, assign []int, counts []int) float64 {
-	for c := range counts {
-		counts[c] = 0
+// nearest returns the index of the centroid closest to row, its
+// squared distance, and the squared distance to the runner-up (+Inf
+// when there is none). Ties break to the lowest centroid index (strict
+// less-than scan), the invariant every engine and assignAll share, and
+// NaN distances never win. Distances are sqDist's bits, computed two
+// centroids at a time (sqDist2).
+//
+// The scan compares IEEE-754 bit patterns, which order non-negative
+// floats exactly as their values and put every NaN, of either sign,
+// above +Inf. Integer compares compile to conditional moves, where
+// float compares would be mispredicted branches.
+func nearest(row []float64, cents *stats.Matrix) (best int, bestD, second float64) {
+	bb, sb := math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(1))
+	c := 0
+	for ; c+1 < cents.Rows; c += 2 {
+		d0, d1 := sqDist2(row, cents.Row(c), cents.Row(c+1))
+		bb, sb, best = rank(math.Float64bits(d0), c, bb, sb, best)
+		bb, sb, best = rank(math.Float64bits(d1), c+1, bb, sb, best)
 	}
-	sse := 0.0
+	if c < cents.Rows {
+		bb, sb, best = rank(math.Float64bits(sqDist(row, cents.Row(c))), c, bb, sb, best)
+	}
+	return best, math.Float64frombits(bb), math.Float64frombits(sb)
+}
+
+// rank folds distance bits db of centroid c into a scan's best (bb,
+// at index best) and runner-up (sb). Scanning c in increasing order
+// with strict compares keeps ties at the lowest index.
+func rank(db uint64, c int, bb, sb uint64, best int) (uint64, uint64, int) {
+	if db < sb {
+		sb = db
+	}
+	if db < bb {
+		bb, sb, best = db, bb, c
+	}
+	return bb, sb, best
+}
+
+// assignAll is the bounded assignment pass behind every full-data pass
+// (Lloyd iterations, the minibatch polish, the sweep's materialization
+// of the chosen K). It assigns each row of m to its nearest centroid,
+// fills counts, and returns the total SSE and whether any row changed
+// cluster.
+//
+// lower holds one bound per row on the distance (not squared) from the
+// row to every centroid but its own; 0 means none. The pass computes
+// each row's exact squared distance to its own centroid, which the SSE
+// needs anyway, and keeps the row there without reading the other k−1
+// centroids when the distance is strictly below the bound. Every other
+// row takes one nearest scan, which stores a fresh bound. A kept row's
+// own centroid is strictly nearer than any other, and a scanned row is
+// placed by nearest itself, so assignments, counts and SSE are
+// bit-identical to a plain scan of every row. updateCentroids keeps the
+// bounds valid as centroids move. NaN and ±Inf distances fail the
+// strict comparison and are scanned.
+func assignAll(m, cents *stats.Matrix, assign, counts []int, lower []float64) (float64, bool) {
+	clear(counts)
+	sse, changed, rescans := 0.0, false, 0
 	for i := 0; i < m.Rows; i++ {
-		c, d := nearest(m.Row(i), cents)
-		assign[i] = c
+		row := m.Row(i)
+		if lb := lower[i]; lb > minBound {
+			a := assign[i]
+			if da := sqDist(row, cents.Row(a)); math.Sqrt(da) < lb {
+				counts[a]++
+				sse += da
+				continue
+			}
+		}
+		rescans++
+		c, dc, second := nearest(row, cents)
+		if assign[i] != c {
+			assign[i] = c
+			changed = true
+		}
 		counts[c]++
-		sse += d
+		sse += dc
+		// An overflowed runner-up (+Inf) proves nothing once centroids
+		// move, so it stores no bound.
+		if lower[i] = math.Sqrt(second) * boundShrink; lower[i] > math.MaxFloat64 {
+			lower[i] = 0
+		}
 	}
-	return sse
+	metAssignRows.Add(float64(m.Rows))
+	metAssignRescans.Add(float64(rescans))
+	return sse, changed
 }
 
 // updateCentroids recomputes cents as the mean of each cluster's
 // members under assign, re-seeding any empty cluster at the point
 // farthest from its current centroid (which also reassigns that
-// point).
-func updateCentroids(m, cents *stats.Matrix, assign, counts []int) {
+// point). It then keeps assignAll's bounds in lower valid: by the
+// triangle inequality each decays by the largest centroid move, times
+// moveGrow; a re-seed, or a NaN or infinite move, clears them all.
+// prev is k·d scratch for the old centroids.
+func updateCentroids(m, cents *stats.Matrix, assign, counts []int, lower, prev []float64) {
 	k, d := cents.Rows, cents.Cols
+	copy(prev, cents.Data)
 	for c := 0; c < k; c++ {
 		counts[c] = 0
 		row := cents.Row(c)
@@ -186,9 +291,10 @@ func updateCentroids(m, cents *stats.Matrix, assign, counts []int) {
 	for i := 0; i < m.Rows; i++ {
 		c := assign[i]
 		counts[c]++
-		row, crow := m.Row(i), cents.Row(c)
-		for j := 0; j < d; j++ {
-			crow[j] += row[j]
+		row := m.Row(i)
+		crow := cents.Row(c)[:len(row)]
+		for j, v := range row {
+			crow[j] += v
 		}
 	}
 	// Normalize every non-empty centroid first: the empty-cluster
@@ -208,6 +314,7 @@ func updateCentroids(m, cents *stats.Matrix, assign, counts []int) {
 			crow[j] *= inv
 		}
 	}
+	invalid := false
 	for c := 0; c < k; c++ {
 		if counts[c] != 0 {
 			continue
@@ -223,56 +330,45 @@ func updateCentroids(m, cents *stats.Matrix, assign, counts []int) {
 		}
 		copy(cents.Row(c), m.Row(far))
 		assign[far] = c
+		invalid = true
+	}
+
+	move := 0.0
+	for c := 0; c < k && !invalid; c++ {
+		mv := sqDist(prev[c*d:(c+1)*d], cents.Row(c))
+		invalid = !(mv <= math.MaxFloat64) // NaN or +Inf
+		move = max(move, mv)
+	}
+	if invalid {
+		clear(lower)
+		return
+	}
+	shift := math.Sqrt(move) * moveGrow
+	for i := range lower {
+		lower[i] -= shift
 	}
 }
 
-// lloydFrom runs Lloyd iterations from the given seeded centroids. The
-// returned Result's Assign aliases sc.assign and is consistent with
-// the returned centroids: Assign is exactly assignAll(cents) and SSE
-// and sc.counts are computed from that assignment.
+// lloydFrom runs Lloyd iterations from the given seeded centroids, to
+// convergence or maxIters centroid updates. The returned Result's
+// Assign aliases sc.assign and is exactly the nearest-centroid
+// assignment under the returned centroids; SSE and sc.counts come from
+// that same final pass.
 func lloydFrom(m, cents *stats.Matrix, sc *scratch) Result {
-	n := m.Rows
-	k := cents.Rows
+	n, k := m.Rows, cents.Rows
 	assign := ints(&sc.assign, n)
 	counts := ints(&sc.counts, k)
-	for i := range assign {
-		assign[i] = 0
+	lower := floats(&sc.lower, n)
+	prev := floats(&sc.prev, k*m.Cols)
+	clear(assign)
+	clear(lower)
+	for iter := 0; ; iter++ {
+		sse, changed := assignAll(m, cents, assign, counts, lower)
+		if (!changed && iter > 0) || iter == maxIters {
+			return Result{K: k, Assign: assign, Centroids: cents, SSE: sse}
+		}
+		updateCentroids(m, cents, assign, counts, lower, prev)
 	}
-
-	converged := false
-	for iter := 0; iter < maxIters; iter++ {
-		changed := false
-		for i := 0; i < n; i++ {
-			best, _ := nearest(m.Row(i), cents)
-			if assign[i] != best {
-				assign[i] = best
-				changed = true
-			}
-		}
-		if !changed && iter > 0 {
-			converged = true
-			break
-		}
-		updateCentroids(m, cents, assign, counts)
-	}
-
-	var sse float64
-	if converged {
-		// Assign already equals assignAll(cents); compute SSE and counts
-		// in one O(n·d) pass instead of repeating the O(n·k·d) scan.
-		for c := range counts {
-			counts[c] = 0
-		}
-		for i := 0; i < n; i++ {
-			counts[assign[i]]++
-			sse += sqDist(m.Row(i), cents.Row(assign[i]))
-		}
-	} else {
-		// Iteration cap hit: the last centroid update ran after the last
-		// assignment pass, so re-derive a consistent assignment.
-		sse = assignAll(m, cents, assign, counts)
-	}
-	return Result{K: k, Assign: assign, Centroids: cents, SSE: sse}
 }
 
 // seedPlusPlus picks k initial centroids with the k-means++ rule,

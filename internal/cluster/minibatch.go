@@ -91,7 +91,7 @@ func miniBatchRun(m *stats.Matrix, k int, rng *rand.Rand, sc *scratch) Result {
 		// what the restarts are meant to stay below).
 		score := 0.0
 		for i := 0; i < sampleN; i++ {
-			_, dd := nearest(sample.Row(i), try)
+			_, dd, _ := nearest(sample.Row(i), try)
 			score += dd
 		}
 		if cents == nil || score < bestScore {
@@ -106,22 +106,25 @@ func miniBatchRun(m *stats.Matrix, k int, rng *rand.Rand, sc *scratch) Result {
 	return miniBatchPolish(m, cents, sc)
 }
 
-// miniBatchPolish runs the bounded full-data Lloyd tail shared by the
-// restart path and the warm path.
+// miniBatchPolish runs the capped full-data Lloyd tail shared by the
+// restart path and the warm path: assignment passes and centroid
+// updates until the SSE stops falling or polishIters updates ran.
 func miniBatchPolish(m, cents *stats.Matrix, sc *scratch) Result {
 	n, k := m.Rows, cents.Rows
 	assign := ints(&sc.assign, n)
 	counts := ints(&sc.counts, k)
-	var sse, prevSSE float64
+	lower := floats(&sc.lower, n)
+	prev := floats(&sc.prev, k*m.Cols)
+	clear(lower)
+	prevSSE := 0.0
 	for p := 0; ; p++ {
-		sse = assignAll(m, cents, assign, counts)
+		sse, _ := assignAll(m, cents, assign, counts, lower)
 		if p >= polishIters || (p > 0 && sse >= prevSSE) {
-			break
+			return Result{K: k, Assign: assign, Centroids: cents, SSE: sse}
 		}
 		prevSSE = sse
-		updateCentroids(m, cents, assign, counts)
+		updateCentroids(m, cents, assign, counts, lower, prev)
 	}
-	return Result{K: k, Assign: assign, Centroids: cents, SSE: sse}
 }
 
 // miniBatchFrom is the warm-start variant of miniBatchRun: the seed
@@ -170,7 +173,7 @@ func miniBatchRefine(m, cents *stats.Matrix, tol float64, rng *rand.Rand, sc *sc
 		copy(prev, cents.Data)
 		for b := 0; b < batchSize; b++ {
 			row := m.Row(rng.Intn(n))
-			c, _ := nearest(row, cents)
+			c, _, _ := nearest(row, cents)
 			upd[c]++
 			eta := 1 / float64(upd[c])
 			crow := cents.Row(c)

@@ -176,11 +176,10 @@ func selectK(ctx context.Context, m *stats.Matrix, maxK int, seed int64, opt Swe
 
 	// Materialize the chosen clustering: one assignment pass over its
 	// stored centroids, bit-identical to the engine's own final pass
-	// (both are assignAll with the shared tie-breaking scan).
+	// (both are assignAll; with no bounds yet, every row is scanned).
 	r := runs[chosen]
 	assign := make([]int, n)
-	counts := make([]int, r.k)
-	assignAll(m, r.cents, assign, counts)
+	assignAll(m, r.cents, assign, make([]int, r.k), make([]float64, n))
 	return Selection{
 		Best:     Result{K: r.k, Assign: assign, Centroids: r.cents, SSE: r.sse},
 		Scores:   scores,
