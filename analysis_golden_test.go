@@ -2,6 +2,8 @@ package mica
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"math"
@@ -16,8 +18,10 @@ import (
 // Table IV GA selection, the correlation-elimination order, the
 // Figure 5 CE series, the Figure 4 AUCs and the Figure 6 clusters
 // (K, assignment and every BIC score of the default K = 1..70 sweep),
-// all from Analyze over the full 122-benchmark registry. Every optimization of the ROC sweep, the
-// GA or its fitness must leave these bit-for-bit unchanged.
+// all from Analyze over the full 122-benchmark registry, plus the
+// sha256 of every rendered table, figure and report. Every
+// optimization of the ROC sweep, the GA or its fitness must leave
+// these bit-for-bit unchanged.
 //
 // Regenerate with: go test -run TestAnalysisGolden -update-analysis-golden .
 // Only do so for changes that intentionally alter the analysis.
@@ -44,6 +48,9 @@ type analysisGolden struct {
 	ClusterK       int             `json:"cluster_k"`
 	ClusterAssign  []int           `json:"cluster_assign"`
 	ClusterScores  []float64       `json:"cluster_scores"`
+	// RenderSHA256 maps each rendered table, figure and report to the
+	// hex sha256 of its text.
+	RenderSHA256 map[string]string `json:"render_sha256"`
 }
 
 func analysisGoldenRun(t *testing.T) analysisGolden {
@@ -55,6 +62,23 @@ func analysisGoldenRun(t *testing.T) analysisGolden {
 		t.Fatal(err)
 	}
 	a := Analyze(res, DefaultAnalysisConfig())
+	renders := map[string]string{
+		"table_i":          RenderTableI(res),
+		"table_ii":         RenderTableII(res),
+		"figure_1":         a.RenderFigure1(),
+		"figure_2":         a.RenderFigure2(),
+		"figure_3":         a.RenderFigure3(),
+		"table_iii":        a.RenderTableIII(),
+		"figure_4":         a.RenderFigure4(),
+		"figure_5":         a.RenderFigure5(),
+		"table_iv":         a.RenderTableIV(),
+		"figure_6":         a.RenderFigure6(true),
+		"suite_similarity": a.SuiteSimilarityReport(),
+	}
+	for name, text := range renders {
+		sum := sha256.Sum256([]byte(text))
+		renders[name] = hex.EncodeToString(sum[:])
+	}
 	return analysisGolden{
 		Budget:         analysisGoldenBudget,
 		Rho:            a.Rho,
@@ -71,6 +95,7 @@ func analysisGoldenRun(t *testing.T) analysisGolden {
 		ClusterK:       a.Clusters.Best.K,
 		ClusterAssign:  a.Clusters.Best.Assign,
 		ClusterScores:  a.Clusters.Scores,
+		RenderSHA256:   renders,
 	}
 }
 
@@ -155,5 +180,13 @@ func TestAnalysisGolden(t *testing.T) {
 	}
 	for i := range want.ClusterScores {
 		sameBits("Clusters.Scores", got.ClusterScores[i], want.ClusterScores[i])
+	}
+	if len(got.RenderSHA256) != len(want.RenderSHA256) {
+		t.Errorf("%d rendered outputs, golden has %d", len(got.RenderSHA256), len(want.RenderSHA256))
+	}
+	for name, w := range want.RenderSHA256 {
+		if got.RenderSHA256[name] != w {
+			t.Errorf("rendered %s has sha256 %s, want %s", name, got.RenderSHA256[name], w)
+		}
 	}
 }

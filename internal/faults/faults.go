@@ -39,9 +39,9 @@ type Point string
 
 // The compiled-in injection points. The ivstore points cover every
 // step of its atomic-write protocol (torn payload write, file fsync,
-// rename, directory fsync) for both shards and the manifest; the pool
-// point covers per-item worker execution (panics, slowness, plain
-// failures).
+// rename, directory fsync) for shards, the manifest and aux files;
+// the pool point covers per-item worker execution (panics, slowness,
+// plain failures).
 const (
 	// ShardWrite is the payload write of a shard's temp file.
 	ShardWrite Point = "ivstore.shard.write"
@@ -55,6 +55,12 @@ const (
 	ManifestSync Point = "ivstore.manifest.sync"
 	// ManifestRename is the rename of the manifest into place.
 	ManifestRename Point = "ivstore.manifest.rename"
+	// AuxWrite is the payload write of an aux file's temp file.
+	AuxWrite Point = "ivstore.aux.write"
+	// AuxSync is the fsync of an aux file's temp file.
+	AuxSync Point = "ivstore.aux.sync"
+	// AuxRename is the rename of an aux file into place.
+	AuxRename Point = "ivstore.aux.rename"
 	// DirSync is the store-directory fsync after a rename.
 	DirSync Point = "ivstore.dir.sync"
 	// PoolItem is one work item's execution on a pool worker.

@@ -25,9 +25,12 @@ func validAuxName(name string) bool {
 
 // WriteAux durably writes a small auxiliary document (for example,
 // warm-start clustering state) into the store directory under name,
-// which must end in ".aux.json". The write follows the store's atomic
-// protocol — temp file, fsync, rename, directory fsync — so a crash
-// leaves either the old document or the new one, never a torn file.
+// which must end in ".aux.json". The write is writeFileDurable's —
+// temp file, fsync, rename, directory fsync, with the aux injection
+// points — so a crash leaves either the old document or the new one,
+// never a torn file, and a document that already holds exactly data
+// is fsynced in place instead of replaced. A failed write removes its
+// temp file, since neither prune nor Repair clears aux temp files.
 // Aux files are advisory sidecars: they are not referenced by the
 // manifest, not validated by Verify, and not removed by prune or
 // Repair.
@@ -36,30 +39,11 @@ func (s *Store) WriteAux(name string, data []byte) error {
 		return fmt.Errorf("ivstore: aux file name %q must be a base name ending in %q", name, auxSuffix)
 	}
 	path := filepath.Join(s.dir, name)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := writeFileDurable(path, data, auxPoints); err != nil {
+		os.Remove(path + ".tmp")
 		return fmt.Errorf("ivstore: writing aux %s: %w", name, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ivstore: writing aux %s: %w", name, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ivstore: syncing aux %s: %w", name, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ivstore: closing aux %s: %w", name, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ivstore: publishing aux %s: %w", name, err)
-	}
-	return syncDir(s.dir)
+	return nil
 }
 
 // ReadAux reads an auxiliary document previously written by WriteAux.

@@ -43,8 +43,13 @@
 // A crash at any step therefore leaves either the old state or the
 // new state under every committed name, never a torn file; the only
 // crash artifacts are unreferenced temp files, which Commit's prune
-// and Repair both clear. The fault-injection suite (internal/faults)
-// kills a store build at every one of these steps and asserts the
+// and Repair both clear. A file that already holds exactly the new
+// bytes — every write of an unchanged rerun — is kept in place
+// instead: it is fsynced, then its directory, so the write returns
+// behind the same durability barrier without a temp file or a rename,
+// and a crash at either sync leaves the file as it was. The
+// fault-injection suite (internal/faults) kills a store build, and an
+// identical rerun, at every one of these steps and asserts the
 // reopened store is Verify-clean or Repair-recoverable.
 //
 // A store directory is guarded by an advisory flock (".lock") with
@@ -78,10 +83,12 @@
 package ivstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -471,8 +478,9 @@ func (s *Store) Staged(name string) bool {
 
 // Commit writes the manifest covering exactly the named shards, in
 // that order (which becomes the store's global row order), atomically
-// and durably replacing any previous manifest, and prunes shard files
-// no entry references. Every name must have been staged via
+// and durably replacing any previous manifest (an identical one is
+// kept in place; see writeFileDurable), and prunes shard files no
+// entry references. Every name must have been staged via
 // WriteShard or Adopt.
 //
 // The returned warnings report prune problems — files Commit tried to
@@ -584,6 +592,7 @@ type durablePoints struct {
 var (
 	shardPoints    = durablePoints{faults.ShardWrite, faults.ShardSync, faults.ShardRename}
 	manifestPoints = durablePoints{faults.ManifestWrite, faults.ManifestSync, faults.ManifestRename}
+	auxPoints      = durablePoints{faults.AuxWrite, faults.AuxSync, faults.AuxRename}
 )
 
 // writeFileDurable writes data to path with the store's full
@@ -594,8 +603,26 @@ var (
 // prune and Repair clear. Each step carries a fault-injection point;
 // a Torn fault persists only half the payload before failing, the
 // on-disk shape of a crash mid-write.
+//
+// When path already holds exactly data (an unchanged rerun), the temp
+// file and the rename are skipped: the existing file is fsynced, then
+// its directory, so on return the bytes are as durable as after the
+// full protocol. Both syncs carry the same injection points as on the
+// full path. Replacing a file by rename can cost tens of milliseconds
+// (the old blocks are freed, synchronously on a discard mount), so
+// unchanged reruns write nothing.
 func writeFileDurable(path string, data []byte, pts durablePoints) error {
 	key := filepath.Base(path)
+	if f := openIfHolds(path, data); f != nil {
+		if err := syncFile(f, key, pts); err != nil {
+			return err
+		}
+		if err := syncParent(path, key); err != nil {
+			return err
+		}
+		metUnchangedWrites.Inc()
+		return nil
+	}
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -623,17 +650,7 @@ func writeFileDurable(path string, data []byte, pts durablePoints) error {
 		f.Close()
 		return injected
 	}
-	if faults.Enabled() {
-		if kind, ok := faults.Fire(pts.sync, key); ok {
-			f.Close()
-			return faults.Errorf(pts.sync, key, kind)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := syncFile(f, key, pts); err != nil {
 		return err
 	}
 	if faults.Enabled() {
@@ -644,6 +661,47 @@ func writeFileDurable(path string, data []byte, pts durablePoints) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
+	return syncParent(path, key)
+}
+
+// openIfHolds returns path open when it is a regular file holding
+// exactly data, and nil otherwise (missing, unopenable, another size or
+// other bytes). The size is checked before any read. The file is
+// opened read-write only so that every platform lets it be fsynced.
+func openIfHolds(path string, data []byte) *os.File {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return nil
+	}
+	fi, err := f.Stat()
+	if err == nil && fi.Mode().IsRegular() && fi.Size() == int64(len(data)) {
+		buf := make([]byte, len(data))
+		if _, err := io.ReadFull(f, buf); err == nil && bytes.Equal(buf, data) {
+			return f
+		}
+	}
+	f.Close()
+	return nil
+}
+
+// syncFile fsyncs and closes f, the pts.sync step of writeFileDurable.
+func syncFile(f *os.File, key string, pts durablePoints) error {
+	if faults.Enabled() {
+		if kind, ok := faults.Fire(pts.sync, key); ok {
+			f.Close()
+			return faults.Errorf(pts.sync, key, kind)
+		}
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// syncParent fsyncs path's directory, the last step of
+// writeFileDurable.
+func syncParent(path, key string) error {
 	if faults.Enabled() {
 		if kind, ok := faults.Fire(faults.DirSync, key); ok {
 			return faults.Errorf(faults.DirSync, key, kind)

@@ -16,3 +16,8 @@ var (
 	metCacheBytes      = obs.Default().Gauge("mica_ivstore_cache_bytes", "Decoded bytes resident across all shard caches.")
 	metCachePeakBytes  = obs.Default().Gauge("mica_ivstore_cache_peak_bytes", "High-water mark of resident decoded bytes.")
 )
+
+// metUnchangedWrites counts writeFileDurable calls that found the
+// file already holding the bytes and kept it in place: one per shard,
+// manifest or aux write an unchanged rerun did not replace.
+var metUnchangedWrites = obs.Default().Counter("mica_ivstore_unchanged_writes_total", "Durable writes satisfied in place: the file already held the bytes, so no temp file or rename.")

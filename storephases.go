@@ -40,7 +40,10 @@ type StoreOptions struct {
 	// benchmark name and configuration stamp still match, so a rerun
 	// re-characterizes only the benchmarks whose configuration hash or
 	// membership changed (a missing or dropped shard counts as
-	// changed). Without it the whole set is re-characterized.
+	// changed). Without it the whole set is re-characterized. Either
+	// way, a shard, manifest or warm-state file whose new bytes equal
+	// the file on disk is fsynced in place rather than replaced, so an
+	// unchanged rerun writes nothing.
 	Incremental bool
 	// CacheBytes bounds the store's decoded-shard cache (bytes of
 	// decoded rows held in memory across the analysis passes). Zero

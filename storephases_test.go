@@ -28,6 +28,52 @@ func storeBenchmarks(t *testing.T, names ...string) []Benchmark {
 	return bs
 }
 
+// TestUnchangedJointRerunKeepsManifest: the warm joint rerun — an
+// Incremental CharacterizeToStoreCtx over an unchanged store, then
+// AnalyzePhasesJointOpenStoreCtx seeded from the cold run's warm
+// state — keeps manifest.json in place (same inode) and reproduces the
+// cold vocabulary.
+func TestUnchangedJointRerunKeepsManifest(t *testing.T) {
+	bs := storeBenchmarks(t, "MiBench/sha/large", "CommBench/drr/drr", "SPEC2000/gzip/program")
+	dir := filepath.Join(t.TempDir(), "store")
+	pcfg := PhasePipelineConfig{Phase: storeTestConfig, Workers: 1}
+	build := func(opt StoreOptions) (*PhaseJointResult, *StoreBuildStats, bool) {
+		t.Helper()
+		st, stats, err := CharacterizeToStoreCtx(context.Background(), bs, pcfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		j, warmUsed, err := AnalyzePhasesJointOpenStoreCtx(context.Background(), st, pcfg.Phase, pcfg.Workers, opt.WarmStart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j, stats, warmUsed
+	}
+	cold, _, _ := build(StoreOptions{Dir: dir, WarmStart: true})
+	manPath := filepath.Join(dir, "manifest.json")
+	before, err := os.Stat(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	warm, stats, warmUsed := build(StoreOptions{Dir: dir, Incremental: true, WarmStart: true})
+	if len(stats.Reused) != len(bs) || !warmUsed {
+		t.Fatalf("warm rerun reused %v (warm start %v), want all %d warm", stats.Reused, warmUsed, len(bs))
+	}
+	after, err := os.Stat(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Error("warm joint rerun replaced manifest.json")
+	}
+	if warm.K != cold.K || !reflect.DeepEqual(warm.Assign, cold.Assign) {
+		t.Errorf("warm rerun chose K=%d, cold K=%d (assignments equal: %v)",
+			warm.K, cold.K, reflect.DeepEqual(warm.Assign, cold.Assign))
+	}
+}
+
 // TestAnalyzePhasesJointStoreMatchesInMemory is the top-level
 // differential of the tentpole: on a real benchmark set, the
 // store-backed joint vocabulary equals the in-memory AnalyzeJoint

@@ -100,6 +100,46 @@ func TestAnalyzeReducedStoreMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestUnchangedReducedRerunKeepsManifest: an Incremental rerun of an
+// unchanged store-backed reduced analysis adopts every shard, keeps
+// manifest.json in place (same inode: the identical manifest is
+// fsynced, not replaced) and returns the same results.
+func TestUnchangedReducedRerunKeepsManifest(t *testing.T) {
+	bs := storeBenchmarks(t, "MiBench/sha/large", "CommBench/drr/drr")
+	cfg := ReducedPipelineConfig{Reduced: ReducedConfig{Phase: storeTestConfig}, Workers: 1}
+	opt := StoreOptions{Dir: filepath.Join(t.TempDir(), "store"), Incremental: true}
+	first, _, err := AnalyzeReducedStoreCtx(context.Background(), bs, cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manPath := filepath.Join(opt.Dir, "manifest.json")
+	before, err := os.Stat(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	again, stats, err := AnalyzeReducedStoreCtx(context.Background(), bs, cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Reused) != len(bs) {
+		t.Fatalf("unchanged rerun reused %v, want all %d", stats.Reused, len(bs))
+	}
+	after, err := os.Stat(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Error("unchanged reduced rerun replaced manifest.json")
+	}
+	for i, b := range bs {
+		g, w := again[i].Result, first[i].Result
+		if g.Phases.K != w.Phases.K || g.Chars != w.Chars || g.HPC != w.HPC {
+			t.Errorf("%s: unchanged rerun changed the reduced result", b.Name())
+		}
+	}
+}
+
 // TestAnalyzeReducedJointStoreMatchesInMemory: the store-backed joint
 // reduction agrees with the in-memory joint reduction on a real set —
 // same benchmark coverage, extrapolations within the shared 5% bound.
