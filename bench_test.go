@@ -616,23 +616,6 @@ func BenchmarkAblationCorrelationMetric(b *testing.B) {
 	})
 }
 
-// BenchmarkHierarchicalClustering measures the dendrogram alternative to
-// Figure 6's k-means (the clustering style of the paper's prior work).
-func BenchmarkHierarchicalClustering(b *testing.B) {
-	_, an := benchData(b)
-	var k int
-	for i := 0; i < b.N; i++ {
-		dend := an.Space.HierarchicalCluster(an.GA.Selected, cluster.CompleteLinkage)
-		assign := dend.Cut(15)
-		seen := map[int]bool{}
-		for _, c := range assign {
-			seen[c] = true
-		}
-		k = len(seen)
-	}
-	b.ReportMetric(float64(k), "clusters")
-}
-
 // BenchmarkEV56 and BenchmarkEV67 measure machine-model throughput.
 func BenchmarkEV56(b *testing.B) {
 	benchMachineModel(b, false)

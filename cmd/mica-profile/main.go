@@ -1,12 +1,14 @@
 // Command mica-profile measures the microarchitecture-independent
 // characteristics (Table II) and machine-model performance counters of
-// one benchmark, or of every benchmark in the registry.
+// one benchmark, or of every benchmark in the registry. It prints
+// tables and writes no results file: mica-compare -results caches a
+// registry run for the paper's analyses.
 //
 // Usage:
 //
 //	mica-profile -list
 //	mica-profile -bench SPEC2000/mcf/ref [-budget 300000]
-//	mica-profile -all -json results.json
+//	mica-profile -all
 //	mica-profile -bench SPEC2000/mcf/ref -record mcf.trc
 //	mica-profile -trace mcf.trc
 //
@@ -33,7 +35,6 @@ func main() {
 		all       = flag.Bool("all", false, "profile all 122 benchmarks")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 		budget    = flag.Uint64("budget", 300_000, "dynamic instruction budget per benchmark")
-		jsonOut   = flag.String("json", "", "write results to a JSON file")
 		record    = flag.String("record", "", "record -bench's instruction stream to this trace file instead of profiling")
 		tracePath = flag.String("trace", "", "profile a recorded trace file instead of an embedded benchmark")
 		statsOut  = flag.String("stats", "", "after the run, dump the observability registry as JSON to this file (\"-\" = stdout)")
@@ -44,7 +45,7 @@ func main() {
 		fmt.Println(obs.Build())
 		return
 	}
-	err := run(*benchName, *all, *list, *budget, *jsonOut, *record, *tracePath)
+	err := run(*benchName, *all, *list, *budget, *record, *tracePath)
 	if *statsOut != "" {
 		if serr := obs.DumpStats(*statsOut); serr != nil && err == nil {
 			err = serr
@@ -56,7 +57,7 @@ func main() {
 	}
 }
 
-func run(benchName string, all, list bool, budget uint64, jsonOut, record, tracePath string) error {
+func run(benchName string, all, list bool, budget uint64, record, tracePath string) error {
 	if list {
 		t := report.NewTable("name", "kernel", "paper I-cnt (M)")
 		for _, b := range mica.Benchmarks() {
@@ -110,13 +111,6 @@ func run(benchName string, all, list bool, budget uint64, jsonOut, record, trace
 			return err
 		}
 		fmt.Fprintln(os.Stderr)
-		if jsonOut != "" {
-			if err := mica.SaveResults(jsonOut, budget, results); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %d results to %s\n", len(results), jsonOut)
-			return nil
-		}
 		fmt.Print(mica.RenderTableII(results))
 		return nil
 

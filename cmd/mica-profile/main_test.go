@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mica"
 )
 
 // capture redirects stdout during f and returns what was printed.
@@ -31,7 +33,7 @@ func capture(t *testing.T, f func() error) (string, error) {
 }
 
 func TestRunList(t *testing.T) {
-	out, err := capture(t, func() error { return run("", false, true, 1000, "", "", "") })
+	out, err := capture(t, func() error { return run("", false, true, 1000, "", "") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestRunList(t *testing.T) {
 
 func TestRunSingleBenchmark(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run("MiBench/sha/large", false, false, 5_000, "", "", "")
+		return run("MiBench/sha/large", false, false, 5_000, "", "")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,31 +60,29 @@ func TestRunSingleBenchmark(t *testing.T) {
 }
 
 func TestRunUnknownBenchmark(t *testing.T) {
-	if _, err := capture(t, func() error { return run("nope", false, false, 1000, "", "", "") }); err == nil {
+	if _, err := capture(t, func() error { return run("nope", false, false, 1000, "", "") }); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
 
 func TestRunNoModeIsError(t *testing.T) {
-	if _, err := capture(t, func() error { return run("", false, false, 1000, "", "", "") }); err == nil {
+	if _, err := capture(t, func() error { return run("", false, false, 1000, "", "") }); err == nil {
 		t.Error("missing mode accepted")
 	}
 }
 
-func TestRunAllToJSON(t *testing.T) {
+func TestRunAllRendersTableII(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiles all 122 benchmarks")
 	}
-	path := filepath.Join(t.TempDir(), "r.json")
-	if _, err := capture(t, func() error { return run("", true, false, 2_000, path, "", "") }); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+	out, err := capture(t, func() error { return run("", true, false, 2_000, "", "") })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "BioInfoMark/blast/protein") {
-		t.Error("JSON missing benchmarks")
+	for _, want := range []string{"Table II: microarchitecture-independent characteristics", mica.CharName(mica.NumChars - 1)} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-all output missing %q", want)
+		}
 	}
 }
 
@@ -92,7 +92,7 @@ func TestRunAllToJSON(t *testing.T) {
 func TestRecordReplayRoundTrip(t *testing.T) {
 	trc := filepath.Join(t.TempDir(), "sha.trc")
 	rec, err := capture(t, func() error {
-		return run("MiBench/sha/large", false, false, 5_000, "", trc, "")
+		return run("MiBench/sha/large", false, false, 5_000, trc, "")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,13 +101,13 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 		t.Fatalf("record output %q missing instruction count", rec)
 	}
 	live, err := capture(t, func() error {
-		return run("MiBench/sha/large", false, false, 5_000, "", "", "")
+		return run("MiBench/sha/large", false, false, 5_000, "", "")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	replay, err := capture(t, func() error {
-		return run("", false, false, 5_000, "", "", trc)
+		return run("", false, false, 5_000, "", trc)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestRecordTraceFlagValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		if _, err := capture(t, func() error {
-			return run(tc.bench, tc.all, false, 1000, "", tc.record, tc.trace)
+			return run(tc.bench, tc.all, false, 1000, tc.record, tc.trace)
 		}); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}

@@ -4,9 +4,6 @@ import "mica/internal/trace"
 
 // Options configures a Profiler.
 type Options struct {
-	// ILPWindows are the idealized window sizes; nil means the Table II
-	// defaults {32, 64, 128, 256}.
-	ILPWindows []int
 	// NoMemDeps makes the ILP model ignore store-to-load dependencies
 	// through memory. The field is inverted so that the zero Options
 	// value is the documented default (dependencies honored): callers
@@ -68,9 +65,10 @@ func NewProfiler(opts Options) *Profiler {
 		p.mix = NewMixAnalyzer()
 	}
 	if rangeActive(opts.Subset, CharILP32, CharILP256) {
-		windows := opts.ILPWindows
-		if windows == nil && opts.Subset != nil {
-			// Simulate only the selected window sizes.
+		// nil simulates every Table II window; a subset simulates only
+		// its selected window sizes.
+		var windows []int
+		if opts.Subset != nil {
 			for i, w := range DefaultILPWindows {
 				c := CharILP32 + i
 				if c < len(opts.Subset) && opts.Subset[c] {

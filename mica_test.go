@@ -3,7 +3,6 @@ package mica
 import (
 	"context"
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -191,42 +190,6 @@ func TestPitfallRenderersNeedPair(t *testing.T) {
 	}
 }
 
-func TestSaveLoadResultsRoundTrip(t *testing.T) {
-	res := profileSubset(t, 20)
-	path := filepath.Join(t.TempDir(), "results.json")
-	if err := SaveResults(path, 40_000, res); err != nil {
-		t.Fatal(err)
-	}
-	loaded, budget, err := LoadResults(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if budget != 40_000 {
-		t.Errorf("budget = %d", budget)
-	}
-	if len(loaded) != len(res) {
-		t.Fatalf("loaded %d results, want %d", len(loaded), len(res))
-	}
-	for i := range res {
-		if loaded[i].Chars != res[i].Chars || loaded[i].HPC != res[i].HPC {
-			t.Fatalf("result %d changed in round trip", i)
-		}
-		if loaded[i].Benchmark.Name() != res[i].Benchmark.Name() {
-			t.Fatalf("result %d benchmark identity lost", i)
-		}
-	}
-}
-
-func TestLoadResultsRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := SaveResults(path, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadResults(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
 func TestKiviatFromSpace(t *testing.T) {
 	res := profileSubset(t, 12)
 	s := NewSpace(res)
@@ -240,23 +203,6 @@ func TestKiviatFromSpace(t *testing.T) {
 	}
 	if _, err := s.Kiviat(-1, []int{0}); err == nil {
 		t.Error("out-of-range benchmark accepted")
-	}
-}
-
-func TestHierarchicalClusterOnSpace(t *testing.T) {
-	res := profileSubset(t, 8)
-	s := NewSpace(res)
-	d := s.HierarchicalCluster(nil, CompleteLinkage)
-	if len(d.Merges) != s.Len()-1 {
-		t.Fatalf("got %d merges for %d benchmarks", len(d.Merges), s.Len())
-	}
-	assign := d.Cut(4)
-	seen := map[int]bool{}
-	for _, c := range assign {
-		seen[c] = true
-	}
-	if len(seen) != 4 {
-		t.Errorf("Cut(4) produced %d clusters", len(seen))
 	}
 }
 

@@ -168,28 +168,6 @@ func (s *Space) Cluster(cols []int, maxK int, seed int64) ClusterSelection {
 	return cluster.SelectK(m, maxK, seed)
 }
 
-// Linkage rules for hierarchical clustering, re-exported.
-const (
-	CompleteLinkage = cluster.CompleteLinkage
-	SingleLinkage   = cluster.SingleLinkage
-	AverageLinkage  = cluster.AverageLinkage
-)
-
-// Dendrogram is an agglomerative clustering history.
-type Dendrogram = cluster.Dendrogram
-
-// HierarchicalCluster builds a dendrogram over the selected
-// characteristic subset (nil = all 47) — the clustering style of the
-// prior work the paper compares against (Phansalkar et al.). Cut it at a
-// chosen K or distance to obtain flat clusters.
-func (s *Space) HierarchicalCluster(cols []int, linkage cluster.Linkage) *Dendrogram {
-	m := s.NormChars
-	if cols != nil {
-		m = m.SelectColumns(cols)
-	}
-	return cluster.Hierarchical(m, linkage)
-}
-
 // ClusterGroups converts a clustering into benchmark-name groups,
 // ordered largest first. The ordering is stable: equal-size clusters
 // keep ascending cluster-id order, so repeated runs over the same
@@ -217,7 +195,7 @@ func (s *Space) ClusterGroups(sel ClusterSelection) [][]string {
 
 // Kiviat builds a kiviat diagram for one benchmark over the selected
 // characteristics (typically the 8 GA-selected ones; nil means all 47,
-// the same convention as ROCCurve, Cluster and HierarchicalCluster),
+// the same convention as ROCCurve and Cluster),
 // with axes scaled to [0,1] by min-max normalization across the whole
 // space, as in Figure 6.
 func (s *Space) Kiviat(benchIdx int, cols []int) (*KiviatDiagram, error) {

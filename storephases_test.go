@@ -222,6 +222,92 @@ func TestConfigKeysPinned(t *testing.T) {
 	}
 }
 
+// TestConfigKeysCoverEveryField walks every field of PhaseConfig and
+// ReducedConfig, nested options included: each must change its key, or
+// be listed as output-neutral (by its path or an enclosing struct's)
+// with the reason. The reduced key stamps only the cheap pass, which is
+// all its store shards hold.
+func TestConfigKeysCoverEveryField(t *testing.T) {
+	checkKeyCoversFields(t, PhaseConfigKey, nil)
+	checkKeyCoversFields(t, ReducedConfigKey, map[string]string{
+		"Phase.Options.Subset": "the cheap pass measures Subset instead",
+		"RepsPerPhase":         "the expensive pass only; shards hold the cheap pass",
+		"FullOptions":          "the expensive pass only; shards hold the cheap pass",
+		"SkipHPC":              "the expensive pass only; shards hold the cheap pass",
+	})
+}
+
+// checkKeyCoversFields perturbs each leaf field of a zero T in turn and
+// fails unless key changes exactly for the fields neutral does not
+// cover.
+func checkKeyCoversFields[T any](t *testing.T, key func(T) string, neutral map[string]string) {
+	t.Helper()
+	var zero T
+	base := key(zero)
+	used := map[string]bool{}
+	var walk func(typ reflect.Type, index []int, prefix string)
+	walk = func(typ reflect.Type, index []int, prefix string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name := prefix + f.Name
+			idx := append(append([]int(nil), index...), i)
+			if f.Type.Kind() == reflect.Struct {
+				walk(f.Type, idx, name+".")
+				continue
+			}
+			isNeutral := false
+			for p := name; ; p = p[:strings.LastIndex(p, ".")] {
+				if _, ok := neutral[p]; ok {
+					isNeutral, used[p] = true, true
+				}
+				if !strings.Contains(p, ".") {
+					break
+				}
+			}
+			var cfg T
+			if !perturbField(reflect.ValueOf(&cfg).Elem().FieldByIndex(idx)) {
+				t.Errorf("%T.%s (%s) cannot be perturbed", zero, name, f.Type)
+				continue
+			}
+			switch changed := key(cfg) != base; {
+			case isNeutral && changed:
+				t.Errorf("%T.%s is listed as neutral but changes the key", zero, name)
+			case !isNeutral && !changed:
+				t.Errorf("%T.%s does not change the key", zero, name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(zero), nil, "")
+	for p := range neutral {
+		if !used[p] {
+			t.Errorf("neutral entry %q names no field of %T", p, zero)
+		}
+	}
+}
+
+// perturbField sets v to a value no default normalizes back to zero and
+// reports whether its kind is supported.
+func perturbField(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 3)
+	case reflect.Uint64:
+		v.SetUint(v.Uint() + 7)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.5)
+	case reflect.Slice:
+		if v.Type().Elem().Kind() != reflect.Bool {
+			return false
+		}
+		v.Set(reflect.ValueOf([]bool{true}))
+	default:
+		return false
+	}
+	return true
+}
+
 // mustCharacterizeToStore builds a store through CharacterizeToStoreCtx
 // and fails the test on any error, closing the store first.
 func mustCharacterizeToStore(t *testing.T, bs []Benchmark, cfg PhasePipelineConfig, opt StoreOptions) (*IVStore, *StoreBuildStats) {
