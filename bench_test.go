@@ -325,6 +325,106 @@ func BenchmarkPhaseHotPath(b *testing.B) {
 	})
 }
 
+// ppmStreams holds the recorded branch streams BenchmarkPPMAnalyzer
+// replays: 250k events of each of the six benchmarks bench/'s layer
+// ledger replays, recorded once per `go test -bench` run. Each event
+// keeps only what the PPM analyzer reads, packed into one word: the
+// (4-byte aligned) PC, bit 1 Conditional, bit 0 Taken.
+var (
+	ppmStreamsOnce sync.Once
+	ppmStreams     [][]uint64
+	ppmStreamsErr  error
+)
+
+func ppmBenchStreams(b *testing.B) [][]uint64 {
+	b.Helper()
+	ppmStreamsOnce.Do(func() {
+		for _, name := range []string{
+			"SPEC2000/gzip/program",
+			"SPEC2000/crafty/ref",
+			"SPEC2000/mcf/ref",
+			"MiBench/sha/large",
+			"MiBench/FFT/fft-large",
+			"MediaBench/mpeg2/encode",
+		} {
+			bench, err := BenchmarkByName(name)
+			if err != nil {
+				ppmStreamsErr = err
+				return
+			}
+			m, err := bench.Instantiate()
+			if err != nil {
+				ppmStreamsErr = err
+				return
+			}
+			var stream []uint64
+			_, err = m.Run(250_000, trace.ObserverFunc(func(ev *trace.Event) {
+				w := ev.PC
+				if ev.Conditional {
+					w |= 2
+				}
+				if ev.Taken {
+					w |= 1
+				}
+				stream = append(stream, w)
+			}))
+			if err != nil && !errors.Is(err, vm.ErrBudget) {
+				ppmStreamsErr = err
+				return
+			}
+			ppmStreams = append(ppmStreams, stream)
+		}
+	})
+	if ppmStreamsErr != nil {
+		b.Fatal(ppmStreamsErr)
+	}
+	return ppmStreams
+}
+
+// BenchmarkPPMAnalyzer measures the PPM analyzer alone, all four
+// variants at the default order, in ns per replayed event: "whole"
+// profiles each stream with a fresh analyzer, as the paper pass does,
+// and "interval600" Resets one pooled analyzer every 600 events, as
+// bench/'s joint workload does.
+func BenchmarkPPMAnalyzer(b *testing.B) {
+	streams := ppmBenchStreams(b)
+	events := 0
+	for _, s := range streams {
+		events += len(s)
+	}
+	replay := func(a *micachar.PPMAnalyzer, stream []uint64, resetEvery int) {
+		var ev trace.Event
+		for i, w := range stream {
+			if resetEvery > 0 && i%resetEvery == 0 {
+				a.Reset()
+			}
+			ev.PC, ev.Conditional, ev.Taken = w&^3, w&2 != 0, w&1 != 0
+			a.Observe(&ev)
+		}
+	}
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+	}
+	b.Run("whole", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, s := range streams {
+				replay(micachar.NewPPMAnalyzer(micachar.DefaultPPMOrder), s, 0)
+			}
+		}
+		report(b)
+	})
+	b.Run("interval600", func(b *testing.B) {
+		a := micachar.NewPPMAnalyzer(micachar.DefaultPPMOrder)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, s := range streams {
+				replay(a, s, 600)
+			}
+		}
+		report(b)
+	})
+}
+
 // BenchmarkClusterSweep measures the SelectK BIC sweep — the
 // clustering back half of phase analysis, which bench/'s joint workload
 // times at registry scale (cluster.sweep_cpu_s) — on a synthetic

@@ -3,10 +3,13 @@ package mica
 import (
 	"context"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"mica/internal/faults"
+	micachar "mica/internal/mica"
 	"mica/internal/pool"
 )
 
@@ -215,5 +218,92 @@ func TestPipelineCancellationIsPrompt(t *testing.T) {
 	rcfg := ReducedPipelineConfig{Reduced: ReducedConfig{Phase: pcfg.Phase}}
 	if _, err := Run(ctx, Request{Benchmarks: bs, Reduced: &rcfg}); !errors.Is(err, context.Canceled) {
 		t.Errorf("reduced Run err = %v, want context.Canceled", err)
+	}
+}
+
+// TestPPMOrderOutOfRangeIsError pins the PPM order bound at every
+// public entry point that builds a profiler: an order outside
+// 0..MaxPPMOrder is an error naming the accepted range, never a panic
+// from the PPM constructor, and no store is created for it.
+func TestPPMOrderOutOfRangeIsError(t *testing.T) {
+	sha, err := BenchmarkByName("MiBench/sha/large")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := []Benchmark{sha}
+	entries := []struct {
+		name string
+		run  func(order int) error
+	}{
+		{"Profile", func(order int) error {
+			_, err := Profile(sha, Config{InstBudget: 2_000, PPMOrder: order})
+			return err
+		}},
+		{"ProfileBenchmarksCtx", func(order int) error {
+			_, err := ProfileBenchmarksCtx(context.Background(), bs, Config{InstBudget: 2_000, PPMOrder: order})
+			return err
+		}},
+		{"AnalyzePhases", func(order int) error {
+			cfg := epPhaseCfg().Phase
+			cfg.Options.PPMOrder = order
+			_, err := AnalyzePhases(sha, cfg)
+			return err
+		}},
+		{"ProfileExact", func(order int) error {
+			cfg := ReducedConfig{Phase: epPhaseCfg().Phase}
+			cfg.FullOptions.PPMOrder = order
+			_, err := ProfileExact(sha, cfg)
+			return err
+		}},
+		{"Run/phases", func(order int) error {
+			cfg := epPhaseCfg()
+			cfg.Phase.Options.PPMOrder = order
+			_, err := Run(context.Background(), Request{Benchmarks: bs, Phases: &cfg})
+			return err
+		}},
+		{"Run/reduced/cheap", func(order int) error {
+			cfg := ReducedPipelineConfig{Reduced: ReducedConfig{Phase: epPhaseCfg().Phase}}
+			cfg.Reduced.Phase.Options.PPMOrder = order
+			_, err := Run(context.Background(), Request{Benchmarks: bs, Reduced: &cfg})
+			return err
+		}},
+		{"Run/reduced/full/joint/store", func(order int) error {
+			cfg := ReducedPipelineConfig{Reduced: ReducedConfig{Phase: epPhaseCfg().Phase}}
+			cfg.Reduced.FullOptions.PPMOrder = order
+			_, err := Run(context.Background(), Request{Benchmarks: bs, Reduced: &cfg, Joint: true,
+				Store: StoreOptions{Dir: filepath.Join(t.TempDir(), "s")}})
+			return err
+		}},
+		{"CharacterizeToStoreCtx", func(order int) error {
+			cfg := epPhaseCfg()
+			cfg.Phase.Options.PPMOrder = order
+			st, _, err := CharacterizeToStoreCtx(context.Background(), bs, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "s")})
+			if st != nil {
+				st.Close()
+				t.Error("a store was created for an invalid order")
+			}
+			return err
+		}},
+		{"CharacterizeReducedToStoreCtx", func(order int) error {
+			cfg := ReducedPipelineConfig{Reduced: ReducedConfig{Phase: epPhaseCfg().Phase}}
+			cfg.Reduced.Phase.Options.PPMOrder = order
+			st, _, err := CharacterizeReducedToStoreCtx(context.Background(), bs, cfg, StoreOptions{Dir: filepath.Join(t.TempDir(), "s")})
+			if st != nil {
+				st.Close()
+				t.Error("a store was created for an invalid order")
+			}
+			return err
+		}},
+	}
+	want := fmt.Sprintf("out of range 0..%d", micachar.MaxPPMOrder)
+	for _, e := range entries {
+		for _, order := range []int{-1, micachar.MaxPPMOrder + 1, 33} {
+			t.Run(fmt.Sprintf("%s/order%d", e.name, order), func(t *testing.T) {
+				err := e.run(order)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("order %d: err = %v, want one naming %q", order, err, want)
+				}
+			})
+		}
 	}
 }

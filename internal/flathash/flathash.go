@@ -171,7 +171,6 @@ type U64Map struct {
 	shift   uint
 	n       int
 	growAt  int
-	gen     uint64
 	hasZero bool
 	zeroVal uint64
 }
@@ -198,17 +197,11 @@ func (m *U64Map) Len() int {
 	return m.n
 }
 
-// Gen returns the table's growth generation: it increments every time
-// the table rehashes. While Gen is unchanged, pointers obtained from Ref
-// remain valid (inserts that do not grow never move existing slots).
-func (m *U64Map) Gen() uint64 { return m.gen }
-
 // Clear removes every entry in place, keeping the allocated tables
 // (or, past clearShrinkCap, reallocating them sized to the previous
 // occupancy). The values array is zeroed too: Ref relies on untouched
-// slots reading as zero, exactly as in a fresh map. Clear counts as a
-// rehash for Gen — pointers previously obtained from Ref must not be
-// used afterwards.
+// slots reading as zero, exactly as in a fresh map. Pointers obtained
+// from Ref before a Clear must not be used afterwards.
 func (m *U64Map) Clear() {
 	if len(m.keys) > clearShrinkCap {
 		m.init(capFor(m.Len()))
@@ -219,7 +212,6 @@ func (m *U64Map) Clear() {
 	m.n = 0
 	m.hasZero = false
 	m.zeroVal = 0
-	m.gen++
 }
 
 // Get returns the value for k and whether it is present.
@@ -289,7 +281,6 @@ func (m *U64Map) refSlow(k uint64) *uint64 {
 }
 
 func (m *U64Map) grow() {
-	m.gen++
 	oldK, oldV := m.keys, m.vals
 	m.init(len(oldK) * 2)
 	mask := uint64(len(m.keys) - 1)

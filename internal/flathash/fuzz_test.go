@@ -123,42 +123,3 @@ func FuzzU64Map(f *testing.F) {
 		}
 	})
 }
-
-// FuzzU64MapGen pins the Gen/Ref pointer-stability contract under a
-// fuzzable op mix: a pointer from Ref stays valid (writes land in the
-// table) as long as Gen is unchanged.
-func FuzzU64MapGen(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	var burst []byte
-	for i := byte(1); i < 40; i++ {
-		burst = append(burst, i)
-	}
-	f.Add(burst)
-	f.Fuzz(func(t *testing.T, keys []byte) {
-		m := NewU64Map(0)
-		type held struct {
-			key uint64
-			ptr *uint64
-			gen uint64
-		}
-		var holds []held
-		for _, kb := range keys {
-			k := uint64(kb) + 1
-			p := m.Ref(k)
-			*p += k
-			holds = append(holds, held{key: k, ptr: p, gen: m.Gen()})
-		}
-		// Every pointer taken at the final generation must still be
-		// live: writing through it must be observable via Get.
-		for _, h := range holds {
-			if h.gen != m.Gen() {
-				continue // invalidated by a later rehash, contract makes no claim
-			}
-			*h.ptr += 1000
-			got, _ := m.Get(h.key)
-			if got != *h.ptr {
-				t.Fatalf("stale Ref pointer for key %d at stable Gen", h.key)
-			}
-		}
-	})
-}

@@ -42,6 +42,12 @@ func (v PPMVariant) String() string {
 	}
 }
 
+// perAddress reports whether v predicts from the branch's own history.
+func (v PPMVariant) perAddress() bool { return v == PPMPAg || v == PPMPAs }
+
+// perBranch reports whether v keeps a separate table per branch.
+func (v PPMVariant) perBranch() bool { return v == PPMGAs || v == PPMPAs }
+
 // DefaultPPMOrder is the default maximum PPM context order (history
 // length in bits). The PPM predictor is to be seen as a theoretical upper
 // bound on branch predictability, not a hardware design; order 8 is deep
@@ -49,211 +55,48 @@ func (v PPMVariant) String() string {
 // to measure. The ablation bench sweeps this parameter.
 const DefaultPPMOrder = 8
 
-// ppmPredictor is one PPM predictor instance.
-//
-// The model state is one flat open-addressed table per context order,
-// keyed by (pc << 32) | masked history — pc is 0 for shared ('g')
-// variants and the history mask is at most 32 bits, so the pair packs
-// into one uint64 key. The two direction counters of a context live
-// inline in the table value ([2]uint32 packed into a uint64), so scoring
-// a branch touches maxOrder+1 flat slots with no pointer chasing and no
-// allocation in steady state.
-type ppmPredictor struct {
-	variant  PPMVariant
-	maxOrder int
-
-	globalHist uint64
-	localHist  *flathash.U64Map // pc -> history (PAg/PAs)
-
-	// tables[k] maps an order-k context to its packed counters:
-	// not-taken count in the low 32 bits, taken count in the high 32.
-	tables []*flathash.U64Map
-
-	correct uint64
-	total   uint64
-
-	// ctxCache is a direct-mapped cache of recently resolved slot
-	// chains, keyed by branch PC. A hit requires the same PC, the same
-	// maximum-order masked history (every order's table key is a
-	// function of it) and an unchanged table growth generation — under
-	// those conditions the cached pointers are exactly what the probes
-	// would return, so steady-state biased branches skip all maxOrder+1
-	// hash probes. genSum is monotonically nondecreasing, so equality
-	// means no table grew.
-	ctxCache  []ppmCtxEntry
-	ctxChains []*uint64 // arena backing the cache entries' chains
-	maxMask   uint64
-	// curGen caches genSum(): tables only grow inside the refill loop,
-	// so the sum is refreshed there and the per-branch hit check is one
-	// compare instead of maxOrder+1 pointer loads.
-	curGen uint64
-}
-
-// ppmCtxBits sizes the context cache (1<<ppmCtxBits entries).
-const ppmCtxBits = 8
-
-type ppmCtxEntry struct {
-	pc     uint64
-	hist   uint64 // masked to maxMask
-	genSum uint64
-	valid  bool
-	chain  []*uint64
-}
-
-func newPPMPredictor(variant PPMVariant, maxOrder int) *ppmPredictor {
-	if maxOrder < 0 || maxOrder > 32 {
-		panic("mica: PPM order out of range")
-	}
-	p := &ppmPredictor{
-		variant:   variant,
-		maxOrder:  maxOrder,
-		localHist: flathash.NewU64Map(0),
-		tables:    make([]*flathash.U64Map, maxOrder+1),
-	}
-	for k := range p.tables {
-		// An order-k table holds at most 2^k contexts per branch PC;
-		// seeding capacity with that (clamped) skips the first few
-		// rehash doublings of every trace.
-		hint := 1 << k
-		if hint > 4096 {
-			hint = 4096
-		}
-		p.tables[k] = flathash.NewU64Map(hint)
-	}
-	p.maxMask = 1<<uint(maxOrder) - 1
-	p.ctxCache = make([]ppmCtxEntry, 1<<ppmCtxBits)
-	p.ctxChains = make([]*uint64, (maxOrder+1)<<ppmCtxBits)
-	for i := range p.ctxCache {
-		p.ctxCache[i].chain = p.ctxChains[i*(maxOrder+1) : (i+1)*(maxOrder+1)]
-	}
-	return p
-}
-
-// reset returns the predictor to its initial state. Order tables and
-// the local history are cleared in place (keeping their grown
-// capacity), the context cache is invalidated wholesale, and curGen is
-// re-derived from the post-clear generations so the cache hit check
-// stays sound.
-func (p *ppmPredictor) reset() {
-	p.globalHist = 0
-	p.localHist.Clear()
-	for _, t := range p.tables {
-		t.Clear()
-	}
-	p.correct, p.total = 0, 0
-	for i := range p.ctxCache {
-		p.ctxCache[i].valid = false
-	}
-	p.curGen = p.genSum()
-}
-
-// genSum is the combined growth generation of all order tables.
-func (p *ppmPredictor) genSum() uint64 {
-	var s uint64
-	for _, t := range p.tables {
-		s += t.Gen()
-	}
-	return s
-}
-
-// observe predicts the branch at pc, scores the prediction against taken,
-// and updates the model.
-func (p *ppmPredictor) observe(pc uint64, taken bool) {
-	if pc >= 1<<32 {
-		// The packed (pc, history) table key reserves 32 bits for the
-		// PC; the VM's code segment (CodeBase + 4*index) cannot reach
-		// this for any representable program.
-		panic("mica: PPM branch PC exceeds 32 bits")
-	}
-	var hist uint64
-	var histSlot *uint64
-	perAddr := p.variant == PPMPAg || p.variant == PPMPAs
-	if perAddr {
-		histSlot = p.localHist.Ref(pc)
-		hist = *histSlot
-	} else {
-		hist = p.globalHist
-	}
-	var pcBits uint64
-	if p.variant == PPMGAs || p.variant == PPMPAs {
-		pcBits = pc << 32
-	}
-
-	// Resolve each order's counter slot: from the context cache when
-	// this branch repeats its masked history and no table has grown, or
-	// by walking the order tables (inserting zero cells on first touch)
-	// and refreshing the cache.
-	mh := hist & p.maxMask
-	e := &p.ctxCache[pc&(1<<ppmCtxBits-1)]
-	chain := e.chain
-	if !e.valid || e.pc != pc || e.hist != mh || e.genSum != p.curGen {
-		for k := p.maxOrder; k >= 0; k-- {
-			chain[k] = p.tables[k].Ref(pcBits | mh&(1<<uint(k)-1))
-		}
-		// genSum is taken after the probes: any growth they caused is
-		// included, and the pointers are valid as of now. Refs happen
-		// only here, so curGen stays correct between refills.
-		p.curGen = p.genSum()
-		e.pc, e.hist, e.genSum, e.valid = pc, mh, p.curGen, true
-	}
-
-	// Predict from the longest context that has been seen before.
-	predicted := true // static default: predict taken
-	for k := p.maxOrder; k >= 0; k-- {
-		if c := *chain[k]; c != 0 {
-			// taken count (high half) >= not-taken count (low half)
-			predicted = uint32(c>>32) >= uint32(c)
-			break
-		}
-	}
-
-	p.total++
-	if predicted == taken {
-		p.correct++
-	}
-	// The packed halves saturate instead of wrapping so a pathological
-	// 2^32-repetition context cannot carry into its neighbor count.
-	if taken {
-		for _, slot := range chain {
-			if *slot < 0xFFFFFFFF<<32 {
-				*slot += 1 << 32
-			}
-		}
-	} else {
-		for _, slot := range chain {
-			if uint32(*slot) != 0xFFFFFFFF {
-				*slot++
-			}
-		}
-	}
-
-	// Shift the outcome into the history.
-	bit := uint64(0)
-	if taken {
-		bit = 1
-	}
-	if perAddr {
-		*histSlot = hist<<1 | bit
-	} else {
-		p.globalHist = hist<<1 | bit
-	}
-}
-
-// accuracy returns the fraction of correctly predicted branches.
-func (p *ppmPredictor) accuracy() float64 {
-	if p.total == 0 {
-		return 0
-	}
-	return float64(p.correct) / float64(p.total)
-}
+// MaxPPMOrder is the largest accepted PPM order. A counter block holds
+// 2^(K+1)-1 cells, so order 12 already costs 64 KB per block.
+const MaxPPMOrder = 12
 
 // PPMAnalyzer measures branch predictability with a configurable set of
 // PPM variants. Only conditional branches are scored; unconditional
 // transfers are perfectly predictable and excluded, as in the paper's
 // methodology.
+//
+// The model state of a variant is one flat array of packed counters
+// (not-taken count in the low 32 bits, taken count in the high 32) laid
+// out in blocks of 2^(K+1)-1 cells for order K: the order-k context of
+// history h sits at cell 2^k-1 + (h mod 2^k), so a branch's whole
+// context chain is plain indexing into one block. The shared ('g')
+// variants use a single block. The per-branch ('s') variants use one
+// block per static conditional branch, found through a pc -> slot map
+// that all variants share along with the global history and the
+// per-slot local histories.
+//
+// Memory therefore grows with static branches, not with dynamic
+// contexts: a block is 8*(2^(K+1)-1) bytes (4 KB at DefaultPPMOrder),
+// and an analyzer holds two shared blocks plus two per static
+// conditional branch — at most ~120 KB for the registry's largest
+// program, which has 14. Two caps bound it for any input: K is at most
+// MaxPPMOrder, and a trace holds at most 1<<14 static records, so
+// neither a configuration nor an uploaded trace can demand unbounded
+// memory.
 type PPMAnalyzer struct {
-	preds  [NumPPMVariants]*ppmPredictor
-	active []*ppmPredictor
+	order  int
+	span   int // cells per block: 2^(order+1)-1
+	on     [NumPPMVariants]bool
+	active []PPMVariant
+	// blocks holds each variant's counters: one block for a shared
+	// variant, one per slot for a per-branch one.
+	blocks [NumPPMVariants][]uint64
+
+	slotOf     *flathash.U64Map // branch PC -> slot+1
+	localHist  []uint64         // per slot
+	globalHist uint64
+
+	correct [NumPPMVariants]uint64
+	total   uint64
 }
 
 // NewPPMAnalyzer returns an analyzer with all four variants at the given
@@ -265,54 +108,142 @@ func NewPPMAnalyzer(maxOrder int) *PPMAnalyzer {
 // NewPPMAnalyzerVariants measures only the listed variants (nil means all
 // four). Measuring fewer variants is proportionally cheaper — the
 // per-characteristic saving the paper's key-subset methodology banks on.
+// It panics unless 0 <= maxOrder <= MaxPPMOrder.
 func NewPPMAnalyzerVariants(maxOrder int, variants []PPMVariant) *PPMAnalyzer {
+	if maxOrder < 0 || maxOrder > MaxPPMOrder {
+		panic("mica: PPM order out of range")
+	}
 	if variants == nil {
 		variants = []PPMVariant{PPMGAg, PPMPAg, PPMGAs, PPMPAs}
 	}
-	a := &PPMAnalyzer{}
+	a := &PPMAnalyzer{
+		order:  maxOrder,
+		span:   1<<(maxOrder+1) - 1,
+		slotOf: flathash.NewU64Map(0),
+	}
 	for _, v := range variants {
-		if a.preds[v] == nil {
-			a.preds[v] = newPPMPredictor(v, maxOrder)
-			a.active = append(a.active, a.preds[v])
+		if a.on[v] {
+			continue
+		}
+		a.on[v] = true
+		a.active = append(a.active, v)
+		if !v.perBranch() {
+			a.blocks[v] = make([]uint64, a.span)
 		}
 	}
 	return a
 }
 
-// Reset returns every configured predictor to its initial state,
-// keeping the grown table capacity.
+// Reset returns the analyzer to its initial state, keeping its
+// allocations: the shared blocks are zeroed, and the per-branch blocks
+// are zeroed as their branches take slots again.
 func (a *PPMAnalyzer) Reset() {
-	for _, p := range a.active {
-		p.reset()
+	for _, v := range a.active {
+		if v.perBranch() {
+			a.blocks[v] = a.blocks[v][:0]
+		} else {
+			clear(a.blocks[v])
+		}
 	}
+	a.slotOf.Clear()
+	a.localHist = a.localHist[:0]
+	a.globalHist = 0
+	a.correct = [NumPPMVariants]uint64{}
+	a.total = 0
+}
+
+// slot returns pc's slot, giving a branch seen for the first time a new
+// one with an empty history and zeroed per-branch blocks.
+func (a *PPMAnalyzer) slot(pc uint64) int {
+	ref := a.slotOf.Ref(pc)
+	if *ref == 0 {
+		*ref = uint64(len(a.localHist)) + 1
+		a.localHist = append(a.localHist, 0)
+		for _, v := range a.active {
+			if v.perBranch() {
+				a.blocks[v] = append(a.blocks[v], make([]uint64, a.span)...)
+			}
+		}
+	}
+	return int(*ref - 1)
 }
 
 // Observe implements trace.Observer.
 func (a *PPMAnalyzer) Observe(ev *trace.Event) {
-	if !ev.Conditional {
+	if !ev.Conditional || len(a.active) == 0 {
 		return
 	}
-	for _, p := range a.active {
-		p.observe(ev.PC, ev.Taken)
+	s := a.slot(ev.PC)
+	local := a.localHist[s]
+	a.total++
+	for _, v := range a.active {
+		hist, block := a.globalHist, a.blocks[v]
+		if v.perAddress() {
+			hist = local
+		}
+		if v.perBranch() {
+			block = block[s*a.span : (s+1)*a.span]
+		}
+		if a.score(block, hist, ev.Taken) {
+			a.correct[v]++
+		}
 	}
+	bit := uint64(0)
+	if ev.Taken {
+		bit = 1
+	}
+	a.globalHist = a.globalHist<<1 | bit
+	a.localHist[s] = local<<1 | bit
+}
+
+// score predicts a branch from the longest context of hist that block
+// has seen before (taken when none has), counts the outcome into every
+// order's context, and reports whether the prediction was right. The
+// order-k cell offset and history mask are both 2^k-1, so one value m
+// walks the chain from the highest order down.
+func (a *PPMAnalyzer) score(block []uint64, hist uint64, taken bool) bool {
+	top := uint64(a.span >> 1)
+	predicted := true
+	for m := top; ; m >>= 1 {
+		if c := block[m+hist&m]; c != 0 {
+			// taken count (high half) >= not-taken count (low half)
+			predicted = uint32(c>>32) >= uint32(c)
+			break
+		}
+		if m == 0 {
+			break
+		}
+	}
+	// The packed halves saturate instead of wrapping so a pathological
+	// 2^32-repetition context cannot carry into its neighbor count.
+	for m := top; ; m >>= 1 {
+		i := m + hist&m
+		c := block[i]
+		if taken {
+			if c < 0xFFFFFFFF<<32 {
+				block[i] = c + 1<<32
+			}
+		} else if uint32(c) != 0xFFFFFFFF {
+			block[i] = c + 1
+		}
+		if m == 0 {
+			break
+		}
+	}
+	return predicted == taken
 }
 
 // Accuracy returns the prediction accuracy of a variant (0 when the
 // variant was not configured).
 func (a *PPMAnalyzer) Accuracy(v PPMVariant) float64 {
-	if a.preds[v] == nil {
+	if !a.on[v] || a.total == 0 {
 		return 0
 	}
-	return a.preds[v].accuracy()
+	return float64(a.correct[v]) / float64(a.total)
 }
 
 // Branches returns the number of conditional branches scored.
-func (a *PPMAnalyzer) Branches() uint64 {
-	if len(a.active) == 0 {
-		return 0
-	}
-	return a.active[0].total
-}
+func (a *PPMAnalyzer) Branches() uint64 { return a.total }
 
 // Fill writes characteristics 44-47 into v.
 func (a *PPMAnalyzer) Fill(v *Vector) {

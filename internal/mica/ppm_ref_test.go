@@ -1,9 +1,11 @@
 package mica
 
 import (
+	"fmt"
 	"testing"
 
 	"mica/internal/isa"
+	"mica/internal/trace"
 )
 
 // refPPM is the original map-based PPM predictor the flat-table
@@ -79,50 +81,145 @@ func (p *refPPM) observe(pc uint64, taken bool) {
 	}
 }
 
-// TestPPMDifferentialAgainstReference drives the flat-table predictor and
-// the reference map implementation with identical branch streams mixing
-// biased loop branches (which exercise the context cache), patterned
-// branches and noise, and requires identical correct/total counts for
-// every variant and several orders.
+// refPPMs is one reference predictor per variant at a common order.
+type refPPMs [NumPPMVariants]*refPPM
+
+func newRefPPMs(order int) *refPPMs {
+	var r refPPMs
+	for v := range r {
+		r[v] = newRefPPM(PPMVariant(v), order)
+	}
+	return &r
+}
+
+// observe feeds one event to every reference predictor, skipping
+// unconditional ones as the analyzer does.
+func (r *refPPMs) observe(ev *trace.Event) {
+	if !ev.Conditional {
+		return
+	}
+	for _, p := range r {
+		p.observe(ev.PC, ev.Taken)
+	}
+}
+
+// mismatch describes how variant v's correct/total counts differ
+// between the analyzer and the references ("" when they agree).
+func (r *refPPMs) mismatch(a *PPMAnalyzer, v PPMVariant) string {
+	if p := r[v]; a.correct[v] != p.correct || a.total != p.total {
+		return fmt.Sprintf("%v: correct/total = %d/%d, reference %d/%d",
+			v, a.correct[v], a.total, p.correct, p.total)
+	}
+	return ""
+}
+
+// mismatches joins the mismatch of every variant.
+func (r *refPPMs) mismatches(a *PPMAnalyzer) string {
+	var msg string
+	for v := PPMVariant(0); v < numPPMVariants; v++ {
+		msg += r.mismatch(a, v)
+	}
+	return msg
+}
+
+// TestPPMDifferentialAgainstReference drives the analyzer with all four
+// variants at once (they share the slot map and the histories) and the
+// reference map implementation with identical branch streams. The
+// streams mix biased loop branches, patterned branches, noise and
+// unconditional transfers over PCs on both sides of 2^32, and the
+// analyzer is Reset between segments while the references start over.
+// Every variant's correct/total counts must match at the end of every
+// segment, at orders 1, 4, 8, 0 and MaxPPMOrder; each order reports
+// one subtest per variant.
 func TestPPMDifferentialAgainstReference(t *testing.T) {
-	for _, order := range []int{1, 4, 8} {
-		for v := PPMVariant(0); v < numPPMVariants; v++ {
-			v, order := v, order
-			t.Run(v.String(), func(t *testing.T) {
-				opt := newPPMPredictor(v, order)
-				ref := newRefPPM(v, order)
-				x := uint64(0xBEEF + uint64(order)*31 + uint64(v))
-				rnd := func() uint64 {
-					x ^= x << 13
-					x ^= x >> 7
-					x ^= x << 17
-					return x
+	for _, order := range []int{1, 4, 8, 0, MaxPPMOrder} {
+		a := NewPPMAnalyzer(order)
+		x := uint64(0xBEEF + uint64(order)*31)
+		rnd := func() uint64 {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return x
+		}
+		pcs := make([]uint64, 37)
+		for i := range pcs {
+			pcs[i] = isa.CodeBase + uint64(i)*4
+			if i%4 == 3 {
+				pcs[i] += 1 << 32
+			}
+		}
+		var failures [NumPPMVariants]string
+		for seg, n := range []int{20_000, 600, 1, 0, 25_000} {
+			a.Reset()
+			ref := newRefPPMs(order)
+			for i := 0; i < n; i++ {
+				pc := pcs[rnd()%uint64(len(pcs))]
+				ev := trace.Event{PC: pc, Conditional: pc%5 != 4}
+				switch pc % 3 {
+				case 0: // heavily biased
+					ev.Taken = rnd()%16 != 0
+				case 1: // short repeating pattern
+					ev.Taken = i%3 != 0
+				default: // noise
+					ev.Taken = rnd()%2 == 0
 				}
-				pcs := make([]uint64, 37)
-				for i := range pcs {
-					pcs[i] = isa.CodeBase + uint64(i)*4
+				a.Observe(&ev)
+				ref.observe(&ev)
+			}
+			for v := range failures {
+				if msg := ref.mismatch(a, PPMVariant(v)); msg != "" && failures[v] == "" {
+					failures[v] = fmt.Sprintf("order %d, segment %d: %s", order, seg, msg)
 				}
-				for i := 0; i < 60_000; i++ {
-					pc := pcs[rnd()%uint64(len(pcs))]
-					var taken bool
-					switch pc % 3 {
-					case 0: // heavily biased
-						taken = rnd()%16 != 0
-					case 1: // short repeating pattern
-						taken = i%3 != 0
-					default: // noise
-						taken = rnd()%2 == 0
-					}
-					opt.observe(pc, taken)
-					ref.observe(pc, taken)
-				}
-				if opt.correct != ref.correct || opt.total != ref.total {
-					t.Fatalf("correct/total = %d/%d, reference %d/%d",
-						opt.correct, opt.total, ref.correct, ref.total)
+			}
+		}
+		for v, msg := range failures {
+			t.Run(PPMVariant(v).String(), func(t *testing.T) {
+				if msg != "" {
+					t.Fatal(msg)
 				}
 			})
 		}
 	}
+}
+
+// FuzzPPMAgainstReference checks the analyzer against the reference
+// predictor on arbitrary branch streams. The first byte picks the
+// order; each later byte is one event: its low bits pick one of 32
+// PCs (half of them above 2^32), bit 5 the outcome, bit 6 whether the
+// branch is conditional, and 0xFF resets the analyzer and starts the
+// references over.
+func FuzzPPMAgainstReference(f *testing.F) {
+	f.Add([]byte{8, 0x21, 0x21, 0x01, 0x21, 0xFF, 0x03, 0x23, 0x43})
+	f.Add([]byte{0, 1, 2, 3, 0x20, 0x21, 0x22})
+	f.Add([]byte{MaxPPMOrder, 0x3F, 0x1F, 0x3F, 0x1F, 0x3F, 0x1F, 0xFF, 0x1F})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		order := int(data[0]) % (MaxPPMOrder + 1)
+		a := NewPPMAnalyzer(order)
+		ref := newRefPPMs(order)
+		for i, b := range data[1:] {
+			if b == 0xFF {
+				if msg := ref.mismatches(a); msg != "" {
+					t.Fatalf("before reset at byte %d: %s", i+1, msg)
+				}
+				a.Reset()
+				ref = newRefPPMs(order)
+				continue
+			}
+			pc := isa.CodeBase + uint64(b&0x0F)*4
+			if b&0x10 != 0 {
+				pc += 1 << 32
+			}
+			ev := trace.Event{PC: pc, Taken: b&0x20 != 0, Conditional: b&0x40 == 0}
+			a.Observe(&ev)
+			ref.observe(&ev)
+		}
+		if msg := ref.mismatches(a); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }
 
 // TestILPDifferentialSharedRows pins the interleaved multi-window ILP

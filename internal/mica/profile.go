@@ -1,6 +1,10 @@
 package mica
 
-import "mica/internal/trace"
+import (
+	"fmt"
+
+	"mica/internal/trace"
+)
 
 // Options configures a Profiler.
 type Options struct {
@@ -27,6 +31,18 @@ type Options struct {
 // dependencies tracked, default PPM order, all 47 characteristics.
 func DefaultOptions() Options {
 	return Options{PPMOrder: DefaultPPMOrder}
+}
+
+// Validate returns an error unless o.PPMOrder is accepted: 0 (meaning
+// DefaultPPMOrder) through MaxPPMOrder. The pipeline entry points call
+// it before building a profiler, whose PPM constructor panics on an
+// out-of-range order.
+func (o Options) Validate() error {
+	if o.PPMOrder < 0 || o.PPMOrder > MaxPPMOrder {
+		return fmt.Errorf("mica: PPM order %d out of range 0..%d (0 means the default %d)",
+			o.PPMOrder, MaxPPMOrder, DefaultPPMOrder)
+	}
+	return nil
 }
 
 // Profiler measures the 47 Table II characteristics in a single pass over

@@ -116,6 +116,15 @@ func (c ReducedConfig) WithDefaults() ReducedConfig {
 	return c
 }
 
+// Validate returns an error unless the options of both passes are
+// valid (mica.Options.Validate).
+func (c ReducedConfig) Validate() error {
+	if err := c.Phase.Options.Validate(); err != nil {
+		return err
+	}
+	return c.FullOptions.Validate()
+}
+
 // CheapConfig returns the effective cheap-pass phase configuration:
 // Phase with Options.Subset replaced by the reduced subset. This is the
 // configuration the cheap vocabulary is clustered — and cached — under.

@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
@@ -18,7 +20,9 @@ import (
 	"time"
 
 	"mica"
+	"mica/internal/isa"
 	"mica/internal/ivstore"
+	"mica/internal/trace"
 )
 
 // testPhase is the tiny phase grid the serve tests run under: a few
@@ -658,4 +662,40 @@ func TestServeTraceUpload(t *testing.T) {
 	// A server without a trace directory refuses uploads outright.
 	_, ts2 := startServer(t, st, Config{Phase: testPhase})
 	postRaw(t, ts2.URL+"/api/v1/traces", raw, http.StatusNotFound, nil)
+}
+
+// staticsTrace encodes a well-formed trace of one block that defines n
+// static instructions and executes none of them.
+func staticsTrace(n int) []byte {
+	payload := binary.AppendUvarint(nil, uint64(n))
+	for i := 0; i < n; i++ {
+		payload = binary.AppendUvarint(payload, uint64(i))
+		payload = append(payload, byte(isa.OpAddQ), 0) // no operands
+	}
+	payload = binary.AppendUvarint(payload, 0) // no events
+	raw := append([]byte(trace.Magic), 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(raw[8:], trace.Version)
+	raw = binary.LittleEndian.AppendUint32(raw, uint32(len(payload)))
+	raw = binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(payload))
+	raw = append(raw, payload...)
+	raw = binary.LittleEndian.AppendUint32(raw, 0xFFFFFFFF)
+	return binary.LittleEndian.AppendUint64(raw, 0)
+}
+
+// TestServeTraceUploadOverStaticCap: a trace defining one static
+// instruction more than the format's bound of 1<<14 fails to decode,
+// while one at the bound decodes, and its upload is refused with the
+// same 400 as any other corrupt trace.
+func TestServeTraceUploadOverStaticCap(t *testing.T) {
+	if _, err := mica.ValidateTrace(staticsTrace(1 << 14)); err != nil {
+		t.Fatalf("a trace at the static-record bound fails to decode: %v", err)
+	}
+	over := staticsTrace(1<<14 + 1)
+	if _, err := mica.ValidateTrace(over); err == nil || !strings.Contains(err.Error(), "static records") {
+		t.Fatalf("ValidateTrace over the static-record bound = %v, want an error naming it", err)
+	}
+	st := buildTestStore(t, testBenchmarks[:2], testPhase)
+	_, ts := startServer(t, st, Config{Phase: testPhase, TraceDir: t.TempDir()})
+	postRaw(t, ts.URL+"/api/v1/traces?name=wide", over, http.StatusBadRequest, nil)
+	getJSON(t, ts.URL+"/healthz", http.StatusOK, nil)
 }

@@ -18,6 +18,7 @@
 //
 //	uvarint pcIndex | op u8 | flags u8 | NSrc source regs | dst reg if any
 //
+// A trace holds at most 1<<14 static records in all.
 // flags packs HasDst (bit 0) and NSrc (bits 1-2); the remaining bits
 // must be zero. Everything else an Event carries — Class, MemSize,
 // Conditional, the dependence-carrying operand views — is derived from
@@ -70,6 +71,11 @@ const (
 	maxBlockLen = 1 << 24
 	// maxPCIndex bounds static code indexes (16M instructions of code).
 	maxPCIndex = 1 << 24
+	// maxStatics bounds a trace's static records, so a crafted trace
+	// cannot grow the per-instruction state of its consumers (the PPM
+	// analyzer keeps counter blocks per static branch) without limit.
+	// The registry's largest program executes 82 static instructions.
+	maxStatics = 1 << 14
 	// blockTarget is the payload size the Writer flushes at.
 	blockTarget = 64 << 10
 )

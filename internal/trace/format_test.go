@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"mica/internal/isa"
 	"mica/internal/suites"
 	"mica/internal/trace"
 )
@@ -201,6 +202,30 @@ func TestWriterRejectsInconsistentStream(t *testing.T) {
 	w.Observe(&ev2)
 	if err := w.Close(); err == nil {
 		t.Fatal("Close accepted an inconsistent stream")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("rejected recording left a file behind: %v", err)
+	}
+}
+
+// TestWriterRejectsTooManyStatics: a stream touching one static
+// instruction more than a trace may hold (1<<14) is refused at record
+// time, and the target path never appears.
+func TestWriterRejectsTooManyStatics(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wide.trc")
+	w, err := trace.NewWriter(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= 1<<14; i++ {
+		ev := trace.Event{Seq: uint64(i), PC: isa.PCForIndex(i), Op: isa.OpAddQ, Dst: isa.RegInvalid}
+		ev.Class = ev.Op.Class()
+		ev.DeriveDeps()
+		w.Observe(&ev)
+	}
+	err = w.Close()
+	if err == nil || !strings.Contains(err.Error(), "static instructions") {
+		t.Fatalf("Close = %v, want the static-record bound", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("rejected recording left a file behind: %v", err)

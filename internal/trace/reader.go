@@ -243,6 +243,9 @@ func (r *Reader) nextBlock() error {
 	if nStatic > uint64(len(payload)-p)/3+1 {
 		return r.corrupt("static-record count %d exceeds block size", nStatic)
 	}
+	if uint64(len(r.templates))+nStatic > maxStatics {
+		return r.corrupt("more than %d static records", maxStatics)
+	}
 	for s := uint64(0); s < nStatic; s++ {
 		pcIndex, sz := binary.Uvarint(payload[p:])
 		if sz <= 0 {

@@ -179,6 +179,9 @@ func (w *Writer) targetDelta(id uint32, ev *Event) (int64, error) {
 // addStatic registers the static instruction behind ev and appends its
 // encoded record to the pending block.
 func (w *Writer) addStatic(pcIndex uint64, ev *Event) (uint32, error) {
+	if len(w.templates) >= maxStatics {
+		return 0, fmt.Errorf("more than %d static instructions", maxStatics)
+	}
 	dst := ev.Dst
 	if !ev.HasDst {
 		dst = isa.RegInvalid

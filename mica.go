@@ -181,6 +181,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// options returns the profiler options cfg measures with.
+func (c Config) options() micachar.Options {
+	return micachar.Options{NoMemDeps: c.NoMemDeps, PPMOrder: c.PPMOrder, Subset: c.Subset}
+}
+
 // ProfileResult is one benchmark's measurement in both workload spaces.
 type ProfileResult struct {
 	Benchmark Benchmark
@@ -194,16 +199,15 @@ type ProfileResult struct {
 
 // Profile measures one benchmark under cfg.
 func Profile(b Benchmark, cfg Config) (ProfileResult, error) {
+	if err := cfg.options().Validate(); err != nil {
+		return ProfileResult{}, err
+	}
 	cfg = cfg.withDefaults()
 	m, err := b.Source()
 	if err != nil {
 		return ProfileResult{}, err
 	}
-	prof := micachar.NewProfiler(micachar.Options{
-		NoMemDeps: cfg.NoMemDeps,
-		PPMOrder:  cfg.PPMOrder,
-		Subset:    cfg.Subset,
-	})
+	prof := micachar.NewProfiler(cfg.options())
 	observers := trace.Multi{prof}
 	var hpc *uarch.HPCProfiler
 	if !cfg.SkipHPC {
@@ -232,6 +236,9 @@ func Profile(b Benchmark, cfg Config) (ProfileResult, error) {
 // folds ctx.Err() into the returned error; benchmarks never dispatched
 // are left zero without an error of their own.
 func ProfileBenchmarksCtx(ctx context.Context, bs []Benchmark, cfg Config) ([]ProfileResult, error) {
+	if err := cfg.options().Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	results := make([]ProfileResult, len(bs))
 	err := fanOut(ctx, bs, cfg.Workers, cfg.Progress, "profiling", nil, func(_ struct{}, i int) error {

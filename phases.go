@@ -37,6 +37,9 @@ type (
 // the intervals into phases (k-means + BIC) and selects one weighted
 // representative interval per phase.
 func AnalyzePhases(b Benchmark, cfg PhaseConfig) (*PhaseResult, error) {
+	if err := cfg.Options.Validate(); err != nil {
+		return nil, err
+	}
 	m, err := b.Source()
 	if err != nil {
 		return nil, err
@@ -166,6 +169,9 @@ func KeySubset() []bool { return phases.KeySubset() }
 // workload checks its worst error with it) and the cost baseline of
 // BenchmarkReducedPipeline.
 func ProfileExact(b Benchmark, cfg ReducedConfig) (*PhaseExactProfile, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	m, err := b.Source()
 	if err != nil {
 		return nil, err

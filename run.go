@@ -65,6 +65,13 @@ func Run(ctx context.Context, req Request) (*Report, error) {
 	if (req.Phases == nil) == (req.Reduced == nil) {
 		return nil, errors.New("mica: a request sets exactly one of Phases and Reduced")
 	}
+	if req.Phases != nil {
+		if err := req.Phases.Phase.Options.Validate(); err != nil {
+			return nil, err
+		}
+	} else if err := req.Reduced.Reduced.Validate(); err != nil {
+		return nil, err
+	}
 	opt := req.Store
 	if opt.Dir == "" && opt != (StoreOptions{}) {
 		return nil, errors.New("mica: store options need Store.Dir")

@@ -136,6 +136,9 @@ type StoreBuildStats struct {
 // committed with partial contents, possibly uncommitted if the commit
 // itself failed — so the caller can inspect it; Close it either way.
 func CharacterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig, opt StoreOptions) (*IVStore, *StoreBuildStats, error) {
+	if err := cfg.Phase.Options.Validate(); err != nil {
+		return nil, nil, err
+	}
 	cfg.Phase = cfg.Phase.WithDefaults()
 	return characterizeToStoreCtx(ctx, bs, cfg, opt, phaseConfigHash(cfg.Phase), "store characterization of",
 		func(m trace.Source, prof *micachar.Profiler) (*phases.Result, error) {

@@ -44,6 +44,9 @@ func reducedStoreHash(cfg ReducedConfig) string {
 // stores unchanged. Reuse, fault isolation and partial commits follow
 // CharacterizeToStoreCtx's contract.
 func CharacterizeReducedToStoreCtx(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig, opt StoreOptions) (*IVStore, *StoreBuildStats, error) {
+	if err := cfg.Reduced.Validate(); err != nil {
+		return nil, nil, err
+	}
 	rcfg := cfg.Reduced.WithDefaults()
 	pcfg := PhasePipelineConfig{Phase: rcfg.CheapConfig(), Workers: cfg.Workers, Progress: cfg.Progress}
 	return characterizeToStoreCtx(ctx, bs, pcfg, opt, reducedStoreHash(rcfg), "reduced store characterization of",
