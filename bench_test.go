@@ -803,7 +803,7 @@ func BenchmarkReducedPipeline(b *testing.B) {
 // profiling — the pipeline bench/'s reduced workload runs on six
 // benchmarks: the cheap sampled pass lands in an interval-vector store
 // and the full-characterization replay gathers each benchmark's
-// representatives back through the decoded-shard cache. Effective
+// representatives back out of its shard. Effective
 // MIPS: trace instructions per second of end-to-end wall time over the
 // set.
 func BenchmarkReducedStorePipeline(b *testing.B) {
@@ -827,7 +827,7 @@ func BenchmarkReducedStorePipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 		if stats.Cache.Decodes == 0 {
-			b.Fatal("replay bypassed the decoded-shard cache")
+			b.Fatal("replay read no shard")
 		}
 		for _, r := range results {
 			n += r.Result.TotalInsts()

@@ -30,10 +30,9 @@
 //
 // With -store DIR a run persists its characterization in the on-disk
 // interval-vector store instead of keeping one in-memory matrix: every
-// benchmark's intervals are written as a columnar shard (float32, or
-// 8-bit quantized with -quant), and the analysis reads rows back
-// through a byte-budgeted decoded-shard cache (-cachebytes); the joint
-// clustering holds one n x 47 normalized matrix beside that cache.
+// benchmark's intervals are written as a columnar float32 shard, and
+// the analysis reads each shard back once; the joint clustering holds
+// one n x 47 normalized matrix.
 // -store drives every pipeline but -trace: -bench and -all cluster
 // each benchmark from its shard, -joint clusters the shared
 // vocabulary from the stored rows, and -reduced lands its cheap pass in
@@ -51,7 +50,7 @@
 //	mica-phases -all [-workers 8] [-maxk 10] [-seed 2006]
 //	mica-phases -joint [-bench name,name,...] [-maxk 10]
 //	mica-phases -reduced [-bench name | -all | -joint] [-sample 0.2] [-reps 3]
-//	mica-phases [-reduced] {-bench name | -all | -joint} -store phases.ivs [-quant] [-incremental] [-cachebytes N]
+//	mica-phases [-reduced] {-bench name | -all | -joint} -store phases.ivs [-incremental]
 //	mica-phases [-reduced] -joint -store phases.ivs -incremental -warm
 //	mica-phases -store phases.ivs -fsck [-repair]
 //
@@ -85,7 +84,6 @@ func main() {
 		joint        = flag.Bool("joint", false, "cluster the selected benchmarks' intervals jointly into one shared phase vocabulary")
 		reduced      = flag.Bool("reduced", false, "two-pass reduced profiling: cheap key-characteristic pass positions intervals, full 47-dim + HPC characterization paid only on per-phase measured intervals")
 		storeDir     = flag.String("store", "", "persist the characterization in an interval-vector store at this directory (any pipeline but -trace)")
-		quant        = flag.Bool("quant", false, "with -store: write 8-bit quantized shards instead of float32")
 		incremental  = flag.Bool("incremental", false, "with -store: reuse unchanged shards, re-characterizing only benchmarks whose configuration or membership changed")
 		intervalLen  = flag.Uint64("interval", 10_000, "interval length in dynamic instructions")
 		maxIntervals = flag.Int("intervals", 100, "maximum number of intervals per benchmark")
@@ -95,7 +93,6 @@ func main() {
 		sampleFrac   = flag.Float64("sample", 0, "cheap-pass sample fraction per interval with -reduced (0 = default 0.2)")
 		repsPerPhase = flag.Int("reps", 0, "measured intervals per phase with -reduced (0 = default 3)")
 		skipHPC      = flag.Bool("skiphpc", false, "skip the EV56/EV67 machine models on the reduced replay pass")
-		cacheBytes   = flag.Int64("cachebytes", 0, "with -store: byte budget for the decoded-shard cache (0 = default: all shards, clamped to 1 GiB)")
 		warm         = flag.Bool("warm", false, "with -joint -store: seed the clustering from the warm state a previous run persisted next to the store")
 		fsck         = flag.Bool("fsck", false, "with -store: verify the store's integrity (manifest, per-shard CRCs, crash artifacts) and exit")
 		repair       = flag.Bool("repair", false, "with -store -fsck: quarantine corrupt shards and remove crash artifacts so the store reopens cleanly")
@@ -121,13 +118,12 @@ func main() {
 		Seed:         *seed,
 	}
 	sopt := mica.StoreOptions{
-		Dir: *storeDir, Quantize: *quant, Incremental: *incremental,
-		CacheBytes: *cacheBytes, WarmStart: *warm,
+		Dir: *storeDir, Incremental: *incremental, WarmStart: *warm,
 	}
 	fl := cliFlags{
 		bench: *benchName, all: *all, joint: *joint, reduced: *reduced,
-		storeDir: *storeDir, quant: *quant, incremental: *incremental,
-		warm: *warm, cacheBytes: *cacheBytes, fsck: *fsck, repair: *repair,
+		storeDir: *storeDir, incremental: *incremental,
+		warm: *warm, fsck: *fsck, repair: *repair,
 		trace: *tracePath, sample: *sampleFrac, reps: *repsPerPhase, skipHPC: *skipHPC,
 	}
 	err := validateFlags(fl)
@@ -166,9 +162,7 @@ type cliFlags struct {
 	bench               string
 	all, joint, reduced bool
 	storeDir            string
-	quant, incremental  bool
-	warm                bool
-	cacheBytes          int64
+	incremental, warm   bool
 	fsck, repair        bool
 	trace               string
 	sample              float64
@@ -190,12 +184,10 @@ func validateFlags(f cliFlags) error {
 		return nil
 	case f.storeDir != "" && f.trace != "":
 		return fmt.Errorf("-store keys shards by benchmark name, which a trace file's contents can drift from; drop -store for -trace runs")
-	case f.storeDir == "" && (f.quant || f.incremental || f.warm || f.cacheBytes != 0):
-		return fmt.Errorf("-quant, -incremental, -warm and -cachebytes only apply to -store runs")
+	case f.storeDir == "" && (f.incremental || f.warm):
+		return fmt.Errorf("-incremental and -warm only apply to -store runs")
 	case !f.reduced && (f.sample != 0 || f.reps != 0 || f.skipHPC):
 		return fmt.Errorf("-sample, -reps and -skiphpc only apply to -reduced runs")
-	case f.cacheBytes < 0:
-		return fmt.Errorf("-cachebytes wants a positive byte budget (0 = default)")
 	case f.warm && !f.joint:
 		return fmt.Errorf("-warm seeds the joint clustering; combine it with -joint")
 	case f.trace != "" && (f.all || f.joint || f.reduced):
@@ -376,8 +368,7 @@ func reportStoreBuild(dir string, stats *mica.StoreBuildStats, failed bool) {
 		fmt.Fprintf(out, "  clustering warm-started from the previous run's state\n")
 	}
 	if stats.Cache.Decodes > 0 {
-		fmt.Fprintf(out, "  decoded-shard cache: %d decodes, %d hits, %d evictions, peak %d bytes (budget %d)\n",
-			stats.Cache.Decodes, stats.Cache.Hits, stats.Cache.Evictions, stats.Cache.PeakBytes, stats.Cache.BudgetBytes)
+		fmt.Fprintf(out, "  shard reads: %d\n", stats.Cache.Decodes)
 	}
 	if failed && len(stats.Characterized)+len(stats.Reused) > 0 {
 		fmt.Fprintf(out, "  committed shards are durable; rerun with -incremental to resume from them\n")

@@ -121,8 +121,9 @@ func TestRunAllRegistry(t *testing.T) {
 }
 
 // TestRunSingleBenchmarkStore: -store drives the single-benchmark mode
-// too, and an incremental rerun reuses the shard and renders the same
-// report.
+// too, an incremental rerun reuses the shard and renders the same
+// report, and a store whose manifest names the retired quant8
+// encoding is refused, not rebuilt over.
 func TestRunSingleBenchmarkStore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	cfg := mica.PhaseConfig{IntervalLen: 2_000, MaxIntervals: 6, MaxK: 3, Seed: 1}
@@ -147,6 +148,22 @@ func TestRunSingleBenchmarkStore(t *testing.T) {
 	tail := second[strings.Index(second, "MiBench/sha/large: "):]
 	if !strings.HasSuffix(first, tail) {
 		t.Error("store-backed rerun renders a different report")
+	}
+
+	manifest := filepath.Join(dir, "manifest.json")
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quant8 := strings.Replace(string(raw), `"encoding": "float32"`, `"encoding": "quant8"`, 1)
+	if err := os.WriteFile(manifest, []byte(quant8), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = capture(t, func() error {
+		return run(context.Background(), "MiBench/sha/large", "", false, false, mica.StoreOptions{Dir: dir, Incremental: true}, cfg, 0)
+	})
+	if err == nil || !strings.Contains(err.Error(), "not a usable interval-vector store") || !strings.Contains(err.Error(), manifest) {
+		t.Fatalf("quant8 store: error %v, want it refused by name", err)
 	}
 }
 
@@ -267,14 +284,12 @@ func TestValidateFlags(t *testing.T) {
 		{"reduced joint", cliFlags{reduced: true, joint: true}, ""},
 		{"reduced sample reps skiphpc", cliFlags{reduced: true, bench: "a/b/c", sample: 0.5, reps: 7, skipHPC: true}, ""},
 		{"bench store", cliFlags{bench: "a/b/c", storeDir: "d"}, ""},
-		{"all store quant incremental", cliFlags{all: true, storeDir: "d", quant: true, incremental: true}, ""},
+		{"all store incremental", cliFlags{all: true, storeDir: "d", incremental: true}, ""},
 		{"joint store", cliFlags{joint: true, storeDir: "d"}, ""},
-		{"joint store quant incremental", cliFlags{joint: true, storeDir: "d", quant: true, incremental: true}, ""},
+		{"joint store incremental", cliFlags{joint: true, storeDir: "d", incremental: true}, ""},
 		{"joint store warm", cliFlags{joint: true, storeDir: "d", warm: true}, ""},
-		{"joint store cachebytes", cliFlags{joint: true, storeDir: "d", cacheBytes: 1 << 20}, ""},
 		{"reduced store", cliFlags{reduced: true, all: true, storeDir: "d"}, ""},
 		{"reduced store bench", cliFlags{reduced: true, bench: "a/b/c", storeDir: "d"}, ""},
-		{"reduced store cachebytes", cliFlags{reduced: true, all: true, storeDir: "d", cacheBytes: 4096}, ""},
 		{"reduced joint store", cliFlags{reduced: true, joint: true, storeDir: "d"}, ""},
 		{"reduced joint store warm", cliFlags{reduced: true, joint: true, storeDir: "d", warm: true, incremental: true}, ""},
 		{"fsck", cliFlags{fsck: true, storeDir: "d"}, ""},
@@ -282,15 +297,12 @@ func TestValidateFlags(t *testing.T) {
 		{"trace with display name", cliFlags{trace: "x.trc", bench: "a/b/c"}, ""},
 		{"fsck repair", cliFlags{fsck: true, repair: true, storeDir: "d"}, ""},
 
-		{"quant without store", cliFlags{joint: true, quant: true}, "only apply to -store"},
 		{"incremental without store", cliFlags{all: true, incremental: true}, "only apply to -store"},
 		{"warm without store", cliFlags{joint: true, warm: true}, "only apply to -store"},
-		{"cachebytes without store", cliFlags{joint: true, cacheBytes: 4096}, "only apply to -store"},
 		{"sample without reduced", cliFlags{bench: "a/b/c", sample: 0.5}, "only apply to -reduced"},
 		{"reps without reduced", cliFlags{all: true, reps: 7}, "only apply to -reduced"},
 		{"skiphpc without reduced", cliFlags{joint: true, skipHPC: true}, "only apply to -reduced"},
 		{"warm without joint", cliFlags{reduced: true, all: true, storeDir: "d", warm: true}, "combine it with -joint"},
-		{"negative cachebytes", cliFlags{joint: true, storeDir: "d", cacheBytes: -1}, "positive byte budget"},
 		{"fsck without store", cliFlags{fsck: true}, "pass -store DIR"},
 		{"repair without fsck", cliFlags{repair: true, storeDir: "d"}, "pass -fsck -repair"},
 		{"trace with all", cliFlags{trace: "x.trc", all: true}, "-trace"},
@@ -312,13 +324,13 @@ func TestValidateFlags(t *testing.T) {
 }
 
 // TestRunReducedStore exercises -reduced -store end to end: the first
-// run characterizes every shard and reports the cache accounting, the
+// run characterizes every shard and reports the shard reads, the
 // incremental rerun reuses the cheap pass entirely and renders the
 // same table.
 func TestRunReducedStore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	rcfg := mica.ReducedConfig{Phase: mica.PhaseConfig{IntervalLen: 2_000, MaxIntervals: 10, MaxK: 4, Seed: 1}}
-	sopt := mica.StoreOptions{Dir: dir, Incremental: true, CacheBytes: 1 << 20}
+	sopt := mica.StoreOptions{Dir: dir, Incremental: true}
 	names := "MiBench/sha/large,SPEC2000/gzip/program"
 	first, err := capture(t, func() error {
 		return runReduced(context.Background(), names, false, false, rcfg, sopt, 2)
@@ -328,7 +340,7 @@ func TestRunReducedStore(t *testing.T) {
 	}
 	for _, want := range []string{
 		"2 shards characterized, 0 reused",
-		"decoded-shard cache:",
+		"shard reads: 2",
 		"MiBench/sha/large",
 		"skipped insts",
 	} {

@@ -7,7 +7,7 @@
 // selected benchmarks, optionally clusters the joint cross-benchmark
 // phase vocabulary (warm-started from the state a previous run
 // persisted next to the store), assembles the normalized-PCA
-// similarity index from the cached vectors, and then listens. The
+// similarity index from the stored vectors, and then listens. The
 // endpoints:
 //
 //	POST /api/v1/characterize   {"benchmark": "suite/program/input"}
@@ -27,12 +27,12 @@
 //	                            → the benchmark's stored interval vectors
 //	GET  /api/v1/benchmarks     → registry listing with store coverage
 //	GET  /api/v1/stats          → per-endpoint latency/QPS, job and dedup
-//	                              counters, store cache stats
+//	                              counters, store shard-read counts
 //	GET  /api/v1/version        → build identity (module version, Go
 //	                              toolchain, VCS revision + dirty bit)
 //	GET  /metrics               → Prometheus text exposition over every
 //	                              instrumented layer (serve, jobs, pool,
-//	                              ivstore cache, pipeline stages)
+//	                              ivstore reads, pipeline stages)
 //	GET  /healthz               → liveness
 //
 // -pprof additionally mounts net/http/pprof under /debug/pprof/ for
@@ -47,7 +47,7 @@
 //
 //	mica-serve -store phases.ivs [-addr 127.0.0.1:8344]
 //	mica-serve -store phases.ivs -bench name,name,... [-interval 10000] [-intervals 100]
-//	mica-serve -store phases.ivs -joint=false -workers 8 -queue 128 [-quant] [-cachebytes N]
+//	mica-serve -store phases.ivs -joint=false -workers 8 -queue 128
 //	mica-serve -store phases.ivs -tracedir traces/ [-maxupload 67108864]
 package main
 
@@ -82,11 +82,9 @@ func main() {
 		workers      = flag.Int("workers", 0, "characterization workers for startup build and job pool (0 = GOMAXPROCS)")
 		queueCap     = flag.Int("queue", 64, "pending characterization-job bound; a full queue answers 429")
 		retain       = flag.Int("retain", 1024, "finished jobs kept pollable")
-		quant        = flag.Bool("quant", false, "write 8-bit quantized shards instead of float32")
 		incremental  = flag.Bool("incremental", true, "reuse unchanged shards at startup, characterizing only the rest")
 		warm         = flag.Bool("warm", true, "seed the joint clustering from the previous run's persisted state")
 		joint        = flag.Bool("joint", true, "cluster the joint phase vocabulary at startup (enables space=phase similarity)")
-		cacheBytes   = flag.Int64("cachebytes", 0, "byte budget for the decoded-shard cache (0 = default)")
 		pcaVar       = flag.Float64("pcavar", 0.9, "variance fraction the similarity index's PCA components must explain")
 		skipHPC      = flag.Bool("skiphpc", false, "skip the EV56/EV67 machine models in characterization jobs")
 		traceDir     = flag.String("tracedir", "", "enable POST /api/v1/traces; validated uploads are persisted here and characterized like registry benchmarks")
@@ -102,7 +100,7 @@ func main() {
 
 	fl := cliFlags{
 		storeDir: *storeDir, addr: *addr, queueCap: *queueCap,
-		retain: *retain, cacheBytes: *cacheBytes, pcaVar: *pcaVar,
+		retain: *retain, pcaVar: *pcaVar,
 		warm: *warm, joint: *joint, traceDir: *traceDir, maxUpload: *maxUpload,
 		pprof: *pprofOn,
 	}
@@ -123,8 +121,7 @@ func main() {
 		MaxK:         *maxK,
 		Seed:         *seed,
 	}, mica.StoreOptions{
-		Dir: *storeDir, Quantize: *quant, Incremental: *incremental,
-		CacheBytes: *cacheBytes, WarmStart: *warm,
+		Dir: *storeDir, Incremental: *incremental, WarmStart: *warm,
 	}, *benchName, *workers, *skipHPC, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "mica-serve:", err)
 		os.Exit(1)
@@ -134,17 +131,16 @@ func main() {
 // cliFlags is the flag combination a run was invoked with, gathered
 // for validation (and table-tested as one unit).
 type cliFlags struct {
-	storeDir   string
-	addr       string
-	queueCap   int
-	retain     int
-	cacheBytes int64
-	pcaVar     float64
-	warm       bool
-	joint      bool
-	traceDir   string
-	maxUpload  int64
-	pprof      bool
+	storeDir  string
+	addr      string
+	queueCap  int
+	retain    int
+	pcaVar    float64
+	warm      bool
+	joint     bool
+	traceDir  string
+	maxUpload int64
+	pprof     bool
 }
 
 // validateFlags rejects inconsistent flag combinations up front, with
@@ -159,8 +155,6 @@ func validateFlags(f cliFlags) error {
 		return fmt.Errorf("-queue wants a positive pending-job bound")
 	case f.retain <= 0:
 		return fmt.Errorf("-retain wants a positive finished-job bound")
-	case f.cacheBytes < 0:
-		return fmt.Errorf("-cachebytes wants a positive byte budget (0 = default)")
 	case f.pcaVar <= 0 || f.pcaVar > 1:
 		return fmt.Errorf("-pcavar wants a variance fraction in (0, 1]")
 	case f.warm && !f.joint:

@@ -31,7 +31,6 @@ func TestValidateFlags(t *testing.T) {
 		{"zero queue", func(f *cliFlags) { f.queueCap = 0 }, "-queue"},
 		{"negative queue", func(f *cliFlags) { f.queueCap = -3 }, "-queue"},
 		{"zero retain", func(f *cliFlags) { f.retain = 0 }, "-retain"},
-		{"negative cache", func(f *cliFlags) { f.cacheBytes = -1 }, "-cachebytes"},
 		{"zero pcavar", func(f *cliFlags) { f.pcaVar = 0 }, "-pcavar"},
 		{"pcavar above one", func(f *cliFlags) { f.pcaVar = 1.5 }, "-pcavar"},
 		{"warm without joint", func(f *cliFlags) { f.joint = false }, "-joint"},

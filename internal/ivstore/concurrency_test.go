@@ -5,17 +5,16 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"mica/internal/stats"
 )
 
 // TestConcurrentReadersDuringCommitWithPrune exercises the staleness
 // contract documented in the package comment: multiple shared-flock
-// Readers keep serving sequential and random row reads from their Open-time manifest
-// snapshot while a writer re-creates the store and runs Commit — whose
-// prune must be skipped (the readers hold the shared lock), so the
-// snapshot's files stay on disk and every concurrent read stays
-// bit-identical to the pre-commit reference. Run with -race.
+// readers keep serving sequential and out-of-order ReadShard calls
+// from their Open-time manifest snapshot while a writer re-creates the
+// store and runs Commit — whose prune must be skipped (the readers
+// hold the shared lock), so the snapshot's files stay on disk and
+// every concurrent read stays bit-identical to the pre-commit
+// reference. Run with -race.
 func TestConcurrentReadersDuringCommitWithPrune(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Dims: 5, ConfigHash: "v1"}
@@ -31,12 +30,8 @@ func TestConcurrentReadersDuringCommitWithPrune(t *testing.T) {
 		defer opened.Close()
 		readers[i] = opened
 	}
-	n := readers[0].NumRows()
-	ref := stats.NewMatrix(n, 5)
-	refReader := readers[0].Rows()
-	for i := 0; i < n; i++ {
-		copy(ref.Row(i), mustRow(t, refReader, i))
-	}
+	ref := readShards(t, readers[0])
+	n := len(ref)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -45,26 +40,23 @@ func TestConcurrentReadersDuringCommitWithPrune(t *testing.T) {
 			wg.Add(1)
 			go func(rd *Store, g int) {
 				defer wg.Done()
-				r := rd.Rows()
+				order := []int{n - 1, 0, n / 2, n / 2} // out of order, with a repeat
+				if g%2 == 0 {
+					order = nil
+					for i := range n {
+						order = append(order, i)
+					}
+				}
 				for {
 					select {
 					case <-stop:
 						return
 					default:
 					}
-					if g%2 == 0 {
-						for i := 0; i < n; i++ {
-							if !reflect.DeepEqual(mustRow(t, r, i), ref.Row(i)) {
-								t.Errorf("reader scan diverged at row %d during commit", i)
-								return
-							}
-						}
-					} else {
-						for _, i := range []int{n - 1, 0, n / 2, 3} {
-							if !reflect.DeepEqual(mustRow(t, r, i), ref.Row(i)) {
-								t.Errorf("reader random read diverged at row %d during commit", i)
-								return
-							}
+					for _, i := range order {
+						if sd, err := rd.ReadShard(i); err != nil || !reflect.DeepEqual(sd, ref[i]) {
+							t.Errorf("reader %d: shard %d diverged during commit (err %v)", g, i, err)
+							return
 						}
 					}
 				}
@@ -104,11 +96,8 @@ func TestConcurrentReadersDuringCommitWithPrune(t *testing.T) {
 	// The superseded files are still on disk, so the stale snapshots
 	// keep reading cleanly even after the commit.
 	for _, rd := range readers {
-		r := rd.Rows()
-		for i := 0; i < n; i++ {
-			if !reflect.DeepEqual(mustRow(t, r, i), ref.Row(i)) {
-				t.Fatalf("stale snapshot row %d unreadable after commit", i)
-			}
+		if got := readShards(t, rd); !reflect.DeepEqual(got, ref) {
+			t.Fatal("stale snapshot unreadable after commit")
 		}
 	}
 	// A fresh Open observes the new manifest.
@@ -138,6 +127,6 @@ func openForRecommit(dir string, cfg Config) (*Store, error) {
 	// Open loads the committed state with a shared lock; staging and
 	// committing on this handle is the re-commit scenario (Commit's
 	// pruneLocked will fail to upgrade past the other readers).
-	st.cfg = cfg.WithDefaults()
+	st.cfg = cfg
 	return st, nil
 }

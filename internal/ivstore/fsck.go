@@ -245,13 +245,7 @@ func Repair(dir string) (*FsckReport, error) {
 	}
 
 	if len(rep.Quarantined) > 0 {
-		man := manifest{
-			Version:    ManifestVersion,
-			Dims:       cfg.Dims,
-			Encoding:   cfg.Encoding,
-			ConfigHash: cfg.ConfigHash,
-			Shards:     kept,
-		}
+		man := newManifest(cfg, kept)
 		data, err := json.MarshalIndent(man, "", " ")
 		if err != nil {
 			return nil, fmt.Errorf("ivstore: repairing %s: %w", dir, err)

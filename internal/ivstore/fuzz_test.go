@@ -12,8 +12,7 @@ import (
 // allocation).
 func FuzzShardDecode(f *testing.F) {
 	insts, m := synthShard(5, 3, 1)
-	f.Add(encodeShard(Float32, insts, m))
-	f.Add(encodeShard(Quant8, insts, m))
+	f.Add(encodeShard(insts, m))
 	f.Add([]byte(shardMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -35,7 +34,7 @@ func FuzzManifestDecode(f *testing.F) {
 	valid, _ := json.Marshal(manifest{
 		Version:  ManifestVersion,
 		Dims:     47,
-		Encoding: Float32,
+		Encoding: encodingFloat32,
 		Shards:   []Shard{{Name: "a/b/c", File: ShardFileName("a/b/c", "h"), Rows: 10, Insts: 1000}},
 	})
 	f.Add(valid)
@@ -46,7 +45,7 @@ func FuzzManifestDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if man.Version != ManifestVersion || man.Dims <= 0 || !man.Encoding.valid() {
+		if man.Version != ManifestVersion || man.Dims <= 0 || man.Encoding != encodingFloat32 {
 			t.Fatalf("decode accepted invalid manifest header: %+v", man)
 		}
 		seen := map[string]bool{}

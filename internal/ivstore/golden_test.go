@@ -8,8 +8,7 @@ import (
 )
 
 // Golden round-trip: testdata/golden holds a small committed store
-// (one float32 and one quant8 shard plus the manifest) written by this
-// very package. The test pins both directions of the format:
+// (two float32 shards plus the manifest) written by this very package. The test pins both directions of the format:
 //
 //   - encoder stability: re-encoding the deterministic source shards
 //     must reproduce the committed files byte for byte, so any change
@@ -25,7 +24,7 @@ const goldenDir = "testdata/golden"
 // goldenStore builds the deterministic store contents.
 func goldenStore(t *testing.T, dir string) {
 	t.Helper()
-	st, err := Create(dir, Config{Dims: 6, Encoding: Float32, ConfigHash: "golden-cfg"})
+	st, err := Create(dir, Config{Dims: 6, ConfigHash: "golden-cfg"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,35 +114,5 @@ func TestGoldenStoreRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(g, f) {
 			t.Errorf("shard %d decodes differently from golden bytes", i)
 		}
-	}
-}
-
-// TestGoldenQuant8Stability pins the quant8 encoding bytes the same
-// way, without a separate on-disk store: the encoded bytes of a
-// deterministic shard must stay stable, and decode must invert them
-// within the documented bound (checked exhaustively in
-// TestQuant8ErrorBound).
-func TestGoldenQuant8Stability(t *testing.T) {
-	insts, m := synthShard(7, 4, 43)
-	raw := encodeShard(Quant8, insts, m)
-	path := filepath.Join("testdata", "quant8_golden.bin")
-	if os.Getenv("IVSTORE_UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("golden quant8 bytes missing (run with IVSTORE_UPDATE_GOLDEN=1): %v", err)
-	}
-	if !reflect.DeepEqual(raw, want) {
-		t.Fatal("quant8 encoding diverges from committed golden bytes")
-	}
-	gotInsts, gotVecs, err := decodeShard(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotInsts, insts) || gotVecs.Rows != m.Rows || gotVecs.Cols != m.Cols {
-		t.Fatal("golden quant8 shard decodes to wrong shape")
 	}
 }

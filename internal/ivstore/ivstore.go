@@ -10,19 +10,18 @@
 // characterizations (122 benchmarks x 10k+ intervals x 47 columns)
 // instead of holding them in memory while the pipeline runs: shards
 // are appended one benchmark at a time as pipeline workers finish. The
-// read side serves decoded shards through a shared byte-budgeted LRU
-// (SetCacheBytes, CacheStats, CachedShard). Joint clustering reads
-// every shard once through it into one resident normalized n×d matrix,
-// so its peak memory is that matrix's n×d×8 bytes plus the cache
-// budget; Reader serves single rows by global index.
+// read side is one call: ReadShard reads and decodes a shard file
+// each time it is called, and nothing decoded is kept. Every pipeline
+// reads each shard once — joint clustering copies every shard into
+// one resident normalized n×d matrix, so its peak memory is that
+// matrix's n×d×8 bytes plus one decoded shard. CacheStats counts the
+// reads.
 //
-// Two value encodings are supported. Float32 (the default) stores
-// each value as an IEEE-754 single — half the bytes of the float64
-// vectors it is fed, with a relative rounding error bounded by 2^-24.
-// Quant8 stores one byte per value, linearly quantized per column
-// against that shard column's [min, max] range; reconstruction error
-// is bounded by half a quantization step, (max-min)/510 per value
-// (Quant8MaxError), asserted in the package tests.
+// Values are stored as IEEE-754 singles ("float32", the one encoding):
+// half the bytes of the float64 vectors they are fed, with a relative
+// rounding error bounded by 2^-24. A manifest naming another encoding,
+// or a shard whose encoding byte is not 0, is rejected with an error
+// naming the file.
 //
 // The manifest's per-shard configuration hashes are what make reruns
 // incremental: a caller re-characterizes only the benchmarks whose
@@ -61,16 +60,16 @@
 //
 // # Staleness contract
 //
-// A reader's view is the manifest snapshot it loaded at Open: RowErr,
-// ReadShard and CachedShard keep serving that shard list even if a
-// writer commits a newer manifest to the same directory. The
-// snapshot stays readable because a committing writer that cannot
-// upgrade its lock past live readers skips pruning ("prune skipped"
-// warning) — superseded shard files remain on disk until some later
-// commit finds no readers holding the lock. Readers are therefore
-// consistent but possibly stale; reopen the store to observe a newer
-// commit. Decoded shards cached before a re-commit are dropped
-// from the cache, never served against the new shard list.
+// A reader's view is the manifest snapshot it loaded at Open:
+// ReadShard keeps serving that shard list even if a writer commits a
+// newer manifest to the same directory. The snapshot stays readable
+// because a committing writer that cannot upgrade its lock past live
+// readers skips pruning ("prune skipped" warning) — superseded shard
+// files remain on disk until some later commit finds no readers
+// holding the lock. Readers are therefore consistent but possibly
+// stale; reopen the store to observe a newer commit. Since nothing
+// decoded is kept, a read always reflects the file on disk now: a
+// shard corrupted after Open fails its next read.
 //
 // Verify checks a committed store end to end (every shard decoded and
 // CRC-checked against its manifest entry, orphan files listed);
@@ -91,9 +90,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"mica/internal/faults"
 	"mica/internal/stats"
@@ -111,42 +110,18 @@ const manifestName = "manifest.json"
 // this extension that no manifest entry references.
 const shardExt = ".ivs"
 
-// Encoding names a shard value encoding.
-type Encoding string
-
-const (
-	// Float32 stores each value as an IEEE-754 single (the default).
-	Float32 Encoding = "float32"
-	// Quant8 stores one byte per value, linearly quantized per shard
-	// column; see Quant8MaxError for the reconstruction bound.
-	Quant8 Encoding = "quant8"
-)
-
-// valid reports whether e names a known encoding.
-func (e Encoding) valid() bool { return e == Float32 || e == Quant8 }
+// encodingFloat32 is the one value encoding, as the manifest names it.
+const encodingFloat32 = "float32"
 
 // Config parameterizes a new store.
 type Config struct {
 	// Dims is the number of columns per row (the characteristic
 	// dimensionality). Required.
 	Dims int
-	// Encoding selects the shard value encoding; the zero value means
-	// Float32.
-	Encoding Encoding
 	// ConfigHash stamps the characterization configuration the vectors
 	// are produced under (callers hash their own config). Shards whose
 	// stamp no longer matches are what incremental reruns rebuild.
 	ConfigHash string
-}
-
-// WithDefaults returns c with zero fields replaced by the documented
-// defaults — the normalized form stores are created under and the
-// form Config{} must match (regression-tested).
-func (c Config) WithDefaults() Config {
-	if c.Encoding == "" {
-		c.Encoding = Float32
-	}
-	return c
 }
 
 // Shard is one manifest entry: a benchmark's rows and where they live.
@@ -168,11 +143,23 @@ type Shard struct {
 
 // manifest is the JSON document persisted as manifest.json.
 type manifest struct {
-	Version    int      `json:"version"`
-	Dims       int      `json:"dims"`
-	Encoding   Encoding `json:"encoding"`
-	ConfigHash string   `json:"config_hash,omitempty"`
-	Shards     []Shard  `json:"shards"`
+	Version    int     `json:"version"`
+	Dims       int     `json:"dims"`
+	Encoding   string  `json:"encoding"`
+	ConfigHash string  `json:"config_hash,omitempty"`
+	Shards     []Shard `json:"shards"`
+}
+
+// newManifest is the manifest of a store with configuration cfg
+// holding shards.
+func newManifest(cfg Config, shards []Shard) manifest {
+	return manifest{
+		Version:    ManifestVersion,
+		Dims:       cfg.Dims,
+		Encoding:   encodingFloat32,
+		ConfigHash: cfg.ConfigHash,
+		Shards:     shards,
+	}
 }
 
 // Store is an interval-vector store rooted at one directory. A store
@@ -189,10 +176,8 @@ type Store struct {
 
 	committed bool
 	shards    []Shard
-	offsets   []int // len(shards)+1 cumulative row starts
 
-	cacheBytes int64       // requested cache budget; <=0 means default
-	cache      *shardCache // shared decoded-shard LRU, built on first use
+	decodes, decodeErrors atomic.Uint64 // ReadShard outcomes; see CacheStats
 }
 
 // Create prepares an empty store under dir (creating the directory if
@@ -203,12 +188,8 @@ type Store struct {
 // build never destroys the previous committed state. Close releases
 // the lock.
 func Create(dir string, cfg Config) (*Store, error) {
-	cfg = cfg.WithDefaults()
 	if cfg.Dims <= 0 {
 		return nil, fmt.Errorf("ivstore: creating %s: dims %d must be positive", dir, cfg.Dims)
-	}
-	if !cfg.Encoding.valid() {
-		return nil, fmt.Errorf("ivstore: creating %s: unknown encoding %q", dir, cfg.Encoding)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ivstore: creating %s: %w", dir, err)
@@ -240,16 +221,14 @@ func Open(dir string) (*Store, error) {
 			return nil, fmt.Errorf("ivstore: %s: shard %s: %w", filepath.Join(dir, manifestName), sh.Name, err)
 		}
 	}
-	st := &Store{
+	return &Store{
 		dir:       dir,
 		cfg:       cfg,
 		staged:    make(map[string]Shard),
 		committed: true,
 		shards:    shards,
 		lk:        lk,
-	}
-	st.offsets = offsetsOf(shards)
-	return st, nil
+	}, nil
 }
 
 // Close releases the store's advisory lock. The Store's read methods
@@ -260,12 +239,6 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	lk := s.lk
 	s.lk = nil
-	if s.cache != nil {
-		s.cache.mu.Lock()
-		metCacheBytes.Add(-float64(s.cache.bytes))
-		s.cache.mu.Unlock()
-	}
-	s.cache = nil
 	s.mu.Unlock()
 	return lk.release()
 }
@@ -285,7 +258,7 @@ func Inventory(dir string) (Config, []Shard, error) {
 	if err != nil {
 		return Config{}, nil, err
 	}
-	return Config{Dims: man.Dims, Encoding: man.Encoding, ConfigHash: man.ConfigHash}, man.Shards, nil
+	return Config{Dims: man.Dims, ConfigHash: man.ConfigHash}, man.Shards, nil
 }
 
 // decodeManifest parses and validates a manifest document (path is
@@ -303,7 +276,7 @@ func decodeManifest(path string, data []byte) (manifest, error) {
 	if man.Dims <= 0 {
 		return man, fmt.Errorf("ivstore: %s: dims %d must be positive", path, man.Dims)
 	}
-	if !man.Encoding.valid() {
+	if man.Encoding != encodingFloat32 {
 		return man, fmt.Errorf("ivstore: %s: unknown encoding %q", path, man.Encoding)
 	}
 	seen := make(map[string]bool, len(man.Shards))
@@ -325,22 +298,11 @@ func decodeManifest(path string, data []byte) (manifest, error) {
 	return man, nil
 }
 
-func offsetsOf(shards []Shard) []int {
-	offsets := make([]int, len(shards)+1)
-	for i, sh := range shards {
-		offsets[i+1] = offsets[i] + sh.Rows
-	}
-	return offsets
-}
-
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
 // Dims returns the per-row column count.
 func (s *Store) Dims() int { return s.cfg.Dims }
-
-// Encoding returns the store's value encoding.
-func (s *Store) Encoding() Encoding { return s.cfg.Encoding }
 
 // ConfigHash returns the store-level characterization stamp.
 func (s *Store) ConfigHash() string { return s.cfg.ConfigHash }
@@ -350,10 +312,11 @@ func (s *Store) Shards() []Shard { return s.shards }
 
 // NumRows returns the committed store's total row count.
 func (s *Store) NumRows() int {
-	if len(s.offsets) == 0 {
-		return 0
+	n := 0
+	for _, sh := range s.shards {
+		n += sh.Rows
 	}
-	return s.offsets[len(s.offsets)-1]
+	return n
 }
 
 // Benchmarks returns the committed shard names in row order.
@@ -376,16 +339,10 @@ func (s *Store) ShardIndex(name string) (int, bool) {
 	return 0, false
 }
 
-// RowRange returns the half-open global row interval [start, end) of
-// committed shard i — the rows Reader serves for that benchmark.
-func (s *Store) RowRange(i int) (start, end int) {
-	return s.offsets[i], s.offsets[i+1]
-}
-
 // ShardFileName maps a benchmark name and a configuration stamp to
 // the shard's deterministic file name: the sanitized name plus a
 // short hash of (name, stamp). Hashing the stamp in means a rebuild
-// under a different configuration or encoding writes DIFFERENT files
+// under a different configuration writes DIFFERENT files
 // — it can never clobber the shards a previously committed manifest
 // still references, so an interrupted rebuild leaves the old store
 // fully readable. (The sanitized prefix alone could collide between
@@ -405,9 +362,9 @@ func ShardFileName(name, stamp string) string {
 }
 
 // stamp is the configuration discriminator baked into shard file
-// names: hash and encoding together, since either changing invalidates
-// the bytes on disk.
-func (s *Store) stamp() string { return s.cfg.ConfigHash + "\x00" + string(s.cfg.Encoding) }
+// names: the hash and the encoding name. The name stays in so that
+// shard files written by earlier versions keep their names.
+func (s *Store) stamp() string { return s.cfg.ConfigHash + "\x00" + encodingFloat32 }
 
 // WriteShard encodes one benchmark's intervals as a shard file and
 // stages it for Commit. insts[i] is interval i's dynamic instruction
@@ -426,7 +383,7 @@ func (s *Store) WriteShard(name string, insts []uint64, vecs *stats.Matrix) erro
 	if len(insts) != vecs.Rows {
 		return fmt.Errorf("ivstore: writing shard %s: %d interval counts for %d rows", name, len(insts), vecs.Rows)
 	}
-	data := encodeShard(s.cfg.Encoding, insts, vecs)
+	data := encodeShard(insts, vecs)
 	file := ShardFileName(name, s.stamp())
 	// Durable atomic write (tmp + fsync + rename + dir fsync) so a
 	// crash at any step can never leave a torn file under a name a
@@ -495,13 +452,7 @@ func (s *Store) Staged(name string) bool {
 func (s *Store) Commit(order []string) (warnings []string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	man := manifest{
-		Version:    ManifestVersion,
-		Dims:       s.cfg.Dims,
-		Encoding:   s.cfg.Encoding,
-		ConfigHash: s.cfg.ConfigHash,
-		Shards:     make([]Shard, 0, len(order)),
-	}
+	man := newManifest(s.cfg, make([]Shard, 0, len(order)))
 	seen := make(map[string]bool, len(order))
 	for _, name := range order {
 		if seen[name] {
@@ -527,10 +478,6 @@ func (s *Store) Commit(order []string) (warnings []string, err error) {
 	}
 	s.committed = true
 	s.shards = man.Shards
-	s.offsets = offsetsOf(man.Shards)
-	// The committed inventory changed: drop the decoded-shard cache,
-	// whose entries are keyed to the previous shard list.
-	s.cache = nil
 	warnings = s.pruneLocked()
 	if err := s.lk.downgrade(); err != nil {
 		warnings = append(warnings, err.Error())
@@ -539,9 +486,9 @@ func (s *Store) Commit(order []string) (warnings []string, err error) {
 }
 
 // pruneLocked removes files no committed entry references — shards of
-// benchmarks dropped from the set, of re-encoded or re-configured
-// runs (whose shards live under different stamped names), and
-// abandoned .tmp files of interrupted writes. It requires the
+// benchmarks dropped from the set, of re-configured runs (whose
+// shards live under different stamped names), and abandoned .tmp
+// files of interrupted writes. It requires the
 // exclusive lock (no reader may be streaming the files it deletes);
 // when the lock is held shared — a re-commit on an already-published
 // store with live readers — the prune is skipped with a warning
@@ -733,8 +680,22 @@ func (d *ShardData) Starts() []uint64 {
 	return starts
 }
 
-// ReadShard decodes committed shard i.
+// ReadShard reads and decodes committed shard i. Every call reads
+// the file; nothing decoded is kept, so the returned ShardData belongs
+// to the caller. Each call counts as one read in CacheStats.
 func (s *Store) ReadShard(i int) (*ShardData, error) {
+	sd, err := s.readShard(i)
+	if err != nil {
+		s.decodeErrors.Add(1)
+		metDecodeErrs.Inc()
+		return nil, err
+	}
+	s.decodes.Add(1)
+	metDecodes.Inc()
+	return sd, nil
+}
+
+func (s *Store) readShard(i int) (*ShardData, error) {
 	if i < 0 || i >= len(s.shards) {
 		return nil, fmt.Errorf("ivstore: shard index %d out of range [0, %d)", i, len(s.shards))
 	}
@@ -755,47 +716,8 @@ func (s *Store) ReadShard(i int) (*ShardData, error) {
 	return &ShardData{Name: sh.Name, Insts: insts, Vecs: vecs}, nil
 }
 
-// Reader reads a committed store's rows by global row index. RowErr
-// resolves shards through the store's shared byte-budgeted LRU
-// (CachedShard) and pins the current shard locally, so a run of reads
-// within one shard pays one cache lookup. A Reader is not safe for
-// concurrent use; concurrent consumers take one Reader each via
-// Store.Rows. The store's files must not be mutated while a Reader is
-// live.
-type Reader struct {
-	st   *Store
-	cur  int // pinned shard index, -1 when empty
-	data *ShardData
-}
-
-// Rows returns a fresh row reader over the committed store.
-func (s *Store) Rows() *Reader { return &Reader{st: s, cur: -1} }
-
-// RowErr returns global row i, valid until the next RowErr call. A
-// shard that fails to decode is reported as an error, so a serving
-// boundary can fail the one affected query and keep running.
-func (r *Reader) RowErr(i int) ([]float64, error) {
-	s := r.shardOf(i)
-	if s != r.cur {
-		if err := r.load(s); err != nil {
-			return nil, err
-		}
-	}
-	return r.data.Vecs.Row(i - r.st.offsets[s]), nil
-}
-
-// shardOf locates the shard holding global row i.
-func (r *Reader) shardOf(i int) int {
-	offs := r.st.offsets
-	// sort.Search returns the first shard whose end exceeds i.
-	return sort.Search(len(offs)-1, func(s int) bool { return offs[s+1] > i })
-}
-
-func (r *Reader) load(s int) error {
-	data, err := r.st.CachedShard(s)
-	if err != nil {
-		return err
-	}
-	r.cur, r.data = s, data
-	return nil
+// CacheStats snapshots the store's shard-read counters.
+func (s *Store) CacheStats() CacheStats {
+	d, e := s.decodes.Load(), s.decodeErrors.Load()
+	return CacheStats{Misses: d + e, Decodes: d, DecodeErrors: e}
 }

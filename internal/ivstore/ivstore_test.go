@@ -3,7 +3,6 @@ package ivstore
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -64,8 +63,8 @@ func buildStore(t *testing.T, dir string, cfg Config, names []string, rows int) 
 }
 
 // TestRoundTripFloat32: a written float32 store reads back exactly the
-// float32-rounded source values, through both ReadShard and the
-// Reader, with row order equal to commit order.
+// float32-rounded source values through ReadShard, with row order
+// equal to commit order.
 func TestRoundTripFloat32(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Dims: 9, ConfigHash: "h1"}
@@ -94,10 +93,9 @@ func TestRoundTripFloat32(t *testing.T) {
 	if got := opened.Benchmarks(); !reflect.DeepEqual(got, names) {
 		t.Fatalf("benchmarks %v, want %v", got, names)
 	}
-	if opened.Encoding() != Float32 || opened.Dims() != 9 || opened.ConfigHash() != "h1" {
+	if opened.Dims() != 9 || opened.ConfigHash() != "h1" {
 		t.Fatalf("opened config %v diverges", opened.cfg)
 	}
-	reader := opened.Rows()
 	row := 0
 	for si, name := range names {
 		sd, err := opened.ReadShard(si)
@@ -115,9 +113,6 @@ func TestRoundTripFloat32(t *testing.T) {
 					t.Fatalf("%s (%d,%d): %v, want float32 round %v", name, i, j, sd.Vecs.At(i, j), exp)
 				}
 			}
-			if got := mustRow(t, reader, row); !reflect.DeepEqual(got, sd.Vecs.Row(i)) {
-				t.Fatalf("reader row %d diverges from shard row", row)
-			}
 			row++
 		}
 		// Starts are the prefix sums of Insts.
@@ -132,67 +127,6 @@ func TestRoundTripFloat32(t *testing.T) {
 	}
 	if row != opened.NumRows() {
 		t.Fatalf("iterated %d rows, store claims %d", row, opened.NumRows())
-	}
-}
-
-// TestQuant8ErrorBound: every reconstructed value is within the
-// documented half-step bound of its source, and constant columns are
-// exact.
-func TestQuant8ErrorBound(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Create(dir, Config{Dims: 12, Encoding: Quant8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	insts, m := synthShard(500, 12, 7)
-	if err := st.WriteShard("b", insts, m); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Commit([]string{"b"}); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, err := opened.ReadShard(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < m.Cols; j++ {
-		lo, hi := columnRange(m, j)
-		bound := Quant8MaxError(lo, hi) * (1 + 1e-9)
-		for i := 0; i < m.Rows; i++ {
-			diff := math.Abs(sd.Vecs.At(i, j) - m.At(i, j))
-			if diff > bound {
-				t.Fatalf("col %d row %d: |err| %g exceeds bound %g (range [%g, %g])", j, i, diff, bound, lo, hi)
-			}
-		}
-		if lo == hi {
-			for i := 0; i < m.Rows; i++ {
-				if sd.Vecs.At(i, j) != lo {
-					t.Fatalf("constant col %d row %d not exact", j, i)
-				}
-			}
-		}
-	}
-}
-
-// TestReaderRandomAccess: rows read in an arbitrary order (including
-// repeats and cross-shard jumps) match a second reader's reads.
-func TestReaderRandomAccess(t *testing.T) {
-	st := buildStore(t, t.TempDir(), Config{Dims: 5}, []string{"a", "b", "c"}, 30)
-	opened, err := Open(st.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := opened.NumRows()
-	r, ref := opened.Rows(), opened.Rows()
-	for j, i := range []int{n - 1, 0, 31, 31, 7, n - 2, 45} {
-		got := append([]float64(nil), mustRow(t, r, i)...)
-		if !reflect.DeepEqual(got, mustRow(t, ref, i)) {
-			t.Fatalf("read %d (row %d) diverges", j, i)
-		}
 	}
 }
 
@@ -312,19 +246,28 @@ func TestWriteShardValidation(t *testing.T) {
 	if _, err := Create(t.TempDir(), Config{Dims: 0}); err == nil {
 		t.Error("zero dims accepted")
 	}
-	if _, err := Create(t.TempDir(), Config{Dims: 3, Encoding: "zstd"}); err == nil {
-		t.Error("unknown encoding accepted")
-	}
 }
 
-// TestConfigZeroValueDefaults: the zero Config (plus required Dims)
-// normalizes to the documented defaults — float32 encoding — the same
-// zero-value ≡ default contract the phase Config keeps.
+// TestConfigZeroValueDefaults: the zero Config (plus the required
+// Dims) writes the one encoding, float32, in the format earlier
+// versions wrote it: the manifest names "float32" and shard byte 8 is
+// 0, so stores stay readable in both directions.
 func TestConfigZeroValueDefaults(t *testing.T) {
-	got := Config{Dims: 47}.WithDefaults()
-	want := Config{Dims: 47, Encoding: Float32}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Config{}.WithDefaults() = %+v, want %+v", got, want)
+	dir := t.TempDir()
+	buildStore(t, dir, Config{Dims: 47}, []string{"a"}, 3)
+	man, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(man), `"encoding": "float32"`) {
+		t.Fatalf("manifest does not name the float32 encoding:\n%s", man)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, shardFileOf(t, dir, "a")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw[8] != 0 {
+		t.Fatalf("shard encoding byte %d, want 0", raw[8])
 	}
 }
 
@@ -351,6 +294,9 @@ func TestOpenRejectsCorruptManifests(t *testing.T) {
 		{"bad-encoding", func(t *testing.T, dir string) error {
 			return rewriteManifest(dir, `"encoding": "float32"`, `"encoding": "brotli"`)
 		}, "unknown encoding"},
+		{"quant8-encoding", func(t *testing.T, dir string) error {
+			return rewriteManifest(dir, `"encoding": "float32"`, `"encoding": "quant8"`)
+		}, `unknown encoding "quant8"`},
 		{"traversal-file", func(t *testing.T, dir string) error {
 			return rewriteManifest(dir, shardFileOf(t, dir, "a"), "../escape.ivs")
 		}, "invalid file name"},
@@ -409,10 +355,11 @@ func rewriteManifest(dir, old, new string) error {
 }
 
 // TestDecodeShardErrors: corrupt, truncated and oversized shard bytes
-// error without panicking.
+// error without panicking, and so does a shard of the retired quant8
+// encoding (testdata/quant8_golden.bin, encoding byte 1).
 func TestDecodeShardErrors(t *testing.T) {
 	insts, m := synthShard(6, 3, 2)
-	good := encodeShard(Float32, insts, m)
+	good := encodeShard(insts, m)
 
 	mangled := map[string][]byte{
 		"empty":     {},
@@ -437,6 +384,51 @@ func TestDecodeShardErrors(t *testing.T) {
 	if _, _, err := decodeShard(good); err != nil {
 		t.Fatalf("pristine shard rejected: %v", err)
 	}
+	quant8, err := os.ReadFile(filepath.Join("testdata", "quant8_golden.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := decodeShard(quant8); err == nil || !strings.Contains(err.Error(), "unknown shard encoding byte 1") {
+		t.Fatalf("quant8 shard: error %v, want unknown shard encoding byte 1", err)
+	}
+}
+
+// TestCacheFailedDecodeAccounting pins the read accounting of
+// CacheStats: a failed read counts as a DecodeError (not a Decode),
+// nothing about the failure is kept, so the next read of the repaired
+// file succeeds, and Misses == Decodes + DecodeErrors throughout.
+func TestCacheFailedDecodeAccounting(t *testing.T) {
+	st := buildStore(t, t.TempDir(), Config{Dims: 4}, []string{"a"}, 10)
+	opened, err := Open(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	path := filepath.Join(opened.Dir(), opened.Shards()[0].File)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, flip(good, len(good)/2, 0xff), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := opened.ReadShard(0); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("corrupt read: error %v, want one naming %s", err, path)
+	}
+	if cs := opened.CacheStats(); cs != (CacheStats{Misses: 1, DecodeErrors: 1}) {
+		t.Fatalf("stats %+v, want 1 miss / 1 decode error", cs)
+	}
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := opened.ReadShard(0); err != nil {
+			t.Fatalf("read after repair: %v", err)
+		}
+	}
+	if cs := opened.CacheStats(); cs != (CacheStats{Misses: 3, Decodes: 2, DecodeErrors: 1}) {
+		t.Fatalf("stats %+v, want 3 misses / 2 decodes / 1 decode error", cs)
+	}
 }
 
 // flip returns a copy of raw with byte i xor'd by mask.
@@ -459,15 +451,4 @@ func reheader(raw []byte, rows, cols uint32) []byte {
 // input fails only the check it is aimed at.
 func withCRC(raw []byte) []byte {
 	return binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(raw))
-}
-
-// mustRow reads global row i through r, reporting a read error on t
-// (safe from any goroutine) and returning nil in its place.
-func mustRow(t testing.TB, r *Reader, i int) []float64 {
-	t.Helper()
-	row, err := r.RowErr(i)
-	if err != nil {
-		t.Error(err)
-	}
-	return row
 }

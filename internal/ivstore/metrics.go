@@ -2,19 +2,32 @@ package ivstore
 
 import "mica/internal/obs"
 
-// Decoded-shard cache metrics on the default registry. Counters sum
-// across every store opened by the process; the byte gauges track the
-// aggregate resident footprint (and its high-water mark) so a server
-// hosting several stores sees its total cache pressure.
+// CacheStats counts one store's shard reads. Every ReadShard call is
+// one decode: a read that succeeds counts in Decodes, one that fails
+// in DecodeErrors, and Misses is their sum. There is no decoded-shard
+// cache, so Hits, Evictions and PeakBytes are always 0; they keep the
+// field set benchmark harnesses already read. The JSON tags are the
+// field names mica-serve's /stats endpoint exposes.
+type CacheStats struct {
+	// PeakBytes is always 0: no decoded shard is kept.
+	PeakBytes int64 `json:"peak_bytes"`
+	// Hits is always 0: every read decodes.
+	Hits uint64 `json:"hits"`
+	// Misses counts every shard read, Decodes + DecodeErrors.
+	Misses uint64 `json:"misses"`
+	// Decodes counts shard reads that succeeded.
+	Decodes uint64 `json:"decodes"`
+	// DecodeErrors counts shard reads that failed.
+	DecodeErrors uint64 `json:"decode_errors"`
+	// Evictions is always 0: no decoded shard is kept.
+	Evictions uint64 `json:"evictions"`
+}
+
+// Shard-read metrics on the default registry. They sum across every
+// store opened by the process; CacheStats counts one store.
 var (
-	metCacheHits       = obs.Default().Counter("mica_ivstore_cache_hits_total", "Shard lookups served from the decoded-shard cache.")
-	metCacheMisses     = obs.Default().Counter("mica_ivstore_cache_misses_total", "Shard lookups that initiated a decode.")
-	metCacheDecodes    = obs.Default().Counter("mica_ivstore_cache_decodes_total", "Shard decodes that succeeded.")
-	metCacheDecodeErrs = obs.Default().Counter("mica_ivstore_cache_decode_errors_total", "Shard decode attempts that failed.")
-	metCacheErrWaits   = obs.Default().Counter("mica_ivstore_cache_error_waits_total", "Lookups that joined an in-flight decode which failed.")
-	metCacheEvictions  = obs.Default().Counter("mica_ivstore_cache_evictions_total", "Shards evicted to stay within the cache budget.")
-	metCacheBytes      = obs.Default().Gauge("mica_ivstore_cache_bytes", "Decoded bytes resident across all shard caches.")
-	metCachePeakBytes  = obs.Default().Gauge("mica_ivstore_cache_peak_bytes", "High-water mark of resident decoded bytes.")
+	metDecodes    = obs.Default().Counter("mica_ivstore_cache_decodes_total", "Shard reads that decoded successfully.")
+	metDecodeErrs = obs.Default().Counter("mica_ivstore_cache_decode_errors_total", "Shard reads that failed.")
 )
 
 // metUnchangedWrites counts writeFileDurable calls that found the

@@ -13,51 +13,32 @@ import (
 // Shard file layout (all integers little-endian):
 //
 //	offset 0   magic "MICAIVS1" (8 bytes)
-//	offset 8   encoding byte (0 = float32, 1 = quant8)
+//	offset 8   encoding byte (0 = float32, the only one)
 //	offset 9   3 reserved bytes (zero)
 //	offset 12  rows  uint32
 //	offset 16  cols  uint32
 //	offset 20  insts: rows x uint64 (per-interval instruction counts)
-//	then       payload, column-major ("columnar"):
-//	             float32: cols blocks of rows x float32
-//	             quant8:  per column: min float64, step float64,
-//	                      then rows x uint8
+//	then       payload, column-major ("columnar"): cols blocks of
+//	           rows x float32
 //	end        crc32 (IEEE) over every preceding byte, uint32
 //
-// The columnar layout is what makes per-column quantization scales
-// natural and keeps same-metric values adjacent on disk. Decoding
-// validates the magic, the encoding byte, the exact file length
-// implied by the header (computed in 64-bit arithmetic, so oversized
-// or truncated headers fail before any allocation) and the trailing
-// CRC; a corrupt file is always an error, never a panic.
+// The columnar layout keeps same-metric values adjacent on disk.
+// Decoding validates the magic, the encoding byte, the exact file
+// length implied by the header (computed in 64-bit arithmetic, so
+// oversized or truncated headers fail before any allocation) and the
+// trailing CRC; a corrupt file is always an error, never a panic.
 
 const (
 	shardMagic     = "MICAIVS1"
 	shardHdrSize   = 20
-	encByteFloat32 = 0 // float32
-	encByteQuant8  = 1
+	encByteFloat32 = 0
 )
 
-func encByte(e Encoding) byte {
-	if e == Quant8 {
-		return encByteQuant8
-	}
-	return encByteFloat32
-}
-
-// payloadSize returns the payload byte count for a rows x cols shard
-// under enc, and whether that count is representable without uint64
-// overflow — a crafted header whose implied size wraps around must be
-// rejected, not allowed to alias a small file's length.
-func payloadSize(enc byte, rows, cols uint64) (uint64, bool) {
-	if enc == encByteQuant8 {
-		perCol := 16 + rows
-		if perCol < rows {
-			return 0, false
-		}
-		hi, lo := bits.Mul64(cols, perCol)
-		return lo, hi == 0
-	}
+// payloadSize returns the payload byte count for a rows x cols shard,
+// and whether that count is representable without uint64 overflow — a
+// crafted header whose implied size wraps around must be rejected, not
+// allowed to alias a small file's length.
+func payloadSize(rows, cols uint64) (uint64, bool) {
 	hi, lo := bits.Mul64(rows, cols)
 	if hi != 0 {
 		return 0, false
@@ -67,74 +48,25 @@ func payloadSize(enc byte, rows, cols uint64) (uint64, bool) {
 }
 
 // encodeShard serializes one shard.
-func encodeShard(e Encoding, insts []uint64, vecs *stats.Matrix) []byte {
+func encodeShard(insts []uint64, vecs *stats.Matrix) []byte {
 	rows, cols := uint64(vecs.Rows), uint64(vecs.Cols)
-	enc := encByte(e)
-	payload, _ := payloadSize(enc, rows, cols) // real matrices cannot overflow
+	payload, _ := payloadSize(rows, cols) // real matrices cannot overflow
 	size := shardHdrSize + 8*rows + payload + 4
 	buf := make([]byte, 0, size)
 	buf = append(buf, shardMagic...)
-	buf = append(buf, enc, 0, 0, 0)
+	buf = append(buf, encByteFloat32, 0, 0, 0)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(rows))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(cols))
 	for _, n := range insts {
 		buf = binary.LittleEndian.AppendUint64(buf, n)
 	}
-	switch enc {
-	case encByteQuant8:
-		for j := 0; j < vecs.Cols; j++ {
-			lo, hi := columnRange(vecs, j)
-			step := (hi - lo) / 255
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(lo))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(step))
-			for i := 0; i < vecs.Rows; i++ {
-				buf = append(buf, quantize(vecs.At(i, j), lo, step))
-			}
-		}
-	default:
-		for j := 0; j < vecs.Cols; j++ {
-			for i := 0; i < vecs.Rows; i++ {
-				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(vecs.At(i, j))))
-			}
+	for j := 0; j < vecs.Cols; j++ {
+		for i := 0; i < vecs.Rows; i++ {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(vecs.At(i, j))))
 		}
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
-
-func columnRange(m *stats.Matrix, j int) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for i := 0; i < m.Rows; i++ {
-		v := m.At(i, j)
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
-// quantize maps v into [0, 255] against (lo, step). A zero step
-// (constant column) stores 0; decode then reproduces lo exactly.
-func quantize(v, lo, step float64) byte {
-	if step <= 0 {
-		return 0
-	}
-	q := math.Round((v - lo) / step)
-	if q < 0 {
-		q = 0
-	}
-	if q > 255 {
-		q = 255
-	}
-	return byte(q)
-}
-
-// Quant8MaxError returns the per-value reconstruction error bound of
-// the Quant8 encoding for a column spanning [lo, hi]: half a
-// quantization step, (hi-lo)/510.
-func Quant8MaxError(lo, hi float64) float64 { return (hi - lo) / 510 }
 
 // decodeShard parses and validates one shard file, returning the
 // per-interval instruction counts and the row-major float64 vector
@@ -146,8 +78,7 @@ func decodeShard(raw []byte) (insts []uint64, vecs *stats.Matrix, err error) {
 	if string(raw[:8]) != shardMagic {
 		return nil, nil, fmt.Errorf("bad shard magic %q", raw[:8])
 	}
-	enc := raw[8]
-	if enc != encByteFloat32 && enc != encByteQuant8 {
+	if enc := raw[8]; enc != encByteFloat32 {
 		return nil, nil, fmt.Errorf("unknown shard encoding byte %d", enc)
 	}
 	rows := uint64(binary.LittleEndian.Uint32(raw[12:16]))
@@ -157,7 +88,7 @@ func decodeShard(raw []byte) (insts []uint64, vecs *stats.Matrix, err error) {
 	}
 	// rows and cols come off the wire as uint32, so 8*rows below cannot
 	// overflow; the payload product can, and payloadSize reports it.
-	payload, ok := payloadSize(enc, rows, cols)
+	payload, ok := payloadSize(rows, cols)
 	if !ok || payload > math.MaxUint64-(shardHdrSize+8*rows+4) {
 		return nil, nil, fmt.Errorf("shard header implies an impossible size (%d rows x %d cols)", rows, cols)
 	}
@@ -178,30 +109,12 @@ func decodeShard(raw []byte) (insts []uint64, vecs *stats.Matrix, err error) {
 		off += 8
 	}
 	vecs = stats.NewMatrix(int(rows), int(cols))
-	switch enc {
-	case encByteQuant8:
-		for j := uint64(0); j < cols; j++ {
-			lo := math.Float64frombits(binary.LittleEndian.Uint64(raw[off : off+8]))
-			step := math.Float64frombits(binary.LittleEndian.Uint64(raw[off+8 : off+16]))
-			off += 16
-			if !isFinite(lo) || !isFinite(step) || step < 0 {
-				return nil, nil, fmt.Errorf("column %d has invalid quantization scale (min %v, step %v)", j, lo, step)
-			}
-			for i := uint64(0); i < rows; i++ {
-				vecs.Set(int(i), int(j), lo+float64(raw[off])*step)
-				off++
-			}
-		}
-	default:
-		for j := uint64(0); j < cols; j++ {
-			for i := uint64(0); i < rows; i++ {
-				bits := binary.LittleEndian.Uint32(raw[off : off+4])
-				vecs.Set(int(i), int(j), float64(math.Float32frombits(bits)))
-				off += 4
-			}
+	for j := uint64(0); j < cols; j++ {
+		for i := uint64(0); i < rows; i++ {
+			bits := binary.LittleEndian.Uint32(raw[off : off+4])
+			vecs.Set(int(i), int(j), float64(math.Float32frombits(bits)))
+			off += 4
 		}
 	}
 	return insts, vecs, nil
 }
-
-func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

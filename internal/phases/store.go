@@ -14,8 +14,8 @@ import (
 
 // AnalyzeJointStore is AnalyzeJoint over a committed interval-vector
 // store instead of in-memory characterizations: the registry-scale
-// joint path. One sequential pass over the store's decoded-shard cache
-// copies every row into a resident n×d matrix, which is z-scored in
+// joint path. One sequential pass reads every shard once and copies
+// its rows into a resident n×d matrix, which is z-scored in
 // place with the column statistics stats.ZScoreNormalize computes, and
 // the clustering runs the same engines on it through
 // cluster.SelectKRows — so on data that round-trips the store encoding
@@ -29,8 +29,8 @@ import (
 // the returned JointResult's Vectors is nil; representative vectors
 // can be fetched per shard via the store. workers bounds sweep
 // parallelism (0 = GOMAXPROCS); workers share the one matrix. Peak
-// memory is the n×d×8 bytes of the normalized matrix plus the store's
-// decoded-shard cache budget.
+// memory is the n×d×8 bytes of the normalized matrix plus one decoded
+// shard.
 //
 // Cancelling ctx stops the clustering sweep from dispatching per-k
 // runs and returns ctx's error; a panicking sweep worker is isolated
@@ -97,8 +97,8 @@ func AnalyzeJointStore(ctx context.Context, st *ivstore.Store, cfg Config, worke
 }
 
 // normalizedStore copies every committed row of st into one n×d matrix
-// in a single sequential pass over the decoded-shard cache and
-// z-scores it in place, returning the matrix and the column statistics
+// in a single sequential pass, one ReadShard per shard, and z-scores it
+// in place, returning the matrix and the column statistics
 // it was normalized with — bit for bit what stats.ZScoreNormalize
 // gives on the concatenated rows. visit, when non-nil, sees each
 // decoded shard in store order, so a caller folds its per-shard work
@@ -108,7 +108,7 @@ func normalizedStore(st *ivstore.Store, visit func(si int, sd *ivstore.ShardData
 	norm = stats.NewMatrix(st.NumRows(), d)
 	r := 0
 	for si := range st.Shards() {
-		sd, err := st.CachedShard(si)
+		sd, err := st.ReadShard(si)
 		if err != nil {
 			return nil, nil, nil, err
 		}

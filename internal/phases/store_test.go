@@ -53,9 +53,9 @@ func roundF32(benches []BenchmarkIntervals) []BenchmarkIntervals {
 }
 
 // storeFrom writes benches into a fresh committed store.
-func storeFrom(t *testing.T, dir string, enc ivstore.Encoding, benches []BenchmarkIntervals) *ivstore.Store {
+func storeFrom(t *testing.T, dir string, benches []BenchmarkIntervals) *ivstore.Store {
 	t.Helper()
-	st, err := ivstore.Create(dir, ivstore.Config{Dims: mica.NumChars, Encoding: enc, ConfigHash: "test"})
+	st, err := ivstore.Create(dir, ivstore.Config{Dims: mica.NumChars, ConfigHash: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +97,18 @@ func TestAnalyzeJointStoreBitIdentical(t *testing.T) {
 	}
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 70, MaxK: 6, Seed: 2006}
 
-	st := storeFrom(t, t.TempDir(), ivstore.Float32, benches)
+	st := storeFrom(t, t.TempDir(), benches)
 	got, _, err := AnalyzeJointStore(t.Context(), st, cfg, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Vectors != nil {
 		t.Error("store-backed result materialized the joint matrix")
+	}
+	// One sequential pass: each shard is read once, not once per
+	// clustering pass.
+	if cs := st.CacheStats(); cs.Decodes != uint64(len(benches)) || cs.Misses != cs.Decodes {
+		t.Errorf("read accounting %+v, want one decode per shard (%d)", cs, len(benches))
 	}
 
 	// Exact contract: identical to the in-memory path on the rounded
@@ -152,50 +157,6 @@ func compareJoint(t *testing.T, what string, got, want *JointResult) {
 	if !reflect.DeepEqual(got.Occupancy, want.Occupancy) {
 		t.Errorf("%s: occupancy diverges", what)
 	}
-}
-
-// TestAnalyzeJointStoreQuant8: the quantized store yields a structurally
-// valid vocabulary whose occupancy stays close to the exact one — the
-// documented trade of the 8x smaller encoding.
-func TestAnalyzeJointStoreQuant8(t *testing.T) {
-	benches := []BenchmarkIntervals{
-		synthBench("q/a", 80, 11),
-		synthBench("q/b", 60, 12),
-	}
-	cfg := Config{IntervalLen: 1000, MaxIntervals: 80, MaxK: 5, Seed: 2006}
-	exact, err := AnalyzeJoint(benches, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := storeFrom(t, t.TempDir(), ivstore.Quant8, benches)
-	got, _, err := AnalyzeJointStore(t.Context(), st, cfg, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.K < 1 || len(got.Assign) != exact.Vectors.Rows {
-		t.Fatalf("quantized vocabulary malformed: K=%d, %d assignments", got.K, len(got.Assign))
-	}
-	if got.K != exact.K {
-		t.Fatalf("quantized K %d, exact %d (structure should survive 8-bit quantization on separated data)", got.K, exact.K)
-	}
-	maxDiff := 0.0
-	for b := 0; b < len(benches); b++ {
-		for c := 0; c < got.K; c++ {
-			if d := abs(got.Occupancy.At(b, c) - exact.Occupancy.At(b, c)); d > maxDiff {
-				maxDiff = d
-			}
-		}
-	}
-	if maxDiff > 0.05 {
-		t.Errorf("quantized occupancy deviates %.4f from exact (want <= 0.05)", maxDiff)
-	}
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // TestAnalyzeJointStoreRejects: dimensionality and emptiness are
@@ -258,7 +219,7 @@ func TestAnalyzeJointStoreMinibatchBitIdentical(t *testing.T) {
 	if n := len(want.Rows); n < 8192 {
 		t.Fatalf("joint matrix has %d rows, below the minibatch threshold", n)
 	}
-	st := storeFrom(t, t.TempDir(), ivstore.Float32, benches)
+	st := storeFrom(t, t.TempDir(), benches)
 	for _, workers := range []int{1, 2} {
 		cold, _, err := AnalyzeJointStore(t.Context(), st, cfg, workers, nil)
 		if err != nil {
@@ -274,33 +235,5 @@ func TestAnalyzeJointStoreMinibatchBitIdentical(t *testing.T) {
 			t.Fatal("matching warm state was not used")
 		}
 		compareJoint(t, fmt.Sprintf("warm, %d workers", workers), warm, want)
-	}
-}
-
-// TestAnalyzeJointStoreOneShardCache: with the decoded-shard cache
-// budgeted to a single shard, the vocabulary equals the default-budget
-// one, and the analysis decodes each shard at most twice — it reads
-// the store in one sequential pass, not once per clustering pass.
-func TestAnalyzeJointStoreOneShardCache(t *testing.T) {
-	cfg := Config{IntervalLen: 1000, MaxIntervals: 1400, MaxK: 5, Seed: 2006}
-	st := storeFrom(t, t.TempDir(), ivstore.Float32, minibatchBenches())
-	want, _, err := AnalyzeJointStore(t.Context(), st, cfg, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	st.SetCacheBytes(0)
-	if _, err := st.CachedShard(0); err != nil {
-		t.Fatal(err)
-	}
-	st.SetCacheBytes(st.CacheStats().Bytes) // every shard decodes to the same size
-	got, _, err := AnalyzeJointStore(t.Context(), st, cfg, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareJoint(t, "one-shard cache vs default budget", got, want)
-	shards := uint64(len(st.Shards()))
-	if d := st.CacheStats().Decodes; d > 2*shards {
-		t.Errorf("one-shard budget: %d decodes for %d shards, want <= %d", d, shards, 2*shards)
 	}
 }

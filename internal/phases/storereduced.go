@@ -1,10 +1,10 @@
 // Store-backed reduced profiling: the cheap pass's key-subset interval
 // vectors live in an interval-vector store (one shard per benchmark)
 // instead of memory, and the expensive replay gathers only the planned
-// representative intervals back through the store's decoded-shard
-// cache. The cheap vectors are stored at the full characteristic width
-// (columns outside the key subset are exactly zero, which both store
-// encodings round-trip losslessly), so the same shard layout, config
+// representative intervals back out of the shards the caller reads.
+// The cheap vectors are stored at the full characteristic width
+// (columns outside the key subset are exactly zero, which the float32
+// encoding round-trips losslessly), so the same shard layout, config
 // stamping and incremental-adoption machinery serve the plain and
 // reduced pipelines alike.
 package phases

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"mica/internal/ivstore"
 	"mica/internal/mica"
 	"mica/internal/stats"
 	"mica/internal/trace"
@@ -20,7 +19,7 @@ func TestMeasurementPlanRowsMatchesMatrix(t *testing.T) {
 		synthBench("p/b", 40, 32),
 	}
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 50, MaxK: 6, Seed: 2006}
-	st := storeFrom(t, t.TempDir(), ivstore.Float32, benches)
+	st := storeFrom(t, t.TempDir(), benches)
 
 	want, err := AnalyzeJoint(roundF32(benches), cfg)
 	if err != nil {
@@ -52,7 +51,7 @@ func TestReplayJointStoreMatchesReplayJoint(t *testing.T) {
 	benches := []BenchmarkIntervals{{Name: "twophase", Result: ph}}
 	machines := func(int) (trace.Source, error) { return newMachine(t), nil }
 
-	st := storeFrom(t, t.TempDir(), ivstore.Float32, benches)
+	st := storeFrom(t, t.TempDir(), benches)
 	jStore, _, err := AnalyzeJointStore(t.Context(), st, cfg.CheapConfig(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +95,7 @@ func TestReplayJointRejectsVectorless(t *testing.T) {
 // TestReplayJointStoreRowMismatch: a vocabulary built for a different
 // store (row count mismatch) is rejected up front.
 func TestReplayJointStoreRowMismatch(t *testing.T) {
-	st := storeFrom(t, t.TempDir(), ivstore.Float32, []BenchmarkIntervals{synthBench("m/a", 20, 41)})
+	st := storeFrom(t, t.TempDir(), []BenchmarkIntervals{synthBench("m/a", 20, 41)})
 	j := &JointResult{Rows: make([]RowRef, 7)}
 	_, err := ReplayJointStore(st, j, func(int) (trace.Source, error) { return nil, nil }, reducedTestConfig())
 	if err == nil || !strings.Contains(err.Error(), "rows") {
@@ -113,8 +112,8 @@ func TestReplayReducedShardMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := storeFrom(t, t.TempDir(), ivstore.Float32, []BenchmarkIntervals{{Name: "twophase", Result: ph}})
-	sd, err := st.CachedShard(0)
+	st := storeFrom(t, t.TempDir(), []BenchmarkIntervals{{Name: "twophase", Result: ph}})
+	sd, err := st.ReadShard(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +151,8 @@ func TestReplayReducedShardMatchesInMemory(t *testing.T) {
 // instruction counts is the original contiguous grid.
 func TestResultFromShardGrid(t *testing.T) {
 	bench := synthBench("g/a", 25, 51)
-	st := storeFrom(t, t.TempDir(), ivstore.Float32, []BenchmarkIntervals{bench})
-	sd, err := st.CachedShard(0)
+	st := storeFrom(t, t.TempDir(), []BenchmarkIntervals{bench})
+	sd, err := st.ReadShard(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +172,8 @@ func TestResultFromShardGrid(t *testing.T) {
 func TestResultFromShardMatchesRoundedCluster(t *testing.T) {
 	bench := synthBench("g/b", 30, 52)
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 30, MaxK: 5, Seed: 2006}
-	st := storeFrom(t, t.TempDir(), ivstore.Float32, []BenchmarkIntervals{bench})
-	sd, err := st.CachedShard(0)
+	st := storeFrom(t, t.TempDir(), []BenchmarkIntervals{bench})
+	sd, err := st.ReadShard(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package phases
 import (
 	"encoding/json"
 	"testing"
-
-	"mica/internal/ivstore"
 )
 
 // warmBenches is a fixed benchmark set for the warm-start tests.
@@ -22,7 +20,7 @@ func warmBenches() []BenchmarkIntervals {
 // already the sweep's fixed point).
 func TestAnalyzeJointStoreWarmMatchesFresh(t *testing.T) {
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 70, MaxK: 6, Seed: 2006}
-	st := storeFrom(t, t.TempDir(), ivstore.Float32, warmBenches())
+	st := storeFrom(t, t.TempDir(), warmBenches())
 
 	fresh, _, err := AnalyzeJointStore(t.Context(), st, cfg, 2, nil)
 	if err != nil {
@@ -50,7 +48,7 @@ func TestAnalyzeJointStoreWarmMatchesFresh(t *testing.T) {
 // survives a JSON round trip and still warm-starts.
 func TestWarmStateJSONRoundTrip(t *testing.T) {
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 70, MaxK: 6, Seed: 2006}
-	st := storeFrom(t, t.TempDir(), ivstore.Float32, warmBenches())
+	st := storeFrom(t, t.TempDir(), warmBenches())
 	fresh, _, err := AnalyzeJointStore(t.Context(), st, cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +75,7 @@ func TestWarmStateJSONRoundTrip(t *testing.T) {
 // back to the fresh path (used == false) and the result is unchanged.
 func TestWarmStateFallbacks(t *testing.T) {
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 70, MaxK: 6, Seed: 2006}
-	st := storeFrom(t, t.TempDir(), ivstore.Float32, warmBenches())
+	st := storeFrom(t, t.TempDir(), warmBenches())
 	fresh, _, err := AnalyzeJointStore(t.Context(), st, cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +116,7 @@ func TestWarmStateFallbacks(t *testing.T) {
 func TestWarmDriftSensitivity(t *testing.T) {
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 70, MaxK: 6, Seed: 2006}
 	base := warmBenches()
-	st := storeFrom(t, t.TempDir(), ivstore.Float32, base)
+	st := storeFrom(t, t.TempDir(), base)
 	fresh, _, err := AnalyzeJointStore(t.Context(), st, cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +127,7 @@ func TestWarmDriftSensitivity(t *testing.T) {
 	// warm state must still be accepted against the changed store.
 	changed := append([]BenchmarkIntervals(nil), base...)
 	changed[1] = synthBench("w/b", 45, 99)
-	st2 := storeFrom(t, t.TempDir(), ivstore.Float32, changed)
+	st2 := storeFrom(t, t.TempDir(), changed)
 	ws2 := *ws
 	ws2.ConfigHash = st2.ConfigHash()
 	_, used, err := AnalyzeJointStore(t.Context(), st2, cfg, 0, &ws2)

@@ -75,7 +75,7 @@ func TestStatsJSONShape(t *testing.T) {
 	if err := json.Unmarshal(raw["store_cache"], &store); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"budget_bytes", "bytes", "peak_bytes", "hits", "misses", "decodes", "decode_errors", "error_waits", "evictions"} {
+	for _, f := range []string{"peak_bytes", "hits", "misses", "decodes", "decode_errors", "evictions"} {
 		if _, ok := store[f]; !ok {
 			t.Errorf("store_cache section is missing field %q", f)
 		}

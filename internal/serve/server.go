@@ -16,15 +16,16 @@
 //   - Similarity queries, the paper's headline use case: k nearest
 //     benchmarks to X in the normalized PCA space (or the joint
 //     vocabulary's phase-occupancy space), answered inline from the
-//     warm store's cached vectors.
-//   - Store reads: a benchmark's interval vectors streamed through the
-//     store's error-returning Reader path, so one corrupt shard
-//     degrades to a 500 on the affected query, never a crash.
+//     index built from the warm store at startup.
+//   - Store reads: a benchmark's interval vectors, read from its shard
+//     file on every request, so one corrupt shard degrades to a 500 on
+//     the affected query, never a crash.
 //
 // Backpressure is explicit: a full job queue answers 429 with
 // Retry-After, a closed (shutting down) server answers 503. Every
 // endpoint feeds per-endpoint latency/QPS counters surfaced on
-// /api/v1/stats together with the store's ivstore.CacheStats.
+// /api/v1/stats together with the store's read counters
+// (ivstore.CacheStats).
 package serve
 
 import (
@@ -151,9 +152,8 @@ type KiviatData struct {
 }
 
 // New builds a Server over an open committed store. The similarity
-// index is assembled eagerly (decoding every shard once through the
-// store's cache), so a freshly started server answers its first
-// similarity query warm.
+// index is assembled eagerly (decoding every shard once), so a
+// freshly started server answers its first similarity query warm.
 func New(st *ivstore.Store, cfg Config) (*Server, error) {
 	cfg.Phase = cfg.Phase.WithDefaults()
 	if cfg.PCAVariance <= 0 {
@@ -561,10 +561,9 @@ type vectorsResponse struct {
 	Vectors   [][]float64 `json:"vectors"`
 }
 
-// handleVectors streams a benchmark's interval vectors out of the
-// store through the Reader's error-returning path: a shard that fails
-// to decode mid-query is a 500 on this request, and the server keeps
-// serving everything else.
+// handleVectors serves a benchmark's interval vectors, read from its
+// shard with one ReadShard: a shard that fails to decode is a 500 on
+// this request, and the server keeps serving everything else.
 func (s *Server) handleVectors(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("bench")
 	if name == "" {
@@ -576,8 +575,8 @@ func (s *Server) handleVectors(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("benchmark %q is not in the store", name))
 		return
 	}
-	start, end := s.st.RowRange(shard)
-	from, count := 0, end-start
+	rows := s.st.Shards()[shard].Rows
+	from, count := 0, rows
 	q := r.URL.Query()
 	if v := q.Get("from"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -597,17 +596,16 @@ func (s *Server) handleVectors(w http.ResponseWriter, r *http.Request) {
 	}
 	// Clamp count against the rows left after from, never as from+count,
 	// which overflows for a count near MaxInt.
-	from = min(from, end-start)
-	count = min(count, end-start-from)
-	reader := s.st.Rows()
-	out := make([][]float64, 0, count)
-	for i := 0; i < count; i++ {
-		row, err := reader.RowErr(start + from + i)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "store read failed: "+err.Error())
-			return
-		}
-		out = append(out, append([]float64(nil), row...))
+	from = min(from, rows)
+	count = min(count, rows-from)
+	data, err := s.st.ReadShard(shard)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "store read failed: "+err.Error())
+		return
+	}
+	out := make([][]float64, count)
+	for i := range out {
+		out[i] = data.Vecs.Row(from + i)
 	}
 	writeJSON(w, http.StatusOK, vectorsResponse{
 		Benchmark: name,

@@ -12,7 +12,7 @@ import (
 
 // Similarity answers the paper's headline query — "which benchmarks
 // are nearest to X in the normalized PCA space" — from a warm store's
-// cached vectors, without touching a VM. Each benchmark's signature is
+// vectors, read once at build time, without touching a VM. Each benchmark's signature is
 // the instruction-weighted mean of its interval vectors (what a full
 // profile of the characterized trace measures, assembled from the
 // shards already on disk); signatures are z-score normalized across
@@ -44,8 +44,8 @@ type Neighbor struct {
 	Distance float64 `json:"distance"`
 }
 
-// BuildSimilarity assembles the index from a committed store's cached
-// shards. pcaFrac selects how much variance the retained components
+// BuildSimilarity assembles the index from a committed store's
+// shards, reading each once. pcaFrac selects how much variance the retained components
 // must explain (<= 0 means 0.9). occ, when non-nil, is the joint
 // vocabulary's benchmarks-by-phases occupancy matrix in the store's
 // shard order, enabling the phase space.
@@ -70,7 +70,7 @@ func BuildSimilarity(st *ivstore.Store, pcaFrac float64, occ *stats.Matrix) (*Si
 		s.index[name] = i
 	}
 	for i := range shards {
-		data, err := st.CachedShard(i)
+		data, err := st.ReadShard(i)
 		if err != nil {
 			return nil, fmt.Errorf("serve: building similarity index: %w", err)
 		}

@@ -192,16 +192,18 @@ func TestWriterRejectsInconsistentStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := trace.Event{Seq: 0, PC: 0x10000, Op: 1, Class: 0}
-	ev.DeriveDeps()
+	ev := trace.Event{Seq: 0, PC: isa.PCForIndex(0), Op: isa.OpAddQ, Dst: isa.RegInvalid}
 	ev.Class = ev.Op.Class()
+	ev.DeriveDeps()
 	w.Observe(&ev)
 	ev2 := ev
 	ev2.Seq = 1
 	ev2.NSrc = 2 // metadata changed under the same PC
 	w.Observe(&ev2)
-	if err := w.Close(); err == nil {
-		t.Fatal("Close accepted an inconsistent stream")
+	// Event 0 is well formed, so the writer must reject event 1, the
+	// one whose metadata disagrees with the static record.
+	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "event 1 ") {
+		t.Fatalf("Close = %v, want event 1 rejected", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("rejected recording left a file behind: %v", err)

@@ -97,8 +97,6 @@ func TestRunRejectsContradictoryRequests(t *testing.T) {
 		{"both pipelines", Request{Benchmarks: bs, Phases: pcfg, Reduced: rcfg}, "exactly one of Phases and Reduced"},
 		{"incremental without dir", Request{Benchmarks: bs, Phases: pcfg, Store: StoreOptions{Incremental: true}}, "need Store.Dir"},
 		{"warm start without dir", Request{Benchmarks: bs, Joint: true, Reduced: rcfg, Store: StoreOptions{WarmStart: true}}, "need Store.Dir"},
-		{"quantize without dir", Request{Benchmarks: bs, Phases: pcfg, Store: StoreOptions{Quantize: true}}, "need Store.Dir"},
-		{"cache budget without dir", Request{Benchmarks: bs, Phases: pcfg, Store: StoreOptions{CacheBytes: 1 << 20}}, "need Store.Dir"},
 	}
 	for _, tc := range cases {
 		rep, err := Run(context.Background(), tc.req)

@@ -21,21 +21,15 @@ import (
 // the format.
 type IVStore = ivstore.Store
 
-// IVCacheStats is the store's decoded-shard cache accounting (budget,
-// resident and peak bytes, hits, decodes, evictions). See
-// ivstore.CacheStats.
+// IVCacheStats counts a store's shard reads (decodes and failed
+// reads). See ivstore.CacheStats.
 type IVCacheStats = ivstore.CacheStats
 
 // StoreOptions parameterizes the store-backed joint pipelines. The
-// zero value (plus a Dir) is the documented default: float32 shards,
-// full rebuild.
+// zero value (plus a Dir) is the documented default: a full rebuild.
 type StoreOptions struct {
 	// Dir is the store directory.
 	Dir string
-	// Quantize selects the 8-bit quantized shard encoding instead of
-	// float32 — 4x smaller shards for a reconstruction error bounded by
-	// half a per-column quantization step (ivstore.Quant8MaxError).
-	Quantize bool
 	// Incremental reuses shards of an existing store in Dir whose
 	// benchmark name and configuration stamp still match, so a rerun
 	// re-characterizes only the benchmarks whose configuration hash or
@@ -45,25 +39,12 @@ type StoreOptions struct {
 	// the file on disk is fsynced in place rather than replaced, so an
 	// unchanged rerun writes nothing.
 	Incremental bool
-	// CacheBytes bounds the store's decoded-shard cache (bytes of
-	// decoded rows held in memory across the analysis passes). Zero
-	// keeps the store's default budget: all shards decoded, clamped to
-	// 1 GiB and floored at one shard. See ivstore.SetCacheBytes.
-	CacheBytes int64
 	// WarmStart seeds the joint clustering from the warm state a
 	// previous store-backed run persisted next to the store (and
 	// persists this run's state for the next one). A missing, stale or
 	// drifted state silently falls back to fresh seeding;
 	// StoreBuildStats.WarmStarted reports what happened.
 	WarmStart bool
-}
-
-// encoding maps the option to the store encoding.
-func (o StoreOptions) encoding() ivstore.Encoding {
-	if o.Quantize {
-		return ivstore.Quant8
-	}
-	return ivstore.Float32
 }
 
 // StoreBuildStats reports what a CharacterizeToStoreCtx run did per
@@ -91,9 +72,8 @@ type StoreBuildStats struct {
 	// CommitWarnings carries the non-fatal problems Commit reported
 	// (stray files it could not prune, a failed lock downgrade).
 	CommitWarnings []string
-	// Cache is the store's decoded-shard cache accounting at the end of
-	// the analysis (peak resident bytes, hits, decodes, evictions) —
-	// populated by the analysis pipelines that close the store
+	// Cache counts the store's shard reads at the end of the analysis
+	// — populated by the analysis pipelines that close the store
 	// internally, zero for a bare CharacterizeToStoreCtx.
 	Cache IVCacheStats
 	// WarmStarted reports whether the joint clustering was actually
@@ -220,8 +200,6 @@ func characterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipeli
 	if opt.Dir == "" {
 		return nil, nil, fmt.Errorf("mica: store characterization needs a directory")
 	}
-	enc := opt.encoding()
-
 	// Inventory the existing store when reuse is requested (the
 	// manifest alone — a vanished shard file only invalidates its own
 	// benchmark, via the Adopt fallback below). A missing store means a
@@ -231,7 +209,7 @@ func characterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipeli
 	prevCfg, prevShards, err := ivstore.Inventory(opt.Dir)
 	switch {
 	case err == nil:
-		if opt.Incremental && prevCfg.Dims == NumChars && prevCfg.Encoding == enc && prevCfg.ConfigHash == hash {
+		if opt.Incremental && prevCfg.Dims == NumChars && prevCfg.ConfigHash == hash {
 			for _, sh := range prevShards {
 				if sh.ConfigHash == hash {
 					reusable[sh.Name] = sh
@@ -244,12 +222,9 @@ func characterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipeli
 		return nil, nil, fmt.Errorf("mica: %s exists but is not a usable interval-vector store (delete it or pass another path): %w", opt.Dir, err)
 	}
 
-	st, err := ivstore.Create(opt.Dir, ivstore.Config{Dims: NumChars, Encoding: enc, ConfigHash: hash})
+	st, err := ivstore.Create(opt.Dir, ivstore.Config{Dims: NumChars, ConfigHash: hash})
 	if err != nil {
 		return nil, nil, err
-	}
-	if opt.CacheBytes > 0 {
-		st.SetCacheBytes(opt.CacheBytes)
 	}
 
 	stats := &StoreBuildStats{}
@@ -352,7 +327,7 @@ func runPhasesStore(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig
 
 // shardPipelineCtx is the per-benchmark back half of the store-backed
 // pipelines: through fanOut, it hands analyze each bs[i]'s committed
-// shard, read through the store's decoded-shard cache, together with
+// shard, read once with ReadShard, together with
 // the calling worker's state (built by newState, see fanOut). A
 // benchmark the store holds no shard for is a failure named like any
 // other.
@@ -368,7 +343,7 @@ func shardPipelineCtx[S any](ctx context.Context, st *IVStore, bs []Benchmark, w
 		if !ok {
 			return fmt.Errorf("no committed shard (characterization did not complete)")
 		}
-		sd, err := st.CachedShard(si)
+		sd, err := st.ReadShard(si)
 		if err != nil {
 			return err
 		}
@@ -382,7 +357,7 @@ func shardPipelineCtx[S any](ctx context.Context, st *IVStore, bs []Benchmark, w
 // one normalized matrix read from the shards — bit-identical to the
 // in-memory path on data that round-trips the shard encoding. The
 // characterizations never coexist in memory; the clustering holds the
-// n x 47 x 8-byte normalized matrix beside the decoded-shard cache.
+// n x 47 x 8-byte normalized matrix and one decoded shard at a time.
 // The joint result's Vectors matrix is nil by design; everything else
 // (assignment, K, representatives, occupancy, provenance) is fully
 // populated. The internally opened store is always closed before
@@ -459,9 +434,9 @@ func saveWarmState(st *IVStore, j *PhaseJointResult) {
 	}
 }
 
-// captureCacheStats snapshots the store's decoded-shard cache
-// accounting into the build stats; the store pipelines call it just
-// before closing the store they opened internally.
+// captureCacheStats snapshots the store's shard-read counters into
+// the build stats; the store pipelines call it just before closing the
+// store they opened internally.
 func captureCacheStats(st *IVStore, stats *StoreBuildStats) {
 	if st != nil && stats != nil {
 		stats.Cache = st.CacheStats()

@@ -17,8 +17,8 @@ import (
 // Store-backed reduced profiling: the cheap sampled pass's interval
 // vectors go through the interval-vector store (one shard per
 // benchmark, same incremental reuse and crash-safety as the plain
-// store pipeline), and the expensive replay reads them back through
-// the store's decoded-shard cache. The shards are stamped with a
+// store pipeline), and the expensive replay reads them back with one
+// ReadShard per benchmark. The shards are stamped with a
 // reduced-specific configuration hash, so plain and reduced stores in
 // the same directory lineage never cross-adopt each other's shards.
 

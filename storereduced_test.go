@@ -60,8 +60,8 @@ func TestAnalyzeReducedStoreMatchesInMemory(t *testing.T) {
 	if len(stats.Characterized) != len(bs) {
 		t.Fatalf("fresh reduced store build characterized %v, want all %d", stats.Characterized, len(bs))
 	}
-	if stats.Cache.Decodes == 0 || stats.Cache.PeakBytes == 0 {
-		t.Errorf("cache accounting empty after store-backed replay: %+v", stats.Cache)
+	if stats.Cache.Decodes != uint64(len(bs)) || stats.Cache.Misses != stats.Cache.Decodes {
+		t.Errorf("read accounting %+v after store-backed replay, want one decode per benchmark", stats.Cache)
 	}
 
 	for i, b := range bs {
