@@ -29,10 +29,10 @@
 // intervals are measured once for the entire benchmark set.
 //
 // With -store DIR a run persists its characterization in the on-disk
-// interval-vector store instead of keeping one in-memory matrix: every
+// interval-vector store instead of keeping its shards in memory: every
 // benchmark's intervals are written as a columnar float32 shard, and
-// the analysis reads each shard back once; the joint clustering holds
-// one n x 47 normalized matrix.
+// the analysis, the same code either way, reads each shard back once;
+// the joint clustering holds one n x 47 normalized matrix.
 // -store drives every pipeline but -trace: -bench and -all cluster
 // each benchmark from its shard, -joint clusters the shared
 // vocabulary from the stored rows, and -reduced lands its cheap pass in

@@ -40,9 +40,11 @@ func epPhaseCfg() PhasePipelineConfig {
 // TestPipelineErrorsNameOffendingBenchmark is the table-driven
 // contract test over the multi-benchmark entry points and the Run
 // paths: a benchmark that fails mid-pipeline yields an error that
-// names it (with the pool's item attribution preserved in the chain),
-// and the paths documented to return partial results deliver the
-// other benchmarks' results complete. Case names are stable test IDs.
+// names it exactly once (with the pool's item attribution preserved in
+// the chain), and the paths documented to return partial results —
+// every per-benchmark request, in memory and through a store — deliver
+// the other benchmarks' results complete. Case names are stable test
+// IDs.
 func TestPipelineErrorsNameOffendingBenchmark(t *testing.T) {
 	bs, bad := epBenchmarks(t)
 	pcfg := epPhaseCfg()
@@ -95,6 +97,21 @@ func TestPipelineErrorsNameOffendingBenchmark(t *testing.T) {
 			}
 			return nil, err
 		}},
+		{"AnalyzePhasesStoreCtx", func(ctx context.Context) ([]bool, error) {
+			rep, err := Run(ctx, Request{Benchmarks: bs, Phases: &pcfg, Store: StoreOptions{Dir: t.TempDir()}})
+			res := rep.Phases
+			if len(res) != len(bs) || rep.Store == nil {
+				t.Fatalf("got %d results for %d benchmarks, store stats %v", len(res), len(bs), rep.Store)
+			}
+			return []bool{res[0].Result != nil, res[1].Result != nil, res[2].Result != nil}, err
+		}},
+		{"AnalyzeReducedStoreCtx", func(ctx context.Context) ([]bool, error) {
+			res, stats, err := AnalyzeReducedStoreCtx(ctx, bs, rcfg, StoreOptions{Dir: t.TempDir()})
+			if len(res) != len(bs) || stats == nil {
+				t.Fatalf("got %d results for %d benchmarks, store stats %v", len(res), len(bs), stats)
+			}
+			return []bool{res[0].Result != nil, res[1].Result != nil, res[2].Result != nil}, err
+		}},
 		{"CharacterizeToStoreCtx", func(ctx context.Context) ([]bool, error) {
 			st, stats, err := CharacterizeToStoreCtx(ctx, bs, pcfg, StoreOptions{Dir: t.TempDir()})
 			if st != nil {
@@ -128,8 +145,14 @@ func TestPipelineErrorsNameOffendingBenchmark(t *testing.T) {
 			if err == nil {
 				t.Fatal("bad benchmark did not surface as an error")
 			}
-			if !strings.Contains(err.Error(), bad.Name()) {
-				t.Errorf("error does not name the offending benchmark %q:\n%v", bad.Name(), err)
+			named := 0
+			for _, line := range strings.Split(err.Error(), "\n") {
+				if strings.Contains(line, bad.Name()) {
+					named++
+				}
+			}
+			if named != 1 {
+				t.Errorf("%d error lines name the offending benchmark %q, want one:\n%v", named, bad.Name(), err)
 			}
 			var ie *pool.ItemError
 			if !errors.As(err, &ie) {

@@ -15,7 +15,9 @@
 // reads each shard once — joint clustering copies every shard into
 // one resident normalized n×d matrix, so its peak memory is that
 // matrix's n×d×8 bytes plus one decoded shard. CacheStats counts the
-// reads.
+// reads. The pipelines read through Source, which a committed Store
+// and the in-memory Mem both implement, so a run without a store
+// directory is the same analysis over unrounded float64 shards.
 //
 // Values are stored as IEEE-754 singles ("float32", the one encoding):
 // half the bytes of the float64 vectors they are fed, with a relative
@@ -29,10 +31,9 @@
 // (Adopt), then commits a manifest covering exactly the new set.
 //
 // Layout invariant: the global row order of a store is its manifest
-// shard order — shard 0's rows first, then shard 1's, exactly the
-// concatenation order of the in-memory joint path. Everything the
-// differential tests pin (bit-identical joint vocabularies) leans on
-// this.
+// shard order — shard 0's rows first, then shard 1's, the order an
+// in-memory Mem keeps too. Everything the differential tests pin
+// (bit-identical joint vocabularies) leans on this.
 //
 // # Durability and failure contract
 //

@@ -1,22 +1,9 @@
 package phases
 
 import (
-	"fmt"
-
 	"mica/internal/cluster"
-	"mica/internal/mica"
-	"mica/internal/obs"
 	"mica/internal/stats"
 )
-
-// BenchmarkIntervals pairs a benchmark's name with its characterized
-// intervals — the input rows AnalyzeJoint concatenates. Only the
-// Intervals and Vectors fields of Result are consulted; any
-// per-benchmark clustering already present is ignored.
-type BenchmarkIntervals struct {
-	Name   string
-	Result *Result
-}
 
 // RowRef is the provenance of one row of the joint matrix: which
 // benchmark it came from (index into JointResult.Benchmarks) and which
@@ -45,7 +32,8 @@ type JointRepresentative struct {
 // JointResult is a shared cross-benchmark phase vocabulary: the
 // intervals of many benchmarks clustered ONCE in one normalized space,
 // so a phase id means the same behavior no matter which benchmark an
-// interval came from.
+// interval came from. AnalyzeJointStore builds it; the interval
+// vectors stay in the shard source it read.
 type JointResult struct {
 	// Benchmarks names the input benchmarks, in input order.
 	Benchmarks []string
@@ -55,9 +43,6 @@ type JointResult struct {
 	// (parallel to Rows) — the weights occupancy and representative
 	// shares are computed from.
 	RowInsts []uint64
-	// Vectors is the concatenated interval-characteristic matrix
-	// (raw, un-normalized), rows in Rows order.
-	Vectors *stats.Matrix
 	// Assign maps each joint row to its shared phase.
 	Assign []int
 	// K is the BIC-selected number of shared phases.
@@ -73,10 +58,9 @@ type JointResult struct {
 	// vocabulary exists to expose.
 	Occupancy *stats.Matrix
 
-	// Warm-start capture of store-backed runs: the normalized-space
-	// centroids the vocabulary was derived from and the normalization
-	// statistics they live under. WarmState packages them for
-	// persistence; an in-memory JointResult has none.
+	// Warm-start capture: the normalized-space centroids the
+	// vocabulary was derived from and the normalization statistics
+	// they live under. WarmState packages them for persistence.
 	centroids *stats.Matrix
 	normMean  []float64
 	normStd   []float64
@@ -95,68 +79,10 @@ func (j *JointResult) TotalInsts() uint64 {
 	return n
 }
 
-// AnalyzeJoint concatenates the interval vectors of many benchmarks
-// into one matrix (provenance per row), clusters it once with the same
-// normalize + SelectK + representative-selection recipe the
-// per-benchmark path uses, and reports per-benchmark phase occupancy
-// plus cross-benchmark representatives. Run on a single benchmark it
-// is bit-identical to that benchmark's per-benchmark analysis — the
-// differential contract the joint path is tested against.
-func AnalyzeJoint(benches []BenchmarkIntervals, cfg Config) (*JointResult, error) {
-	cfg = cfg.withDefaults()
-	if len(benches) == 0 {
-		return nil, fmt.Errorf("phases: joint analysis of zero benchmarks")
-	}
-	rows := 0
-	for _, b := range benches {
-		if b.Result == nil || len(b.Result.Intervals) == 0 || b.Result.Vectors == nil {
-			return nil, fmt.Errorf("phases: joint analysis: %s has no characterized intervals", b.Name)
-		}
-		if b.Result.Vectors.Rows != len(b.Result.Intervals) || b.Result.Vectors.Cols != mica.NumChars {
-			return nil, fmt.Errorf("phases: joint analysis: %s has a %dx%d vector matrix for %d intervals",
-				b.Name, b.Result.Vectors.Rows, b.Result.Vectors.Cols, len(b.Result.Intervals))
-		}
-		rows += len(b.Result.Intervals)
-	}
-
-	j := &JointResult{
-		Benchmarks: make([]string, len(benches)),
-		Rows:       make([]RowRef, 0, rows),
-		Vectors:    stats.NewMatrix(rows, mica.NumChars),
-		RowInsts:   make([]uint64, 0, rows),
-	}
-	r := 0
-	for bi, b := range benches {
-		j.Benchmarks[bi] = b.Name
-		copy(j.Vectors.Data[r*mica.NumChars:], b.Result.Vectors.Data)
-		for ii, iv := range b.Result.Intervals {
-			j.Rows = append(j.Rows, RowRef{Bench: bi, Interval: ii})
-			j.RowInsts = append(j.RowInsts, iv.Insts)
-		}
-		r += len(b.Result.Intervals)
-	}
-
-	j.clusterJoint(cfg)
-	return j, nil
-}
-
-// clusterJoint runs the shared clustering over the concatenated matrix
-// and derives occupancy and representatives. Split out so a
-// cache-loaded JointResult can be re-clustered under a new Config
-// without re-profiling.
-func (j *JointResult) clusterJoint(cfg Config) {
-	nspan := obs.StartSpan("phases.normalize")
-	norm := stats.ZScoreNormalize(j.Vectors)
-	nspan.End()
-	sel := cluster.SelectK(norm, cfg.MaxK, cfg.Seed)
-	j.deriveFrom(norm, sel)
-}
-
 // deriveFrom fills the clustering-derived half of a JointResult
 // (assignment, representatives, occupancy) from a finished sweep over
-// the normalized rows. norm is the z-scored joint matrix: a copy of
-// Vectors on the in-memory path, and on the store path the resident
-// matrix AnalyzeJointStore builds from the shards and drops on return.
+// the normalized rows. norm is the z-scored joint matrix
+// AnalyzeJointStore builds from the shards and drops on return.
 func (j *JointResult) deriveFrom(norm *stats.Matrix, sel cluster.Selection) {
 	j.Assign = sel.Best.Assign
 	j.K = sel.Best.K
@@ -171,10 +97,7 @@ func (j *JointResult) deriveFrom(norm *stats.Matrix, sel cluster.Selection) {
 	for c := range bestDist {
 		bestDist[c] = -1
 	}
-	var totalInsts uint64
-	for _, n := range j.RowInsts {
-		totalInsts += n
-	}
+	totalInsts := j.TotalInsts()
 	for i, c := range j.Assign {
 		instsIn[c] += j.RowInsts[i]
 		d := stats.Euclidean(norm.Row(i), sel.Best.Centroids.Row(c))

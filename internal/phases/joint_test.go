@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"mica/internal/ivstore"
 	"mica/internal/mica"
+	"mica/internal/stats"
 )
 
 // characterizeKernel runs the streaming characterization (no
@@ -42,9 +44,10 @@ func TestCharacterizeMatchesAnalyze(t *testing.T) {
 }
 
 // TestAnalyzeJointSingleBenchmarkBitIdentical is the differential
-// contract: a joint analysis over exactly one benchmark must reproduce
-// the per-benchmark analysis bit for bit — assignment, K, and
-// representatives (with Row == Interval and Bench == 0).
+// contract: a joint analysis over exactly one in-memory shard must
+// reproduce the per-benchmark analysis bit for bit — assignment, K,
+// and representatives (with Row == Interval and Bench == 0) — and the
+// shard it read holds the per-benchmark vectors.
 func TestAnalyzeJointSingleBenchmarkBitIdentical(t *testing.T) {
 	kernels := []struct{ name, src string }{
 		{"twophase", twoPhaseProgram},
@@ -57,17 +60,18 @@ func TestAnalyzeJointSingleBenchmarkBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		joint, err := AnalyzeJoint([]BenchmarkIntervals{
+		mem := memFrom(t, []benchIntervals{
 			{Name: k.name, Result: characterizeKernel(t, k.name, k.src, cfg)},
-		}, cfg)
+		})
+		joint, _, err := AnalyzeJointStore(t.Context(), mem, cfg, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if joint.K != want.K || !reflect.DeepEqual(joint.Assign, want.Assign) {
 			t.Errorf("%s: joint assignment diverges (K %d vs %d)", k.name, joint.K, want.K)
 		}
-		if !reflect.DeepEqual(joint.Vectors.Data, want.Vectors.Data) {
-			t.Errorf("%s: joint matrix diverges", k.name)
+		if sd, err := mem.ReadShard(0); err != nil || !reflect.DeepEqual(sd.Vecs.Data, want.Vectors.Data) {
+			t.Errorf("%s: joint matrix diverges (%v)", k.name, err)
 		}
 		if len(joint.Representatives) != len(want.Representatives) {
 			t.Fatalf("%s: %d joint representatives vs %d", k.name,
@@ -89,12 +93,13 @@ func TestAnalyzeJointSingleBenchmarkBitIdentical(t *testing.T) {
 // agrees with its row.
 func TestAnalyzeJointProvenanceAndOccupancy(t *testing.T) {
 	cfg := Config{IntervalLen: 2_000, MaxIntervals: 15, MaxK: 5, Seed: 3}
-	inputs := []BenchmarkIntervals{
+	inputs := []benchIntervals{
 		{Name: "twophase", Result: characterizeKernel(t, "twophase", twoPhaseProgram, cfg)},
 		{Name: "strided", Result: characterizeKernel(t, "strided", stridedProgram, cfg)},
 		{Name: "branchy", Result: characterizeKernel(t, "branchy", branchyProgram, cfg)},
 	}
-	joint, err := AnalyzeJoint(inputs, cfg)
+	mem := memFrom(t, inputs)
+	joint, _, err := AnalyzeJointStore(t.Context(), mem, cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,22 +108,25 @@ func TestAnalyzeJointProvenanceAndOccupancy(t *testing.T) {
 	for _, in := range inputs {
 		wantRows += len(in.Result.Intervals)
 	}
-	if len(joint.Rows) != wantRows || joint.Vectors.Rows != wantRows ||
-		len(joint.Assign) != wantRows || len(joint.RowInsts) != wantRows {
-		t.Fatalf("joint shapes: rows=%d vectors=%d assign=%d insts=%d want %d",
-			len(joint.Rows), joint.Vectors.Rows, len(joint.Assign), len(joint.RowInsts), wantRows)
+	if len(joint.Rows) != wantRows || len(joint.Assign) != wantRows || len(joint.RowInsts) != wantRows {
+		t.Fatalf("joint shapes: rows=%d assign=%d insts=%d want %d",
+			len(joint.Rows), len(joint.Assign), len(joint.RowInsts), wantRows)
 	}
 
 	// Provenance: row r of the joint matrix is bench b's interval i,
-	// vector and instruction count included.
+	// vector (as the source holds it) and instruction count included.
 	r := 0
 	for b, in := range inputs {
+		sd, err := mem.ReadShard(b)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range in.Result.Intervals {
 			ref := joint.Rows[r]
 			if ref.Bench != b || ref.Interval != i {
 				t.Fatalf("row %d provenance = %+v, want bench %d interval %d", r, ref, b, i)
 			}
-			if !reflect.DeepEqual(joint.Vectors.Row(r), in.Result.Vectors.Row(i)) {
+			if !reflect.DeepEqual(sd.Vecs.Row(ref.Interval), in.Result.Vectors.Row(i)) {
 				t.Fatalf("row %d vector diverges from %s interval %d", r, in.Name, i)
 			}
 			if joint.RowInsts[r] != in.Result.Intervals[i].Insts {
@@ -183,9 +191,9 @@ func TestAnalyzeJointSharedVocabulary(t *testing.T) {
 	cfg := Config{IntervalLen: 2_000, MaxIntervals: 12, MaxK: 4, Seed: 5}
 	a := characterizeKernel(t, "copyA", twoPhaseProgram, cfg)
 	b := characterizeKernel(t, "copyB", twoPhaseProgram, cfg)
-	joint, err := AnalyzeJoint([]BenchmarkIntervals{
+	joint, _, err := AnalyzeJointStore(t.Context(), memFrom(t, []benchIntervals{
 		{Name: "copyA", Result: a}, {Name: "copyB", Result: b},
-	}, cfg)
+	}), cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +214,14 @@ func TestAnalyzeJointSharedVocabulary(t *testing.T) {
 // TestAnalyzeJointRejectsBadInput: zero benchmarks and benchmarks
 // without characterized intervals fail loudly.
 func TestAnalyzeJointRejectsBadInput(t *testing.T) {
-	if _, err := AnalyzeJoint(nil, Config{}); err == nil {
+	if _, _, err := AnalyzeJointStore(t.Context(), ivstore.NewMem(nil), Config{}, 0, nil); err == nil {
 		t.Error("zero benchmarks accepted")
 	}
-	if _, err := AnalyzeJoint([]BenchmarkIntervals{{Name: "x", Result: &Result{}}}, Config{}); err == nil {
+	mem := ivstore.NewMem([]string{"x"})
+	if err := mem.WriteShard("x", nil, &stats.Matrix{Cols: mica.NumChars}); err == nil {
 		t.Error("uncharacterized benchmark accepted")
 	}
-	if _, err := AnalyzeJoint([]BenchmarkIntervals{{Name: "x", Result: nil}}, Config{}); err == nil {
+	if err := mem.WriteShard("x", nil, nil); err == nil {
 		t.Error("nil result accepted")
 	}
 }

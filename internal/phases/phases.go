@@ -15,10 +15,10 @@
 // interval cap is deliberately modest (DefaultConfig: 100 intervals,
 // the quick-look grid); paper-scale runs raise MaxIntervals to 10k+
 // and memory still grows only with the intervals actually produced,
-// never with the trace length. Registry-scale JOINT analysis keeps the
-// per-benchmark characterizations in an on-disk store
-// (internal/ivstore) instead of memory; AnalyzeJointStore reads them
-// back once into the one normalized matrix it clusters.
+// never with the trace length. JOINT analysis reads the per-benchmark
+// characterizations from a shard source (internal/ivstore: an on-disk
+// store at registry scale, or memory); AnalyzeJointStore reads each
+// shard once into the one normalized matrix it clusters.
 package phases
 
 import (
@@ -184,9 +184,9 @@ func AnalyzeUnpooled(m trace.Source, cfg Config) (*Result, error) {
 // CharacterizeWith is AnalyzeWith without the clustering step: it
 // streams intervals through the (Reset) caller-supplied profiler and
 // returns a Result whose Intervals and Vectors are filled but whose
-// Assign/K/Representatives are empty. Joint cross-benchmark pipelines
-// use it to characterize each benchmark before clustering ALL
-// intervals at once (AnalyzeJoint).
+// Assign/K/Representatives are empty. The shard pipelines use it to
+// characterize each benchmark before clustering it alone
+// (ResultFromShard) or with all the others (AnalyzeJointStore).
 func CharacterizeWith(m trace.Source, prof *mica.Profiler, cfg Config) (*Result, error) {
 	return characterize(m, cfg.withDefaults(), func() *mica.Profiler {
 		prof.Reset()

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"mica/internal/ivstore"
 	"mica/internal/mica"
 	"mica/internal/obs"
 	"mica/internal/stats"
@@ -200,61 +201,34 @@ func (r *ReducedResult) TotalInsts() uint64 { return r.Phases.TotalInsts() }
 // identical trace).
 func AnalyzeReduced(cheap, replay trace.Source, cfg ReducedConfig) (*ReducedResult, error) {
 	cfg = cfg.WithDefaults()
-	return AnalyzeReducedWith(cheap, replay,
-		mica.NewProfiler(cfg.CheapConfig().Options), mica.NewProfiler(cfg.FullOptions), cfg)
-}
-
-// AnalyzeReducedWith is AnalyzeReduced with caller-supplied cheap- and
-// full-pass profilers, which must have been built from
-// CheapConfig().Options and FullOptions respectively. Both are Reset
-// before every interval they observe, so pooled profilers arrive clean
-// — the mechanism the registry-wide reduced pipeline uses to share
-// analyzer tables across benchmarks.
-func AnalyzeReducedWith(cheap, replay trace.Source, cheapProf, fullProf *mica.Profiler, cfg ReducedConfig) (*ReducedResult, error) {
-	cfg = cfg.WithDefaults()
-	ph, sampled, err := characterizeReduced(cheap, cheapProf, cfg)
+	ph, err := CharacterizeReducedWith(cheap, mica.NewProfiler(cfg.CheapConfig().Options), cfg)
 	if err != nil {
 		return nil, err
 	}
 	ph.cluster(cfg.CheapConfig())
-	rr, err := ReplayReduced(replay, fullProf, ph, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rr.SampledInsts = sampled
-	return rr, nil
+	return ReplayReduced(replay, mica.NewProfiler(cfg.FullOptions), ph, cfg)
 }
 
-// CharacterizeReducedWith is the cheap pass alone: the sampled
-// subset-characteristic interval grid, without clustering. Joint
-// reduced pipelines use it to characterize each benchmark before
-// clustering all intervals at once. The profiler must have been built
-// from CheapConfig().Options; it is Reset before every interval.
+// CharacterizeReducedWith is the cheap pass alone: it streams the
+// interval grid without clustering, observing only the first sampleLen
+// instructions of each interval with the (Reset) cheap profiler and
+// fast-forwarding the rest. The profiler must have been built from
+// CheapConfig().Options. With SampleFrac == 1 it is bit-identical to
+// the plain streaming characterize. Interval.Insts always records the
+// interval's full instruction count — the quantity weights and the
+// replay grid are built from.
 func CharacterizeReducedWith(m trace.Source, prof *mica.Profiler, cfg ReducedConfig) (*Result, error) {
 	cfg = cfg.WithDefaults()
-	res, _, err := characterizeReduced(m, prof, cfg)
-	return res, err
-}
-
-// characterizeReduced streams the interval grid, observing only the
-// first sampleLen instructions of each interval with the (Reset) cheap
-// profiler and fast-forwarding the rest. With SampleFrac == 1 it is
-// bit-identical to the plain streaming characterize, which is what
-// lets a cached unsampled phase vocabulary stand in for the cheap
-// pass. Interval.Insts always records the interval's full instruction
-// count — the quantity weights and the replay grid are built from.
-func characterizeReduced(m trace.Source, prof *mica.Profiler, cfg ReducedConfig) (*Result, uint64, error) {
 	span := obs.StartSpan("phases.characterize")
 	defer span.End()
 	pcfg := cfg.Phase
 	sample := cfg.sampleLen()
 	res := &Result{}
 	var vecs []float64
-	var start, sampled uint64
+	var start uint64
 	for i := 0; i < pcfg.MaxIntervals; i++ {
 		prof.Reset()
 		n, err := m.Run(sample, prof)
-		sampled += n
 		if n == sample && err != nil && errors.Is(err, trace.ErrBudget) && sample < pcfg.IntervalLen {
 			var rest uint64
 			rest, err = m.Run(pcfg.IntervalLen-sample, nil)
@@ -270,15 +244,15 @@ func characterizeReduced(m trace.Source, prof *mica.Profiler, cfg ReducedConfig)
 			break // program halted
 		}
 		if !errors.Is(err, trace.ErrBudget) {
-			return nil, 0, fmt.Errorf("phases: reduced interval %d: %w", i, err)
+			return nil, fmt.Errorf("phases: reduced interval %d: %w", i, err)
 		}
 	}
 	if len(res.Intervals) == 0 {
-		return nil, 0, fmt.Errorf("phases: program produced no instructions")
+		return nil, fmt.Errorf("phases: program produced no instructions")
 	}
 	metIntervals.Add(float64(len(res.Intervals)))
 	res.Vectors = &stats.Matrix{Rows: len(res.Intervals), Cols: mica.NumChars, Data: vecs}
-	return res, sampled, nil
+	return res, nil
 }
 
 // measureInterval runs one interval under the full profiler (Reset
@@ -324,9 +298,10 @@ func ReplayReduced(m trace.Source, fullProf *mica.Profiler, ph *Result, cfg Redu
 	cfg = cfg.WithDefaults()
 	rr := &ReducedResult{Phases: ph, HasHPC: !cfg.SkipHPC}
 	// Reconstruct the cheap pass's observation count from the grid: it
-	// observed min(sampleLen, Insts) of every interval. Replays driven
-	// off a cached vocabulary get correct cost accounting this way even
-	// though their cheap pass ran in another process.
+	// observed min(sampleLen, Insts) of every interval (a shorter
+	// interval is one the program halted in). Replays driven off a
+	// stored cheap pass get correct cost accounting this way even
+	// though that pass ran in another process.
 	sample := cfg.sampleLen()
 	for _, iv := range ph.Intervals {
 		if iv.Insts < sample {
@@ -632,31 +607,25 @@ type JointMeasuredInterval struct {
 	HPC   uarch.HPCVector
 }
 
-// jointMeasurementPlan selects the measured rows of a joint
-// vocabulary: per shared phase, the RepsPerPhase rows closest to the
-// phase mean in the z-scored joint space (ties by ascending row).
-// measurementPlan reads only the vectors, assignment and K, so no
-// interval grid needs to be materialized.
-func jointMeasurementPlan(j *JointResult, reps int) map[int]int {
-	return measurementPlan(&Result{Vectors: j.Vectors, Assign: j.Assign, K: j.K}, reps)
-}
-
-// ReplayJoint measures the shared phases' chosen intervals and
-// extrapolates every member benchmark. sources must return a fresh
-// event source for benchmark bi (indexed like j.Benchmarks); it is
-// called only for benchmarks that own a measured interval.
-func ReplayJoint(j *JointResult, sources func(bench int) (trace.Source, error), cfg ReducedConfig) (*JointReduced, error) {
+// ReplayJointStore measures the shared phases' chosen intervals of a
+// joint vocabulary built from src and extrapolates every member
+// benchmark. The measurement plan is computed over the same normalized
+// matrix the clustering ran on, rebuilt from src by normalizedStore:
+// per shared phase, the RepsPerPhase rows closest to the phase mean
+// (ties by ascending row). sources must return a fresh event source
+// for benchmark bi (indexed like j.Benchmarks); it is called only for
+// benchmarks that own a measured interval.
+func ReplayJointStore(src ivstore.Source, j *JointResult, sources func(bench int) (trace.Source, error), cfg ReducedConfig) (*JointReduced, error) {
 	cfg = cfg.WithDefaults()
-	if j.Vectors == nil {
-		return nil, fmt.Errorf("phases: joint replay: vocabulary carries no vectors (store-backed results replay via ReplayJointStore)")
+	norm, _, _, err := normalizedStore(src, nil)
+	if err != nil {
+		return nil, fmt.Errorf("phases: joint store replay: %w", err)
 	}
-	return replayJointPlan(j, jointMeasurementPlan(j, cfg.RepsPerPhase), sources, cfg)
-}
+	if norm.Rows != len(j.Rows) {
+		return nil, fmt.Errorf("phases: joint store replay: source has %d rows, vocabulary has %d", norm.Rows, len(j.Rows))
+	}
+	plan := measurementPlanRows(norm, j.Assign, j.K, cfg.RepsPerPhase)
 
-// replayJointPlan is the replay body shared by the in-memory and
-// store-backed joint reductions; plan maps joint row index to phase
-// and cfg must already carry its defaults.
-func replayJointPlan(j *JointResult, plan map[int]int, sources func(bench int) (trace.Source, error), cfg ReducedConfig) (*JointReduced, error) {
 	span := obs.StartSpan("phases.replay")
 	defer span.End()
 	jr := &JointReduced{

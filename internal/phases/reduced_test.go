@@ -192,11 +192,12 @@ func TestReplayJointSingleBenchmarkMatchesPerBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := AnalyzeJoint([]BenchmarkIntervals{{Name: "twophase", Result: ph}}, cfg.CheapConfig())
+	mem := memFrom(t, []benchIntervals{{Name: "twophase", Result: ph}})
+	j, _, err := AnalyzeJointStore(t.Context(), mem, cfg.CheapConfig(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr, err := ReplayJoint(j, func(int) (trace.Source, error) { return newMachine(t), nil }, cfg)
+	jr, err := ReplayJointStore(mem, j, func(int) (trace.Source, error) { return newMachine(t), nil }, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,19 +223,20 @@ func TestReplayJointSingleBenchmarkMatchesPerBench(t *testing.T) {
 func TestReplayJointSharedReps(t *testing.T) {
 	cfg := reducedTestConfig()
 	prof := mica.NewProfiler(cfg.CheapConfig().Options)
-	var named []BenchmarkIntervals
+	var named []benchIntervals
 	for _, name := range []string{"copy-a", "copy-b"} {
 		ph, err := CharacterizeReducedWith(machineFor(t, name, twoPhaseProgram), prof, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		named = append(named, BenchmarkIntervals{Name: name, Result: ph})
+		named = append(named, benchIntervals{Name: name, Result: ph})
 	}
-	j, err := AnalyzeJoint(named, cfg.CheapConfig())
+	mem := memFrom(t, named)
+	j, _, err := AnalyzeJointStore(t.Context(), mem, cfg.CheapConfig(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr, err := ReplayJoint(j, func(bi int) (trace.Source, error) {
+	jr, err := ReplayJointStore(mem, j, func(bi int) (trace.Source, error) {
 		return machineFor(t, j.Benchmarks[bi], twoPhaseProgram), nil
 	}, cfg)
 	if err != nil {

@@ -12,32 +12,33 @@ import (
 	"mica/internal/stats"
 )
 
-// AnalyzeJointStore is AnalyzeJoint over a committed interval-vector
-// store instead of in-memory characterizations: the registry-scale
-// joint path. One sequential pass reads every shard once and copies
-// its rows into a resident n×d matrix, which is z-scored in
-// place with the column statistics stats.ZScoreNormalize computes, and
-// the clustering runs the same engines on it through
-// cluster.SelectKRows — so on data that round-trips the store encoding
-// exactly, the resulting vocabulary (assignment, K, representatives,
-// occupancy) is bit-identical to AnalyzeJoint on the materialized
-// matrix. With the default float32 shards the stored rows are the
-// float64 vectors rounded to float32 (relative error <= 2^-24); the
-// differential tests pin both facts.
+// AnalyzeJointStore clusters the intervals of every shard in src
+// once into a shared cross-benchmark phase vocabulary, with the same
+// normalize + SelectK + representative-selection recipe the
+// per-benchmark analysis uses, and reports per-benchmark phase
+// occupancy plus cross-benchmark representatives. Run on a single
+// shard it is bit-identical to that benchmark's per-benchmark
+// analysis. src is a committed interval-vector store or an in-memory
+// ivstore.Mem; a store's rows are the characterized vectors rounded to
+// float32 (relative error <= 2^-24), a Mem's are the vectors
+// themselves.
 //
-// The normalized matrix lives only for the duration of the call, so
-// the returned JointResult's Vectors is nil; representative vectors
-// can be fetched per shard via the store. workers bounds sweep
-// parallelism (0 = GOMAXPROCS); workers share the one matrix. Peak
-// memory is the n×d×8 bytes of the normalized matrix plus one decoded
-// shard.
+// One sequential pass reads every shard once and copies its rows into
+// a resident n×d matrix, which is z-scored in place with the column
+// statistics stats.ZScoreNormalize computes, and the clustering runs
+// on it through cluster.SelectKRows — so the vocabulary (assignment,
+// K, representatives, occupancy) is bit for bit what stats.ZScoreNormalize
+// and cluster.SelectK give on the concatenated rows. The matrix lives
+// only for the duration of the call; peak memory is its n×d×8 bytes
+// plus one shard. workers bounds sweep parallelism (0 = GOMAXPROCS);
+// workers share the one matrix.
 //
 // Cancelling ctx stops the clustering sweep from dispatching per-k
 // runs and returns ctx's error; a panicking sweep worker is isolated
 // and returned as an error instead of killing the process.
 //
 // A non-nil warm seeds the analysis from a previous run's state: when
-// warm matches the store (configuration hash, dimensionality) and the
+// warm matches the shards (configuration hash, dimensionality) and the
 // data's normalization statistics have drifted less than WarmMaxDrift
 // from the state's, the sweep starts every k from the previous
 // centroids (renormalized into the current statistics' space) instead
@@ -47,27 +48,21 @@ import (
 // seeding only changes the initialization, and engines still iterate
 // to convergence).
 //
-// The store must not be mutated while the analysis runs.
-func AnalyzeJointStore(ctx context.Context, st *ivstore.Store, cfg Config, workers int, warm *JointWarmState) (*JointResult, bool, error) {
+// src must not be mutated while the analysis runs.
+func AnalyzeJointStore(ctx context.Context, src ivstore.Source, cfg Config, workers int, warm *JointWarmState) (*JointResult, bool, error) {
 	cfg = cfg.withDefaults()
-	if len(st.Shards()) == 0 {
-		return nil, false, fmt.Errorf("phases: joint analysis of an empty store %s", st.Dir())
-	}
-	if st.Dims() != mica.NumChars {
-		return nil, false, fmt.Errorf("phases: store %s has %d-dimensional rows, want %d", st.Dir(), st.Dims(), mica.NumChars)
+	shards := src.Shards()
+	if len(shards) == 0 {
+		return nil, false, fmt.Errorf("phases: joint analysis of zero benchmarks")
 	}
 
 	// The pass that builds the normalized matrix also records the
 	// provenance (RowRefs, per-row instruction counts), and is where a
 	// corrupt shard surfaces as an ordinary error.
-	n := st.NumRows()
-	j := &JointResult{
-		Benchmarks: st.Benchmarks(),
-		Rows:       make([]RowRef, 0, n),
-		RowInsts:   make([]uint64, 0, n),
-	}
+	j := &JointResult{}
 	nspan := obs.StartSpan("phases.normalize")
-	norm, mean, std, err := normalizedStore(st, func(si int, sd *ivstore.ShardData) {
+	norm, mean, std, err := normalizedStore(src, func(si int, sd *ivstore.ShardData) {
+		j.Benchmarks = append(j.Benchmarks, sd.Name)
 		for ii, insts := range sd.Insts {
 			j.Rows = append(j.Rows, RowRef{Bench: si, Interval: ii})
 			j.RowInsts = append(j.RowInsts, insts)
@@ -80,14 +75,14 @@ func AnalyzeJointStore(ctx context.Context, st *ivstore.Store, cfg Config, worke
 
 	opt := cluster.SweepOptions{Workers: workers}
 	warmUsed := false
-	if ws := warm.seeds(st, cfg, mean, std); ws != nil {
+	if ws := warm.seeds(shards, cfg, mean, std); ws != nil {
 		opt.Warm = ws
 		warmUsed = true
 	}
 
 	sel, err := cluster.SelectKRows(ctx, norm, cfg.MaxK, cfg.Seed, opt)
 	if err != nil {
-		return nil, warmUsed, fmt.Errorf("phases: joint clustering of %s: %w", st.Dir(), err)
+		return nil, warmUsed, fmt.Errorf("phases: joint clustering: %w", err)
 	}
 
 	j.deriveFrom(norm, sel)
@@ -96,23 +91,31 @@ func AnalyzeJointStore(ctx context.Context, st *ivstore.Store, cfg Config, worke
 	return j, warmUsed, nil
 }
 
-// normalizedStore copies every committed row of st into one n×d matrix
-// in a single sequential pass, one ReadShard per shard, and z-scores it
-// in place, returning the matrix and the column statistics
-// it was normalized with — bit for bit what stats.ZScoreNormalize
-// gives on the concatenated rows. visit, when non-nil, sees each
-// decoded shard in store order, so a caller folds its per-shard work
-// into the same pass.
-func normalizedStore(st *ivstore.Store, visit func(si int, sd *ivstore.ShardData)) (norm *stats.Matrix, mean, std []float64, err error) {
-	d := st.Dims()
-	norm = stats.NewMatrix(st.NumRows(), d)
+// normalizedStore copies every row of src into one n×d matrix in a
+// single sequential pass, one ReadShard per shard, and z-scores it in
+// place, returning the matrix and the column statistics it was
+// normalized with — bit for bit what stats.ZScoreNormalize gives on the
+// concatenated rows. Every shard must hold 47-characteristic rows.
+// visit, when non-nil, sees each shard in order, so a caller folds its
+// per-shard work into the same pass.
+func normalizedStore(src ivstore.Source, visit func(si int, sd *ivstore.ShardData)) (norm *stats.Matrix, mean, std []float64, err error) {
+	shards := src.Shards()
+	n := 0
+	for _, sh := range shards {
+		n += sh.Rows
+	}
+	norm = stats.NewMatrix(n, mica.NumChars)
 	r := 0
-	for si := range st.Shards() {
-		sd, err := st.ReadShard(si)
+	for si, sh := range shards {
+		sd, err := src.ReadShard(si)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		copy(norm.Data[r*d:], sd.Vecs.Data)
+		if sd.Vecs.Cols != mica.NumChars || sd.Vecs.Rows != sh.Rows {
+			return nil, nil, nil, fmt.Errorf("shard %s holds %dx%d rows, want %dx%d",
+				sh.Name, sd.Vecs.Rows, sd.Vecs.Cols, sh.Rows, mica.NumChars)
+		}
+		copy(norm.Data[r*mica.NumChars:], sd.Vecs.Data)
 		r += sd.Vecs.Rows
 		if visit != nil {
 			visit(si, sd)
@@ -155,10 +158,9 @@ type JointWarmState struct {
 	Counts []int `json:"counts"`
 }
 
-// WarmState packages a store-backed joint result's clustering state
-// for persistence, stamped with the given configuration hash. Returns
-// nil when the result carries no warm-start capture (in-memory
-// results).
+// WarmState packages a joint result's clustering state for
+// persistence, stamped with the given configuration hash. Returns nil
+// for a result AnalyzeJointStore did not build.
 func (j *JointResult) WarmState(configHash string) *JointWarmState {
 	if j == nil || j.centroids == nil || j.normMean == nil || j.normStd == nil {
 		return nil
@@ -180,19 +182,21 @@ func (j *JointResult) WarmState(configHash string) *JointWarmState {
 	return ws
 }
 
-// seeds validates a warm state against a store and the freshly
+// seeds validates a warm state against the shards and the freshly
 // computed normalization statistics, returning a cluster.WarmStart
 // with the centroids renormalized into the current statistics' space —
-// or nil when the state is absent, mismatched, or drifted past
-// WarmMaxDrift.
-func (w *JointWarmState) seeds(st *ivstore.Store, cfg Config, mean, std []float64) *cluster.WarmStart {
-	d := st.Dims()
+// or nil when the state is absent, mismatched (a shard stamped with
+// another configuration hash), or drifted past WarmMaxDrift.
+func (w *JointWarmState) seeds(shards []ivstore.Shard, cfg Config, mean, std []float64) *cluster.WarmStart {
+	d := len(mean)
 	if w == nil || w.K <= 0 || w.K > cfg.MaxK ||
 		len(w.Mean) != d || len(w.Std) != d || len(w.Centroids) != w.K {
 		return nil
 	}
-	if w.ConfigHash != "" && w.ConfigHash != st.ConfigHash() {
-		return nil
+	for _, sh := range shards {
+		if w.ConfigHash != "" && w.ConfigHash != sh.ConfigHash {
+			return nil
+		}
 	}
 	for _, row := range w.Centroids {
 		if len(row) != d {

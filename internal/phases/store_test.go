@@ -6,14 +6,77 @@ import (
 	"reflect"
 	"testing"
 
+	"mica/internal/cluster"
 	"mica/internal/ivstore"
 	"mica/internal/mica"
 	"mica/internal/stats"
 )
 
+// benchIntervals pairs a benchmark's name with its characterized
+// intervals (Intervals and Vectors set, no clustering).
+type benchIntervals struct {
+	Name   string
+	Result *Result
+}
+
+// memFrom keeps benches, unrounded, in an in-memory shard source.
+func memFrom(t *testing.T, benches []benchIntervals) *ivstore.Mem {
+	t.Helper()
+	names := make([]string, len(benches))
+	for i, b := range benches {
+		names[i] = b.Name
+	}
+	mem := ivstore.NewMem(names)
+	for _, b := range benches {
+		if err := mem.WriteShard(b.Name, gridInsts(b.Result), b.Result.Vectors); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return mem
+}
+
+// gridInsts returns the per-interval instruction counts of res.
+func gridInsts(res *Result) []uint64 {
+	insts := make([]uint64, len(res.Intervals))
+	for i, iv := range res.Intervals {
+		insts[i] = iv.Insts
+	}
+	return insts
+}
+
+// concatRows stacks the benches' vectors into one matrix, in order.
+func concatRows(benches []benchIntervals) *stats.Matrix {
+	var rows [][]float64
+	for _, b := range benches {
+		for i := 0; i < b.Result.Vectors.Rows; i++ {
+			rows = append(rows, b.Result.Vectors.Row(i))
+		}
+	}
+	return stats.FromRows(rows)
+}
+
+// jointOracle is an independent joint analysis of benches: their rows
+// concatenated, z-scored with stats.ZScoreNormalize and clustered with
+// cluster.SelectK — what AnalyzeJointStore must reproduce bit for bit
+// on the same values.
+func jointOracle(benches []benchIntervals, cfg Config) *JointResult {
+	cfg = cfg.WithDefaults()
+	j := &JointResult{}
+	for bi, b := range benches {
+		j.Benchmarks = append(j.Benchmarks, b.Name)
+		for ii, iv := range b.Result.Intervals {
+			j.Rows = append(j.Rows, RowRef{Bench: bi, Interval: ii})
+			j.RowInsts = append(j.RowInsts, iv.Insts)
+		}
+	}
+	norm := stats.ZScoreNormalize(concatRows(benches))
+	j.deriveFrom(norm, cluster.SelectK(norm, cfg.MaxK, cfg.Seed))
+	return j
+}
+
 // synthBench builds one benchmark's characterized intervals with
 // plausible characteristic ranges, deterministic in seed.
-func synthBench(name string, intervals int, seed int64) BenchmarkIntervals {
+func synthBench(name string, intervals int, seed int64) benchIntervals {
 	rng := rand.New(rand.NewSource(seed))
 	res := &Result{Vectors: stats.NewMatrix(intervals, mica.NumChars)}
 	var start uint64
@@ -35,25 +98,25 @@ func synthBench(name string, intervals int, seed int64) BenchmarkIntervals {
 			}
 		}
 	}
-	return BenchmarkIntervals{Name: name, Result: res}
+	return benchIntervals{Name: name, Result: res}
 }
 
 // roundF32 returns a copy of benches with every vector value rounded
 // through float32 — the store's default encoding applied in memory.
-func roundF32(benches []BenchmarkIntervals) []BenchmarkIntervals {
-	out := make([]BenchmarkIntervals, len(benches))
+func roundF32(benches []benchIntervals) []benchIntervals {
+	out := make([]benchIntervals, len(benches))
 	for i, b := range benches {
 		r := &Result{Intervals: b.Result.Intervals, Vectors: b.Result.Vectors.Clone()}
 		for k, v := range r.Vectors.Data {
 			r.Vectors.Data[k] = float64(float32(v))
 		}
-		out[i] = BenchmarkIntervals{Name: b.Name, Result: r}
+		out[i] = benchIntervals{Name: b.Name, Result: r}
 	}
 	return out
 }
 
 // storeFrom writes benches into a fresh committed store.
-func storeFrom(t *testing.T, dir string, benches []BenchmarkIntervals) *ivstore.Store {
+func storeFrom(t *testing.T, dir string, benches []benchIntervals) *ivstore.Store {
 	t.Helper()
 	st, err := ivstore.Create(dir, ivstore.Config{Dims: mica.NumChars, ConfigHash: "test"})
 	if err != nil {
@@ -62,11 +125,7 @@ func storeFrom(t *testing.T, dir string, benches []BenchmarkIntervals) *ivstore.
 	order := make([]string, len(benches))
 	for i, b := range benches {
 		order[i] = b.Name
-		insts := make([]uint64, len(b.Result.Intervals))
-		for ii, iv := range b.Result.Intervals {
-			insts[ii] = iv.Insts
-		}
-		if err := st.WriteShard(b.Name, insts, b.Result.Vectors); err != nil {
+		if err := st.WriteShard(b.Name, gridInsts(b.Result), b.Result.Vectors); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,14 +142,15 @@ func storeFrom(t *testing.T, dir string, benches []BenchmarkIntervals) *ivstore.
 	return opened
 }
 
-// TestAnalyzeJointStoreBitIdentical is the tentpole differential: the
-// store-backed joint vocabulary equals AnalyzeJoint on the same
-// benchmark set bit for bit — by construction against the
-// float32-rounded in-memory input (which IS what a float32 store
-// holds), and as an end-to-end fact against the raw float64 input on
-// this data, where the rounding perturbs nothing the clustering sees.
+// TestAnalyzeJointStoreBitIdentical is the store differential: the
+// store-backed joint vocabulary equals the independent joint oracle on
+// the same benchmark set bit for bit — by construction against the
+// float32-rounded input (which IS what a float32 store holds) — and,
+// as an end-to-end fact on this data, where the rounding perturbs
+// nothing the clustering sees, the in-memory source's vocabulary over
+// the raw float64 input.
 func TestAnalyzeJointStoreBitIdentical(t *testing.T) {
-	benches := []BenchmarkIntervals{
+	benches := []benchIntervals{
 		synthBench("s/a/one", 60, 1),
 		synthBench("s/b/two", 45, 2),
 		synthBench("s/c/three", 70, 3),
@@ -102,26 +162,19 @@ func TestAnalyzeJointStoreBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Vectors != nil {
-		t.Error("store-backed result materialized the joint matrix")
-	}
 	// One sequential pass: each shard is read once, not once per
 	// clustering pass.
 	if cs := st.CacheStats(); cs.Decodes != uint64(len(benches)) || cs.Misses != cs.Decodes {
 		t.Errorf("read accounting %+v, want one decode per shard (%d)", cs, len(benches))
 	}
 
-	// Exact contract: identical to the in-memory path on the rounded
-	// vectors, field for field.
-	wantRounded, err := AnalyzeJoint(roundF32(benches), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareJoint(t, "vs rounded in-memory", got, wantRounded)
+	// Exact contract: identical to the oracle on the rounded vectors,
+	// field for field.
+	compareJoint(t, "vs rounded oracle", got, jointOracle(roundF32(benches), cfg))
 
 	// End-to-end: on this (well-separated) data the float32 round-trip
 	// must not move the vocabulary at all relative to raw float64 input.
-	wantRaw, err := AnalyzeJoint(benches, cfg)
+	wantRaw, _, err := AnalyzeJointStore(t.Context(), memFrom(t, benches), cfg, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +188,7 @@ func TestAnalyzeJointStoreBitIdentical(t *testing.T) {
 	compareJoint(t, "across worker counts", got, again)
 }
 
-// compareJoint asserts every clustering-derived field matches
-// (Vectors excluded: the store path deliberately never builds it).
+// compareJoint asserts every clustering-derived field matches.
 func compareJoint(t *testing.T, what string, got, want *JointResult) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Benchmarks, want.Benchmarks) {
@@ -159,8 +211,8 @@ func compareJoint(t *testing.T, what string, got, want *JointResult) {
 	}
 }
 
-// TestAnalyzeJointStoreRejects: dimensionality and emptiness are
-// validated up front with errors naming the store.
+// TestAnalyzeJointStoreRejects: a shard of the wrong dimensionality
+// and an empty source are rejected.
 func TestAnalyzeJointStoreRejects(t *testing.T) {
 	dir := t.TempDir()
 	st, err := ivstore.Create(dir, ivstore.Config{Dims: 5})
@@ -196,26 +248,23 @@ func TestAnalyzeJointStoreRejects(t *testing.T) {
 
 // minibatchBenches is a synthetic benchmark set whose joint matrix is
 // large enough (8,400 rows) for the sweep to pick the minibatch engine,
-// so the store-backed sampled path is compared against memory.
-func minibatchBenches() []BenchmarkIntervals {
-	benches := make([]BenchmarkIntervals, 6)
+// so the store-backed sampled path is compared against the oracle.
+func minibatchBenches() []benchIntervals {
+	benches := make([]benchIntervals, 6)
 	for i := range benches {
 		benches[i] = synthBench(fmt.Sprintf("mb/%d", i), 1400, int64(40+i))
 	}
 	return benches
 }
 
-// TestAnalyzeJointStoreMinibatchBitIdentical is the store-vs-memory
-// differential at minibatch scale: the store-backed vocabulary equals
-// AnalyzeJoint on the float32-rounded vectors bit for bit, cold and
+// TestAnalyzeJointStoreMinibatchBitIdentical is the store differential
+// at minibatch scale: the store-backed vocabulary equals the joint
+// oracle on the float32-rounded vectors bit for bit, cold and
 // warm-started from its own state, at one and two sweep workers.
 func TestAnalyzeJointStoreMinibatchBitIdentical(t *testing.T) {
 	benches := minibatchBenches()
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 1400, MaxK: 5, Seed: 2006}
-	want, err := AnalyzeJoint(roundF32(benches), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := jointOracle(roundF32(benches), cfg)
 	if n := len(want.Rows); n < 8192 {
 		t.Fatalf("joint matrix has %d rows, below the minibatch threshold", n)
 	}

@@ -1,16 +1,15 @@
-// Store-backed reduced profiling: the cheap pass's key-subset interval
-// vectors live in an interval-vector store (one shard per benchmark)
-// instead of memory, and the expensive replay gathers only the planned
-// representative intervals back out of the shards the caller reads.
-// The cheap vectors are stored at the full characteristic width
-// (columns outside the key subset are exactly zero, which the float32
-// encoding round-trips losslessly), so the same shard layout, config
-// stamping and incremental-adoption machinery serve the plain and
-// reduced pipelines alike.
+// Shard-backed reduced profiling: the cheap pass's key-subset interval
+// vectors live in a shard source (one shard per benchmark, in memory or
+// in an interval-vector store), and the expensive replay gathers only
+// the planned representative intervals back out of the shards the
+// caller reads. The cheap vectors are kept at the full characteristic
+// width (columns outside the key subset are exactly zero, which the
+// float32 encoding round-trips losslessly), so the same shard layout,
+// config stamping and incremental-adoption machinery serve the plain
+// and reduced pipelines alike.
 package phases
 
 import (
-	"fmt"
 	"sort"
 
 	"mica/internal/ivstore"
@@ -21,10 +20,9 @@ import (
 
 // measurementPlanRows is measurementPlan over a normalized matrix: for
 // each phase, the reps rows closest to the phase's mean (ties broken by
-// ascending row index), returned as row index -> phase. The in-memory
-// path hands it the z-scored joint matrix and the store path the
-// matrix normalizedStore builds, so both yield the same plan, bit for
-// bit, when the underlying values match.
+// ascending row index), returned as row index -> phase. The
+// per-benchmark replay hands it one benchmark's z-scored vectors and
+// the joint replay the matrix normalizedStore builds.
 func measurementPlanRows(norm *stats.Matrix, assign []int, k, reps int) map[int]int {
 	n, d := norm.Rows, norm.Cols
 	means := stats.NewMatrix(k, d)
@@ -73,33 +71,14 @@ func measurementPlanRows(norm *stats.Matrix, assign []int, k, reps int) map[int]
 	return plan
 }
 
-// ReplayJointStore is ReplayJoint for a store-backed joint vocabulary
-// (one whose Vectors matrix was never materialized): the measurement
-// plan is computed over the same normalized matrix the clustering ran
-// on, rebuilt from the store by normalizedStore, and the replay itself
-// is the shared joint replay.
-func ReplayJointStore(st *ivstore.Store, j *JointResult, sources func(bench int) (trace.Source, error), cfg ReducedConfig) (*JointReduced, error) {
-	cfg = cfg.WithDefaults()
-	if st.NumRows() != len(j.Rows) {
-		return nil, fmt.Errorf("phases: joint store replay: store has %d rows, vocabulary has %d", st.NumRows(), len(j.Rows))
-	}
-	norm, _, _, err := normalizedStore(st, nil)
-	if err != nil {
-		return nil, fmt.Errorf("phases: joint store replay: %w", err)
-	}
-	plan := measurementPlanRows(norm, j.Assign, j.K, cfg.RepsPerPhase)
-	return replayJointPlan(j, plan, sources, cfg)
-}
-
 // ResultFromShard reconstructs a phase Result from a stored shard: the
 // interval grid is rebuilt from the per-interval instruction counts
 // (intervals are contiguous by construction) and the vectors are the
 // shard's rows, then the intervals are clustered under cfg — the
 // configuration the shard was characterized with (for a reduced
-// cheap-pass shard, ReducedConfig.CheapConfig). This is the
-// store-backed stand-in for re-running the characterization — the
-// difference to the in-memory Result is only the store encoding's
-// rounding (float32 by default).
+// cheap-pass shard, ReducedConfig.CheapConfig). On an in-memory shard
+// it is bit-identical to Analyze; on a store shard it differs only by
+// the float32 rounding of the vectors.
 func ResultFromShard(sd *ivstore.ShardData, cfg Config) *Result {
 	cfg = cfg.WithDefaults()
 	res := &Result{

@@ -11,21 +11,20 @@ import (
 )
 
 // TestMeasurementPlanRowsMatchesMatrix: the planner over the matrix
-// normalizedStore builds from a store produces the same plan as over
-// the in-memory joint matrix of the same (float32-rounded) data.
+// normalizedStore builds from a store produces the same plan as
+// measurementPlan over the concatenated matrix of the same
+// (float32-rounded) data.
 func TestMeasurementPlanRowsMatchesMatrix(t *testing.T) {
-	benches := []BenchmarkIntervals{
+	benches := []benchIntervals{
 		synthBench("p/a", 50, 31),
 		synthBench("p/b", 40, 32),
 	}
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 50, MaxK: 6, Seed: 2006}
 	st := storeFrom(t, t.TempDir(), benches)
 
-	want, err := AnalyzeJoint(roundF32(benches), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planMem := jointMeasurementPlan(want, 2)
+	rounded := roundF32(benches)
+	want := jointOracle(rounded, cfg)
+	planMem := measurementPlan(&Result{Vectors: concatRows(rounded), Assign: want.Assign, K: want.K}, 2)
 
 	norm, _, _, err := normalizedStore(st, nil)
 	if err != nil {
@@ -40,15 +39,15 @@ func TestMeasurementPlanRowsMatchesMatrix(t *testing.T) {
 // TestReplayJointStoreMatchesReplayJoint is the store-backed joint
 // reduction differential: characterize the two-phase program cheaply,
 // push the cheap vectors through a float32 store, cluster and replay
-// from the store — and compare bit for bit against the in-memory joint
-// replay over the same rounded vectors.
+// from the store — and compare bit for bit against the joint replay
+// from an in-memory source holding the same rounded vectors.
 func TestReplayJointStoreMatchesReplayJoint(t *testing.T) {
 	cfg := reducedTestConfig()
 	ph, err := CharacterizeReducedWith(newMachine(t), mica.NewProfiler(cfg.CheapConfig().Options), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	benches := []BenchmarkIntervals{{Name: "twophase", Result: ph}}
+	benches := []benchIntervals{{Name: "twophase", Result: ph}}
 	machines := func(int) (trace.Source, error) { return newMachine(t), nil }
 
 	st := storeFrom(t, t.TempDir(), benches)
@@ -61,11 +60,12 @@ func TestReplayJointStoreMatchesReplayJoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	jMem, err := AnalyzeJoint(roundF32(benches), cfg.CheapConfig())
+	mem := memFrom(t, roundF32(benches))
+	jMem, _, err := AnalyzeJointStore(t.Context(), mem, cfg.CheapConfig(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ReplayJoint(jMem, machines, cfg)
+	want, err := ReplayJointStore(mem, jMem, machines, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,21 +81,10 @@ func TestReplayJointStoreMatchesReplayJoint(t *testing.T) {
 	}
 }
 
-// TestReplayJointRejectsVectorless: handing a store-backed vocabulary
-// (no Vectors matrix) to the in-memory replay fails with an error that
-// points at ReplayJointStore.
-func TestReplayJointRejectsVectorless(t *testing.T) {
-	j := &JointResult{Benchmarks: []string{"x"}, K: 1, Assign: []int{0}}
-	_, err := ReplayJoint(j, func(int) (trace.Source, error) { return nil, nil }, reducedTestConfig())
-	if err == nil || !strings.Contains(err.Error(), "ReplayJointStore") {
-		t.Fatalf("vectorless replay error = %v, want a pointer to ReplayJointStore", err)
-	}
-}
-
 // TestReplayJointStoreRowMismatch: a vocabulary built for a different
 // store (row count mismatch) is rejected up front.
 func TestReplayJointStoreRowMismatch(t *testing.T) {
-	st := storeFrom(t, t.TempDir(), []BenchmarkIntervals{synthBench("m/a", 20, 41)})
+	st := storeFrom(t, t.TempDir(), []benchIntervals{synthBench("m/a", 20, 41)})
 	j := &JointResult{Rows: make([]RowRef, 7)}
 	_, err := ReplayJointStore(st, j, func(int) (trace.Source, error) { return nil, nil }, reducedTestConfig())
 	if err == nil || !strings.Contains(err.Error(), "rows") {
@@ -112,7 +101,7 @@ func TestReplayReducedShardMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := storeFrom(t, t.TempDir(), []BenchmarkIntervals{{Name: "twophase", Result: ph}})
+	st := storeFrom(t, t.TempDir(), []benchIntervals{{Name: "twophase", Result: ph}})
 	sd, err := st.ReadShard(0)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +114,7 @@ func TestReplayReducedShardMatchesInMemory(t *testing.T) {
 
 	// In-memory analog: the same rounded vectors clustered under the
 	// cheap config, replayed the same way.
-	rounded := roundF32([]BenchmarkIntervals{{Name: "twophase", Result: ph}})[0].Result
+	rounded := roundF32([]benchIntervals{{Name: "twophase", Result: ph}})[0].Result
 	rounded.cluster(cfg.CheapConfig())
 	want, err := ReplayReduced(newMachine(t), mica.NewProfiler(cfg.FullOptions), rounded, cfg)
 	if err != nil {
@@ -151,7 +140,7 @@ func TestReplayReducedShardMatchesInMemory(t *testing.T) {
 // instruction counts is the original contiguous grid.
 func TestResultFromShardGrid(t *testing.T) {
 	bench := synthBench("g/a", 25, 51)
-	st := storeFrom(t, t.TempDir(), []BenchmarkIntervals{bench})
+	st := storeFrom(t, t.TempDir(), []benchIntervals{bench})
 	sd, err := st.ReadShard(0)
 	if err != nil {
 		t.Fatal(err)
@@ -172,14 +161,14 @@ func TestResultFromShardGrid(t *testing.T) {
 func TestResultFromShardMatchesRoundedCluster(t *testing.T) {
 	bench := synthBench("g/b", 30, 52)
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 30, MaxK: 5, Seed: 2006}
-	st := storeFrom(t, t.TempDir(), []BenchmarkIntervals{bench})
+	st := storeFrom(t, t.TempDir(), []benchIntervals{bench})
 	sd, err := st.ReadShard(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := ResultFromShard(sd, cfg)
 
-	want := roundF32([]BenchmarkIntervals{bench})[0].Result
+	want := roundF32([]benchIntervals{bench})[0].Result
 	want.cluster(cfg.WithDefaults())
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("shard result (K=%d) differs from the rounded in-memory clustering (K=%d)", got.K, want.K)

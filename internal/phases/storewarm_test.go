@@ -6,8 +6,8 @@ import (
 )
 
 // warmBenches is a fixed benchmark set for the warm-start tests.
-func warmBenches() []BenchmarkIntervals {
-	return []BenchmarkIntervals{
+func warmBenches() []benchIntervals {
+	return []benchIntervals{
 		synthBench("w/a", 60, 21),
 		synthBench("w/b", 45, 22),
 		synthBench("w/c", 70, 23),
@@ -125,7 +125,7 @@ func TestWarmDriftSensitivity(t *testing.T) {
 
 	// One of three benchmarks re-characterized with a different seed: the
 	// warm state must still be accepted against the changed store.
-	changed := append([]BenchmarkIntervals(nil), base...)
+	changed := append([]benchIntervals(nil), base...)
 	changed[1] = synthBench("w/b", 45, 99)
 	st2 := storeFrom(t, t.TempDir(), changed)
 	ws2 := *ws
@@ -139,19 +139,23 @@ func TestWarmDriftSensitivity(t *testing.T) {
 	}
 }
 
-// TestWarmStateNilWithoutCapture: results that never captured
-// clustering state (the in-memory path stops at deriveFrom, cache
-// loads carry nothing) produce no warm state.
+// TestWarmStateNilWithoutCapture: a result that never captured
+// clustering state (one AnalyzeJointStore did not build) produces no
+// warm state, while an in-memory analysis captures one like a store's.
 func TestWarmStateNilWithoutCapture(t *testing.T) {
-	j, err := AnalyzeJoint(warmBenches(), Config{IntervalLen: 1000, MaxIntervals: 70, MaxK: 6, Seed: 2006})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.WarmState("x") != nil {
-		t.Error("in-memory joint result produced a warm state without normalization capture")
+	if (&JointResult{K: 1, Assign: []int{0}}).WarmState("x") != nil {
+		t.Error("result without normalization capture produced a warm state")
 	}
 	var nilRes *JointResult
 	if nilRes.WarmState("x") != nil {
 		t.Error("nil result produced a warm state")
+	}
+	j, _, err := AnalyzeJointStore(t.Context(), memFrom(t, warmBenches()),
+		Config{IntervalLen: 1000, MaxIntervals: 70, MaxK: 6, Seed: 2006}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.WarmState("x") == nil {
+		t.Error("in-memory joint result captured no warm state")
 	}
 }

@@ -1,0 +1,165 @@
+package mica
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"testing"
+)
+
+// pinHash folds pipeline outputs into one sha256, floats by their
+// exact bit patterns, so any change in a single value shows.
+type pinHash struct{ h hash.Hash }
+
+func (p pinHash) u64(v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	p.h.Write(b[:])
+}
+func (p pinHash) int(v int)     { p.u64(uint64(int64(v))) }
+func (p pinHash) f64(v float64) { p.u64(math.Float64bits(v)) }
+func (p pinHash) str(s string)  { p.int(len(s)); p.h.Write([]byte(s)) }
+func (p pinHash) bool(b bool)   { p.int(map[bool]int{false: 0, true: 1}[b]) }
+func (p pinHash) floats(v []float64) {
+	p.int(len(v))
+	for _, x := range v {
+		p.f64(x)
+	}
+}
+func (p pinHash) ints(v []int) {
+	p.int(len(v))
+	for _, x := range v {
+		p.int(x)
+	}
+}
+
+func (p pinHash) phases(r *PhaseResult) {
+	p.int(len(r.Intervals))
+	for _, iv := range r.Intervals {
+		p.int(iv.Index)
+		p.u64(iv.Start)
+		p.u64(iv.Insts)
+	}
+	p.int(r.Vectors.Rows)
+	p.floats(r.Vectors.Data)
+	p.ints(r.Assign)
+	p.int(r.K)
+	p.int(len(r.Representatives))
+	for _, rep := range r.Representatives {
+		p.int(rep.Phase)
+		p.int(rep.Interval)
+		p.f64(rep.Weight)
+	}
+}
+
+func (p pinHash) joint(j *PhaseJointResult) {
+	for _, n := range j.Benchmarks {
+		p.str(n)
+	}
+	p.int(len(j.Rows))
+	for r, ref := range j.Rows {
+		p.int(ref.Bench)
+		p.int(ref.Interval)
+		p.u64(j.RowInsts[r])
+	}
+	p.ints(j.Assign)
+	p.int(j.K)
+	p.int(len(j.Representatives))
+	for _, rep := range j.Representatives {
+		p.int(rep.Phase)
+		p.int(rep.Row)
+		p.int(rep.Bench)
+		p.int(rep.Interval)
+		p.f64(rep.Weight)
+	}
+	p.floats(j.Occupancy.Data)
+}
+
+func (p pinHash) measured(insts uint64, chars []float64, hpc []float64) {
+	p.u64(insts)
+	p.floats(chars)
+	p.floats(hpc)
+}
+
+// TestRunInMemoryOutputsPinned pins the in-memory Run output of all
+// four analyses — per-benchmark and joint phases, per-benchmark and
+// joint reduced — by a sha256 over the float64 bits of every interval
+// vector, assignment, K, representative, occupancy and reduced
+// measurement and extrapolation. The values are unrounded (no shard
+// encoding touches them), so any change to the arithmetic of an
+// in-memory pipeline shows here.
+func TestRunInMemoryOutputsPinned(t *testing.T) {
+	bs := storeBenchmarks(t, "MiBench/sha/large", "CommBench/drr/drr")
+	phase := PhaseConfig{IntervalLen: 500, MaxIntervals: 12, MaxK: 3, Seed: 2006}
+	for _, tc := range []struct{ name, want string }{
+		{"phases", "3e8bda20487ebf2e7ca0b61d508839c81f4490b554d940a07638bee4de8cfd05"},
+		{"joint", "8125e26dab3023a465c25746544322ed4aa68328dc1c1f267eec97d9cf70731c"},
+		{"reduced", "4381c2044513e650a845cbac1d5b01d73c3d15cbff4fa8ab7d3f3ca918b6c49b"},
+		{"joint-reduced", "9473a5078410c254a32865ce671e5675730817bf23b693cea75f424469f1cada"},
+	} {
+		name := tc.name
+		t.Run(name, func(t *testing.T) {
+			req := Request{Benchmarks: bs, Joint: name == "joint" || name == "joint-reduced"}
+			if name == "reduced" || name == "joint-reduced" {
+				req.Reduced = &ReducedPipelineConfig{Reduced: ReducedConfig{Phase: phase}, Workers: 2}
+			} else {
+				req.Phases = &PhasePipelineConfig{Phase: phase, Workers: 2}
+			}
+			rep, err := Run(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := pinHash{sha256.New()}
+			switch name {
+			case "phases":
+				for _, r := range rep.Phases {
+					p.str(r.Benchmark.Name())
+					p.phases(r.Result)
+				}
+			case "joint":
+				p.joint(rep.Joint)
+			case "reduced":
+				for _, r := range rep.Reduced {
+					p.str(r.Benchmark.Name())
+					p.phases(r.Result.Phases)
+					p.int(len(r.Result.Measured))
+					for _, m := range r.Result.Measured {
+						p.int(m.Interval)
+						p.int(m.Phase)
+						p.measured(m.Insts, m.Chars[:], m.HPC[:])
+					}
+					p.bool(r.Result.HasHPC)
+					p.floats(r.Result.Chars[:])
+					p.floats(r.Result.HPC[:])
+					p.u64(r.Result.SampledInsts)
+					p.u64(r.Result.MeasuredInsts)
+					p.u64(r.Result.SkippedInsts)
+				}
+			case "joint-reduced":
+				jr := rep.JointReduced
+				p.joint(jr.Joint)
+				p.int(len(jr.Measured))
+				for _, m := range jr.Measured {
+					p.int(m.Row)
+					p.int(m.Bench)
+					p.int(m.Interval)
+					p.int(m.Phase)
+					p.measured(m.Insts, m.Chars[:], m.HPC[:])
+				}
+				p.bool(jr.HasHPC)
+				for b := range jr.Chars {
+					p.floats(jr.Chars[b][:])
+					p.floats(jr.HPC[b][:])
+				}
+				p.u64(jr.MeasuredInsts)
+				p.u64(jr.SkippedInsts)
+			}
+			if got := hex.EncodeToString(p.h.Sum(nil)); got != tc.want {
+				t.Errorf("in-memory %s output hash %s, want %s", name, got, tc.want)
+			}
+		})
+	}
+}

@@ -259,7 +259,9 @@ func ProfileBenchmarksCtx(ctx context.Context, bs []Benchmark, cfg Config) ([]Pr
 // and reuses it for every later one (nil newState: the zero S), so
 // expensive per-worker state — a profiler's analyzer tables — is built
 // at most once per worker. progress, when non-nil, is called after
-// each benchmark that succeeds. workers <= 0 means GOMAXPROCS.
+// each benchmark that succeeds. An item that returns errSkip has
+// nothing to do: it neither fails nor counts as progress. workers <= 0
+// means GOMAXPROCS.
 func fanOut[S any](ctx context.Context, bs []Benchmark, workers int, progress func(done, total int, name string),
 	what string, newState func() S, item func(state S, i int) error) error {
 	if workers <= 0 {
@@ -278,6 +280,9 @@ func fanOut[S any](ctx context.Context, bs []Benchmark, workers int, progress fu
 			states[worker], built[worker] = newState(), true
 		}
 		if err := item(states[worker], i); err != nil {
+			if err == errSkip {
+				return nil
+			}
 			return err
 		}
 		if progress != nil {
@@ -290,6 +295,9 @@ func fanOut[S any](ctx context.Context, bs []Benchmark, workers int, progress fu
 	})
 	return namePoolErrors(err, what, func(i int) string { return bs[i].Name() })
 }
+
+// errSkip is the fanOut item result for an item with nothing to do.
+var errSkip = errors.New("mica: nothing to do")
 
 // namePoolErrors rewraps a pool.RunCtx error so that every per-item
 // failure — error returns and recovered panics alike — names the

@@ -1,12 +1,9 @@
 package mica
 
 import (
-	"context"
 	"fmt"
 
-	micachar "mica/internal/mica"
 	"mica/internal/phases"
-	"mica/internal/trace"
 )
 
 // Phase-analysis re-exports: interval-based phase classification, the
@@ -68,70 +65,6 @@ type PhasePipelineConfig struct {
 type BenchmarkPhases struct {
 	Benchmark Benchmark
 	Result    *PhaseResult
-}
-
-// runPhases is Run's in-memory per-benchmark phase path: each
-// benchmark's intervals are characterized and clustered on its own.
-// results[i].Result is non-nil exactly when bs[i] succeeded.
-func runPhases(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig) (*Report, error) {
-	results := make([]BenchmarkPhases, len(bs))
-	for i := range results {
-		results[i].Benchmark = bs[i]
-	}
-	err := phasePipelineCtx(ctx, bs, cfg, "phase analysis of", func(m trace.Source, prof *micachar.Profiler, i int) error {
-		res, err := phases.AnalyzeWith(m, prof, cfg.Phase)
-		if err != nil {
-			return err
-		}
-		results[i].Result = res
-		return nil
-	})
-	return &Report{Phases: results}, err
-}
-
-// phasePipelineCtx is the shared sharded front half of every phase
-// pipeline: it instantiates each benchmark on a fixed worker pool, one
-// pooled profiler per worker (built once, Reset between intervals and
-// benchmarks by the callee), and calls analyze for each, with fanOut's
-// failure, cancellation and progress contract. Both the per-benchmark
-// and joint pipelines run through it, so pooling fixes land in one
-// place. what reads like "phase analysis of" — it is spliced between
-// "mica:" and the benchmark name.
-func phasePipelineCtx(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig, what string,
-	analyze func(m trace.Source, prof *micachar.Profiler, i int) error) error {
-	newProf := func() *micachar.Profiler { return micachar.NewProfiler(cfg.Phase.Options) }
-	return fanOut(ctx, bs, cfg.Workers, cfg.Progress, what, newProf, func(prof *micachar.Profiler, i int) error {
-		m, err := bs[i].Source()
-		if err != nil {
-			return err
-		}
-		return analyze(m, prof, i)
-	})
-}
-
-// runPhasesJoint is Run's in-memory joint phase path: every
-// benchmark's intervals are characterized by the sharded pooled
-// pipeline (no per-benchmark clustering), then ALL intervals are
-// concatenated into one provenance-indexed matrix and clustered once.
-// On a single benchmark it is bit-identical to AnalyzePhases.
-func runPhasesJoint(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig) (*Report, error) {
-	named := make([]phases.BenchmarkIntervals, len(bs))
-	err := phasePipelineCtx(ctx, bs, cfg, "characterization of", func(m trace.Source, prof *micachar.Profiler, i int) error {
-		res, err := phases.CharacterizeWith(m, prof, cfg.Phase)
-		if err != nil {
-			return err
-		}
-		named[i] = phases.BenchmarkIntervals{Name: bs[i].Name(), Result: res}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	j, err := phases.AnalyzeJoint(named, cfg.Phase)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{Joint: j}, nil
 }
 
 // Reduced (phase-aware) profiling re-exports: the SimPoint-style
@@ -198,78 +131,4 @@ type ReducedPipelineConfig struct {
 type BenchmarkReduced struct {
 	Benchmark Benchmark
 	Result    *ReducedResult
-}
-
-// runReduced is Run's in-memory per-benchmark reduced path, sharded
-// over the fixed worker pool. Each worker pools one cheap-pass and one
-// full-pass profiler across all the benchmarks it processes (Reset
-// between intervals and benchmarks), so analyzer tables are built
-// twice per worker rather than twice per benchmark.
-// results[i].Result is non-nil exactly when bs[i] succeeded.
-func runReduced(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig) (*Report, error) {
-	rcfg := cfg.Reduced.WithDefaults()
-	results := make([]BenchmarkReduced, len(bs))
-	for i := range results {
-		results[i].Benchmark = bs[i]
-	}
-	// Per-worker state: the cheap-pass and the full-pass profiler.
-	newProfs := func() [2]*micachar.Profiler {
-		return [2]*micachar.Profiler{
-			micachar.NewProfiler(rcfg.CheapConfig().Options),
-			micachar.NewProfiler(rcfg.FullOptions),
-		}
-	}
-	err := fanOut(ctx, bs, cfg.Workers, cfg.Progress, "reduced profiling of", newProfs, func(profs [2]*micachar.Profiler, i int) error {
-		cheap, err := bs[i].Source()
-		if err != nil {
-			return err
-		}
-		replay, err := bs[i].Source()
-		if err != nil {
-			return err
-		}
-		res, err := phases.AnalyzeReducedWith(cheap, replay, profs[0], profs[1], rcfg)
-		if err != nil {
-			return err
-		}
-		results[i].Result = res
-		return nil
-	})
-	return &Report{Reduced: results}, err
-}
-
-// runReducedJoint is Run's in-memory joint reduced path: every
-// benchmark's intervals are characterized by the cheap sampled pass
-// (sharded, pooled), ALL intervals are clustered once into a shared
-// phase vocabulary, and only the shared representative intervals are
-// measured fully — each benchmark's whole-run vectors are extrapolated
-// from the shared measurements weighted by its occupancy row. This is
-// the cross-benchmark redundancy payoff: K full interval measurements
-// for the whole set instead of K per benchmark.
-func runReducedJoint(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig) (*Report, error) {
-	rcfg := cfg.Reduced.WithDefaults()
-	named := make([]phases.BenchmarkIntervals, len(bs))
-	pcfg := PhasePipelineConfig{Phase: rcfg.CheapConfig(), Workers: cfg.Workers, Progress: cfg.Progress}
-	err := phasePipelineCtx(ctx, bs, pcfg, "reduced characterization of", func(m trace.Source, prof *micachar.Profiler, i int) error {
-		res, err := phases.CharacterizeReducedWith(m, prof, rcfg)
-		if err != nil {
-			return err
-		}
-		named[i] = phases.BenchmarkIntervals{Name: bs[i].Name(), Result: res}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	j, err := phases.AnalyzeJoint(named, rcfg.CheapConfig())
-	if err != nil {
-		return nil, err
-	}
-	jr, err := phases.ReplayJoint(j, func(bi int) (trace.Source, error) {
-		return bs[bi].Source()
-	}, rcfg)
-	if err != nil {
-		return nil, fmt.Errorf("mica: joint reduced replay: %w", err)
-	}
-	return &Report{JointReduced: jr}, nil
 }

@@ -8,9 +8,11 @@ import (
 )
 
 // TestAnalyzePhasesJointSingleBenchmarkBitIdentical is the top-level
-// differential contract: the joint Run path over exactly one
+// differential contract: the in-memory joint Run path over exactly one
 // registry benchmark must reproduce AnalyzePhases bit for bit —
-// vectors, assignment, K and representatives.
+// assignment, K and representatives — and the shard it clusters holds
+// AnalyzePhases' vectors unrounded (read back through the per-benchmark
+// Run, which shares the characterization).
 func TestAnalyzePhasesJointSingleBenchmarkBitIdentical(t *testing.T) {
 	for _, name := range []string{"SPEC2000/twolf/ref", "MiBench/sha/large"} {
 		b, err := BenchmarkByName(name)
@@ -29,8 +31,14 @@ func TestAnalyzePhasesJointSingleBenchmarkBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		joint := rep.Joint
-		if !reflect.DeepEqual(joint.Vectors.Data, want.Vectors.Data) {
-			t.Errorf("%s: joint vectors diverge from AnalyzePhases", name)
+		per, err := Run(context.Background(), Request{
+			Benchmarks: []Benchmark{b}, Phases: &PhasePipelineConfig{Phase: cfg, Workers: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(per.Phases[0].Result.Vectors.Data, want.Vectors.Data) {
+			t.Errorf("%s: in-memory shard vectors diverge from AnalyzePhases", name)
 		}
 		if joint.K != want.K || !reflect.DeepEqual(joint.Assign, want.Assign) {
 			t.Errorf("%s: joint assignment diverges (K %d vs %d)", name, joint.K, want.K)

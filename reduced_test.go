@@ -2,6 +2,7 @@ package mica
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 )
@@ -45,25 +46,64 @@ func reduceOne(b Benchmark, cfg ReducedConfig) (*ReducedResult, error) {
 	return rep.Reduced[0].Result, nil
 }
 
+// reducedRegistryRun is one tracked benchmark's exact matched-grid
+// profile and in-memory reduced profile, with the wall time of each
+// call.
+type reducedRegistryRun struct {
+	name                   string
+	ex                     *PhaseExactProfile
+	rr                     *ReducedResult
+	exactTime, reducedTime time.Duration
+}
+
+// reducedRegistry is the fixture the two registry acceptance tests
+// share: ProfileExact then reduceOne on each benchmark of the tracked
+// set, in set order, each call timed on its own, computed once.
+var reducedRegistry struct {
+	once sync.Once
+	runs []reducedRegistryRun
+	err  error
+}
+
+func reducedRegistryRuns(t *testing.T) []reducedRegistryRun {
+	t.Helper()
+	reducedRegistry.once.Do(func() {
+		cfg := reducedAcceptanceConfig()
+		for _, name := range reducedBenchSet {
+			b, err := BenchmarkByName(name)
+			if err != nil {
+				reducedRegistry.err = err
+				return
+			}
+			run := reducedRegistryRun{name: name}
+			start := time.Now()
+			if run.ex, err = ProfileExact(b, cfg); err != nil {
+				reducedRegistry.err = err
+				return
+			}
+			run.exactTime = time.Since(start)
+			start = time.Now()
+			if run.rr, err = reduceOne(b, cfg); err != nil {
+				reducedRegistry.err = err
+				return
+			}
+			run.reducedTime = time.Since(start)
+			reducedRegistry.runs = append(reducedRegistry.runs, run)
+		}
+	})
+	if reducedRegistry.err != nil {
+		t.Fatal(reducedRegistry.err)
+	}
+	return reducedRegistry.runs
+}
+
 // TestReducedErrorBoundRegistry is the differential acceptance test:
 // on every benchmark of the tracked set, the reduced extrapolation of
 // ALL 47 characteristics and 13 HPC metrics must stay within 5%
 // per-metric relative error of the exact matched-grid full profile.
 func TestReducedErrorBoundRegistry(t *testing.T) {
-	cfg := reducedAcceptanceConfig()
-	for _, name := range reducedBenchSet {
-		b, err := BenchmarkByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex, err := ProfileExact(b, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr, err := reduceOne(b, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, run := range reducedRegistryRuns(t) {
+		name, ex, rr := run.name, run.ex, run.rr
 		if got, want := len(rr.Phases.Intervals), len(ex.Intervals); got != want {
 			t.Fatalf("%s: reduced grid has %d intervals, exact has %d", name, got, want)
 		}
@@ -96,23 +136,10 @@ func TestReducedSpeedupRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock speedup measurement skipped in -short mode")
 	}
-	cfg := reducedAcceptanceConfig()
 	var fullTime, redTime time.Duration
-	for _, name := range reducedBenchSet {
-		b, err := BenchmarkByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		if _, err := ProfileExact(b, cfg); err != nil {
-			t.Fatal(err)
-		}
-		fullTime += time.Since(start)
-		start = time.Now()
-		if _, err := reduceOne(b, cfg); err != nil {
-			t.Fatal(err)
-		}
-		redTime += time.Since(start)
+	for _, run := range reducedRegistryRuns(t) {
+		fullTime += run.exactTime
+		redTime += run.reducedTime
 	}
 	speedup := fullTime.Seconds() / redTime.Seconds()
 	t.Logf("reduced profiling effective speedup: %.2fx (full %v, reduced %v)", speedup, fullTime, redTime)

@@ -10,9 +10,7 @@ import (
 	"io/fs"
 
 	"mica/internal/ivstore"
-	micachar "mica/internal/mica"
 	"mica/internal/phases"
-	"mica/internal/trace"
 )
 
 // IVStore is the sharded, columnar, on-disk interval-vector store
@@ -88,7 +86,7 @@ type StoreBuildStats struct {
 // feeds one shard per benchmark, written as each worker finishes, so
 // peak memory is bounded by the in-flight benchmarks — never the
 // registry-wide matrix. The committed store's row order is bs order,
-// exactly the concatenation order of the in-memory joint path.
+// the order the joint analysis concatenates rows in.
 //
 // With opt.Incremental, shards of an existing store in opt.Dir are
 // reused in place when their benchmark name and configuration stamp
@@ -119,11 +117,7 @@ func CharacterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipeli
 	if err := cfg.Phase.Options.Validate(); err != nil {
 		return nil, nil, err
 	}
-	cfg.Phase = cfg.Phase.WithDefaults()
-	return characterizeToStoreCtx(ctx, bs, cfg, opt, phaseConfigHash(cfg.Phase), "store characterization of",
-		func(m trace.Source, prof *micachar.Profiler) (*phases.Result, error) {
-			return phases.CharacterizeWith(m, prof, cfg.Phase)
-		})
+	return characterizeToStoreCtx(ctx, bs, phaseCharacterization(cfg), opt)
 }
 
 // phaseConfigJSON is the normalized phase configuration a store shard
@@ -187,18 +181,21 @@ func ReducedConfigKey(cfg ReducedConfig) string {
 
 // characterizeToStoreCtx is the shared store-build engine behind the
 // plain and reduced store pipelines: shard reuse inventory, the pooled
-// characterization (characterize produces each benchmark's interval
-// grid; the profiler it receives was built from cfg.Phase.Options),
-// per-benchmark fault accounting and the partial-work commit. hash is
-// the configuration stamp shards are keyed on — the plain and reduced
-// pipelines stamp differently, so their shards never cross-adopt.
-func characterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig, opt StoreOptions,
-	hash, what string, characterize func(m trace.Source, prof *micachar.Profiler) (*phases.Result, error)) (*IVStore, *StoreBuildStats, error) {
+// characterization (characterizeShards, writing into the store),
+// per-benchmark fault accounting and the partial-work commit. c.hash
+// is the configuration stamp shards are keyed on — the plain and
+// reduced pipelines stamp differently, so their shards never
+// cross-adopt. Repeated benchmark names are rejected before anything
+// is created.
+func characterizeToStoreCtx(ctx context.Context, bs []Benchmark, c characterization, opt StoreOptions) (*IVStore, *StoreBuildStats, error) {
 	if len(bs) == 0 {
 		return nil, nil, fmt.Errorf("mica: characterizing zero benchmarks to a store")
 	}
 	if opt.Dir == "" {
 		return nil, nil, fmt.Errorf("mica: store characterization needs a directory")
+	}
+	if _, err := distinctNames(bs); err != nil {
+		return nil, nil, err
 	}
 	// Inventory the existing store when reuse is requested (the
 	// manifest alone — a vanished shard file only invalidates its own
@@ -209,9 +206,9 @@ func characterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipeli
 	prevCfg, prevShards, err := ivstore.Inventory(opt.Dir)
 	switch {
 	case err == nil:
-		if opt.Incremental && prevCfg.Dims == NumChars && prevCfg.ConfigHash == hash {
+		if opt.Incremental && prevCfg.Dims == NumChars && prevCfg.ConfigHash == c.hash {
 			for _, sh := range prevShards {
-				if sh.ConfigHash == hash {
+				if sh.ConfigHash == c.hash {
 					reusable[sh.Name] = sh
 				}
 			}
@@ -222,7 +219,7 @@ func characterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipeli
 		return nil, nil, fmt.Errorf("mica: %s exists but is not a usable interval-vector store (delete it or pass another path): %w", opt.Dir, err)
 	}
 
-	st, err := ivstore.Create(opt.Dir, ivstore.Config{Dims: NumChars, ConfigHash: hash})
+	st, err := ivstore.Create(opt.Dir, ivstore.Config{Dims: NumChars, ConfigHash: c.hash})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -241,30 +238,17 @@ func characterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipeli
 		toBuild = append(toBuild, b)
 	}
 
-	built := make([]bool, len(toBuild))
-	pipeErr := phasePipelineCtx(ctx, toBuild, cfg, what, func(m trace.Source, prof *micachar.Profiler, i int) error {
-		res, err := characterize(m, prof)
-		if err != nil {
-			return err
-		}
-		insts := make([]uint64, len(res.Intervals))
-		for ii, iv := range res.Intervals {
-			insts[ii] = iv.Insts
-		}
-		if err := st.WriteShard(toBuild[i].Name(), insts, res.Vectors); err != nil {
-			return err
-		}
-		built[i] = true
-		return nil
-	})
+	c.what = "store " + c.what
+	pipeErr := characterizeShards(ctx, toBuild, c, st)
 
 	// Split the non-built benchmarks into failed (the pool attributed
 	// an error to them) and skipped (never dispatched — cancellation),
-	// and record what actually got (re)characterized.
+	// and record what actually got (re)characterized: a benchmark to
+	// build is staged exactly when its shard was written.
 	failed := failedItems(pipeErr)
 	for i, b := range toBuild {
 		switch {
-		case built[i]:
+		case st.Staged(b.Name()):
 			stats.Characterized = append(stats.Characterized, b.Name())
 		case failed[i]:
 			stats.Failed = append(stats.Failed, b.Name())
@@ -296,94 +280,11 @@ func characterizeToStoreCtx(ctx context.Context, bs []Benchmark, cfg PhasePipeli
 	return st, stats, pipeErr
 }
 
-// runPhasesStore is Run's store-backed per-benchmark phase path: every
-// benchmark is characterized into (or, with opt.Incremental, reused
-// from) the store in opt.Dir, then each benchmark's phases are
-// clustered from its stored shard. The result differs from the
-// in-memory path only by the shard encoding's rounding of the interval
-// vectors (float32 by default). A characterization failure returns no
-// results. The internally opened store is always closed before
-// returning.
-func runPhasesStore(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig, opt StoreOptions) (*Report, error) {
-	st, stats, err := CharacterizeToStoreCtx(ctx, bs, cfg, opt)
-	if st != nil {
-		defer st.Close()
-	}
-	if err != nil {
-		return storeFailure(stats), err
-	}
-	results := make([]BenchmarkPhases, len(bs))
-	for i := range results {
-		results[i].Benchmark = bs[i]
-	}
-	err = shardPipelineCtx(ctx, st, bs, cfg.Workers, nil, "store-backed phase analysis of", nil,
-		func(_ struct{}, i int, sd *ivstore.ShardData) error {
-			results[i].Result = phases.ResultFromShard(sd, cfg.Phase)
-			return nil
-		})
-	captureCacheStats(st, stats)
-	return &Report{Phases: results, Store: stats}, err
-}
-
-// shardPipelineCtx is the per-benchmark back half of the store-backed
-// pipelines: through fanOut, it hands analyze each bs[i]'s committed
-// shard, read once with ReadShard, together with
-// the calling worker's state (built by newState, see fanOut). A
-// benchmark the store holds no shard for is a failure named like any
-// other.
-func shardPipelineCtx[S any](ctx context.Context, st *IVStore, bs []Benchmark, workers int,
-	progress func(done, total int, name string), what string, newState func() S,
-	analyze func(state S, i int, sd *ivstore.ShardData) error) error {
-	shardIdx := make(map[string]int)
-	for i, sh := range st.Shards() {
-		shardIdx[sh.Name] = i
-	}
-	return fanOut(ctx, bs, workers, progress, what, newState, func(state S, i int) error {
-		si, ok := shardIdx[bs[i].Name()]
-		if !ok {
-			return fmt.Errorf("no committed shard (characterization did not complete)")
-		}
-		sd, err := st.ReadShard(si)
-		if err != nil {
-			return err
-		}
-		return analyze(state, i, sd)
-	})
-}
-
-// runPhasesJointStore is Run's store-backed joint phase path: every
-// benchmark is characterized into (or reused from) the store in
-// opt.Dir, then the registry-wide joint vocabulary is clustered over
-// one normalized matrix read from the shards — bit-identical to the
-// in-memory path on data that round-trips the shard encoding. The
-// characterizations never coexist in memory; the clustering holds the
-// n x 47 x 8-byte normalized matrix and one decoded shard at a time.
-// The joint result's Vectors matrix is nil by design; everything else
-// (assignment, K, representatives, occupancy, provenance) is fully
-// populated. The internally opened store is always closed before
-// returning.
-func runPhasesJointStore(ctx context.Context, bs []Benchmark, cfg PhasePipelineConfig, opt StoreOptions) (*Report, error) {
-	st, stats, err := CharacterizeToStoreCtx(ctx, bs, cfg, opt)
-	if st != nil {
-		defer st.Close()
-	}
-	if err != nil {
-		return storeFailure(stats), err
-	}
-	j, warmUsed, err := AnalyzePhasesJointOpenStoreCtx(ctx, st, cfg.Phase, cfg.Workers, opt.WarmStart)
-	stats.WarmStarted = warmUsed
-	captureCacheStats(st, stats)
-	if err != nil {
-		return storeFailure(stats), err
-	}
-	return &Report{Joint: j, Store: stats}, nil
-}
-
 // AnalyzePhasesJointOpenStoreCtx clusters the joint cross-benchmark
 // vocabulary of an ALREADY-OPEN committed store, characterizing
 // nothing — the serving-side entry point: mica-serve opens its store
 // once at startup and answers phase and similarity queries from it,
-// and Run's joint store paths cluster through it after their build.
+// and a store-backed joint Run clusters through it after its build.
 // Warm-start state is read from and saved back to the store's aux
 // files exactly as the build pipelines do (best-effort both ways).
 // The caller keeps ownership of st; warmUsed reports whether a prior
@@ -431,15 +332,6 @@ func saveWarmState(st *IVStore, j *PhaseJointResult) {
 	}
 	if data, err := json.Marshal(ws); err == nil {
 		_ = st.WriteAux(warmAuxName, data)
-	}
-}
-
-// captureCacheStats snapshots the store's shard-read counters into
-// the build stats; the store pipelines call it just before closing the
-// store they opened internally.
-func captureCacheStats(st *IVStore, stats *StoreBuildStats) {
-	if st != nil && stats != nil {
-		stats.Cache = st.CacheStats()
 	}
 }
 

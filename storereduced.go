@@ -7,11 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-
-	"mica/internal/ivstore"
-	micachar "mica/internal/mica"
-	"mica/internal/phases"
-	"mica/internal/trace"
 )
 
 // Store-backed reduced profiling: the cheap sampled pass's interval
@@ -47,12 +42,7 @@ func CharacterizeReducedToStoreCtx(ctx context.Context, bs []Benchmark, cfg Redu
 	if err := cfg.Reduced.Validate(); err != nil {
 		return nil, nil, err
 	}
-	rcfg := cfg.Reduced.WithDefaults()
-	pcfg := PhasePipelineConfig{Phase: rcfg.CheapConfig(), Workers: cfg.Workers, Progress: cfg.Progress}
-	return characterizeToStoreCtx(ctx, bs, pcfg, opt, reducedStoreHash(rcfg), "reduced store characterization of",
-		func(m trace.Source, prof *micachar.Profiler) (*phases.Result, error) {
-			return phases.CharacterizeReducedWith(m, prof, rcfg)
-		})
+	return characterizeToStoreCtx(ctx, bs, reducedCharacterization(cfg), opt)
 }
 
 // AnalyzeReducedStoreCtx is Run's store-backed per-benchmark reduced
@@ -67,77 +57,4 @@ func AnalyzeReducedStoreCtx(ctx context.Context, bs []Benchmark, cfg ReducedPipe
 		return nil, nil, err
 	}
 	return rep.Reduced, rep.Store, err
-}
-
-// runReducedStore is Run's store-backed per-benchmark reduced path:
-// the cheap pass lands in (or is reused from) the store in opt.Dir,
-// then each benchmark's phases are clustered from its stored shard and
-// replayed with the full profiler. With opt.Incremental, an unchanged
-// benchmark skips its cheap pass entirely — only the replay (whose
-// cost the reduction already bounded to a few intervals per phase) is
-// paid again. Progress reports each benchmark once, after its replay,
-// as the in-memory path does. A cheap-pass failure returns no results;
-// otherwise results[i].Result is non-nil exactly when bs[i] made it
-// through both passes.
-func runReducedStore(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig, opt StoreOptions) (*Report, error) {
-	rcfg := cfg.Reduced.WithDefaults()
-	cheap := cfg
-	cheap.Progress = nil
-	st, stats, err := CharacterizeReducedToStoreCtx(ctx, bs, cheap, opt)
-	if st != nil {
-		defer st.Close()
-	}
-	if err != nil {
-		return storeFailure(stats), err
-	}
-	results := make([]BenchmarkReduced, len(bs))
-	for i := range results {
-		results[i].Benchmark = bs[i]
-	}
-	newProf := func() *micachar.Profiler { return micachar.NewProfiler(rcfg.FullOptions) }
-	err = shardPipelineCtx(ctx, st, bs, cfg.Workers, cfg.Progress, "store-backed reduced replay of", newProf,
-		func(prof *micachar.Profiler, i int, sd *ivstore.ShardData) error {
-			replay, err := bs[i].Source()
-			if err != nil {
-				return err
-			}
-			res, err := phases.ReplayReducedShard(replay, prof, sd, rcfg)
-			if err != nil {
-				return err
-			}
-			results[i].Result = res
-			return nil
-		})
-	captureCacheStats(st, stats)
-	return &Report{Reduced: results, Store: stats}, err
-}
-
-// runReducedJointStore is Run's store-backed joint reduced path: the
-// cheap pass lands in the store, the shared vocabulary is clustered
-// over the normalized matrix read once from the store's shards
-// (warm-started from the previous run's state when opt.WarmStart), and
-// the joint replay measures only the shared representatives.
-func runReducedJointStore(ctx context.Context, bs []Benchmark, cfg ReducedPipelineConfig, opt StoreOptions) (*Report, error) {
-	rcfg := cfg.Reduced.WithDefaults()
-	st, stats, err := CharacterizeReducedToStoreCtx(ctx, bs, cfg, opt)
-	if st != nil {
-		defer st.Close()
-	}
-	if err != nil {
-		return storeFailure(stats), err
-	}
-	j, warmUsed, err := AnalyzePhasesJointOpenStoreCtx(ctx, st, rcfg.CheapConfig(), cfg.Workers, opt.WarmStart)
-	stats.WarmStarted = warmUsed
-	if err != nil {
-		captureCacheStats(st, stats)
-		return storeFailure(stats), err
-	}
-	jr, err := phases.ReplayJointStore(st, j, func(bi int) (trace.Source, error) {
-		return bs[bi].Source()
-	}, rcfg)
-	captureCacheStats(st, stats)
-	if err != nil {
-		return storeFailure(stats), fmt.Errorf("mica: store-backed joint reduced replay: %w", err)
-	}
-	return &Report{JointReduced: jr, Store: stats}, nil
 }

@@ -164,9 +164,6 @@ func TestAnalyzeReducedJointStoreMatchesInMemory(t *testing.T) {
 	if !reflect.DeepEqual(got.Joint.Benchmarks, want.Joint.Benchmarks) {
 		t.Fatalf("store-backed joint reduction covers %v, in-memory %v", got.Joint.Benchmarks, want.Joint.Benchmarks)
 	}
-	if got.Joint.Vectors != nil {
-		t.Error("store-backed joint reduction materialized the joint matrix")
-	}
 	for i, name := range got.Joint.Benchmarks {
 		if d := maxRelDiff(got.Chars[i][:], want.Chars[i][:]); d > 0.05 {
 			t.Errorf("%s: store-backed joint characteristics deviate %.4f from in-memory (>5%%)", name, d)
