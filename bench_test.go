@@ -289,7 +289,8 @@ func BenchmarkProfilerHotPath(b *testing.B) {
 // BenchmarkPhaseHotPath measures phase-analysis throughput
 // (phase-profiled MIPS) for two configurations: the naive reference
 // path that allocates a fresh profiler per interval, and the streaming
-// path that pools one profiler across all intervals (Reset in place).
+// path that pools one profiler across all intervals (Reset in place)
+// and clusters the result as the shard pipelines do.
 func BenchmarkPhaseHotPath(b *testing.B) {
 	bench, err := BenchmarkByName("SPEC2000/gzip/program")
 	if err != nil {
@@ -320,7 +321,15 @@ func BenchmarkPhaseHotPath(b *testing.B) {
 	b.Run("pooled", func(b *testing.B) {
 		prof := micachar.NewProfiler(pcfg.Options)
 		run(b, func(m *vm.Machine) (*phases.Result, error) {
-			return phases.AnalyzeWith(m, prof, pcfg)
+			res, err := phases.CharacterizeWith(m, prof, pcfg)
+			if err != nil {
+				return nil, err
+			}
+			insts := make([]uint64, len(res.Intervals))
+			for i, iv := range res.Intervals {
+				insts[i] = iv.Insts
+			}
+			return phases.ResultFromShard(&ivstore.ShardData{Insts: insts, Vecs: res.Vectors}, pcfg)
 		})
 	})
 }

@@ -669,18 +669,6 @@ type ShardData struct {
 	Vecs *stats.Matrix
 }
 
-// Starts returns the intervals' starting instruction numbers (the
-// prefix sums of Insts — intervals are contiguous by construction).
-func (d *ShardData) Starts() []uint64 {
-	starts := make([]uint64, len(d.Insts))
-	var acc uint64
-	for i, n := range d.Insts {
-		starts[i] = acc
-		acc += n
-	}
-	return starts
-}
-
 // ReadShard reads and decodes committed shard i. Every call reads
 // the file; nothing decoded is kept, so the returned ShardData belongs
 // to the caller. Each call counts as one read in CacheStats.

@@ -115,15 +115,6 @@ func TestRoundTripFloat32(t *testing.T) {
 			}
 			row++
 		}
-		// Starts are the prefix sums of Insts.
-		starts := sd.Starts()
-		var acc uint64
-		for i, n := range sd.Insts {
-			if starts[i] != acc {
-				t.Fatalf("%s start[%d] = %d, want %d", name, i, starts[i], acc)
-			}
-			acc += n
-		}
 	}
 	if row != opened.NumRows() {
 		t.Fatalf("iterated %d rows, store claims %d", row, opened.NumRows())

@@ -82,15 +82,16 @@ func (j *JointResult) TotalInsts() uint64 {
 // deriveFrom fills the clustering-derived half of a JointResult
 // (assignment, representatives, occupancy) from a finished sweep over
 // the normalized rows. norm is the z-scored joint matrix
-// AnalyzeJointStore builds from the shards and drops on return.
+// AnalyzeJointStore builds from the shards and drops on return. It is
+// the one representative selection of the package: a per-benchmark
+// Result is its projection for a one-shard source.
 func (j *JointResult) deriveFrom(norm *stats.Matrix, sel cluster.Selection) {
 	j.Assign = sel.Best.Assign
 	j.K = sel.Best.K
 
-	// Representative selection mirrors Result.cluster exactly (same
-	// scan order, same strict-less tie-breaking) so a single-benchmark
-	// joint run reproduces the per-benchmark representatives bit for
-	// bit.
+	// Pick the row closest to each centroid as the phase representative
+	// (the SimPoint selection rule; the first row wins a tie), weighted
+	// by the phase's share of dynamic instructions.
 	instsIn := make([]uint64, j.K)
 	bestIdx := make([]int, j.K)
 	bestDist := make([]float64, j.K)
@@ -119,13 +120,19 @@ func (j *JointResult) deriveFrom(norm *stats.Matrix, sel cluster.Selection) {
 			Weight:   float64(instsIn[c]) / float64(totalInsts),
 		})
 	}
-	sortRepsByWeight(j.Representatives, func(r JointRepresentative) float64 { return r.Weight })
+	// Descending weight by insertion sort (K is small); only strictly
+	// heavier representatives move up, so ties keep ascending phase id.
+	reps := j.Representatives
+	for i := 1; i < len(reps); i++ {
+		for k := i; k > 0 && reps[k].Weight > reps[k-1].Weight; k-- {
+			reps[k], reps[k-1] = reps[k-1], reps[k]
+		}
+	}
 
 	// Per-benchmark occupancy: each benchmark's instruction share per
-	// shared phase. Instruction counts are accumulated as integers and
-	// divided once, so a single-benchmark occupancy row is bit-identical
-	// to the per-benchmark representative weights (the joint-reduction
-	// differential relies on this).
+	// shared phase. Instruction counts are accumulated exactly and
+	// divided once, so a one-benchmark occupancy row equals the
+	// representative weights bit for bit.
 	j.Occupancy = stats.NewMatrix(len(j.Benchmarks), j.K)
 	perBench := make([]uint64, len(j.Benchmarks))
 	inPhase := stats.NewMatrix(len(j.Benchmarks), j.K)

@@ -22,21 +22,23 @@ func characterizeKernel(t *testing.T, name, src string, cfg Config) *Result {
 	return res
 }
 
-// TestCharacterizeMatchesAnalyze pins the characterize/cluster split:
-// CharacterizeWith must produce exactly the intervals and vectors of
-// the full analysis, with the clustering fields left empty.
-func TestCharacterizeMatchesAnalyze(t *testing.T) {
+// TestCharacterizeMatchesExact pins the characterization against an
+// independent walk of the same grid: CharacterizeExact measures every
+// interval with its own full profiler, and the instruction-weighted
+// mean of CharacterizeWith's vectors must be its profile bit for bit,
+// over the same intervals, with the clustering fields left empty.
+func TestCharacterizeMatchesExact(t *testing.T) {
 	cfg := Config{IntervalLen: 2_000, MaxIntervals: 20, MaxK: 4, Seed: 7}
 	char := characterizeKernel(t, "twophase", twoPhaseProgram, cfg)
-	full, err := Analyze(machineFor(t, "twophase", twoPhaseProgram), cfg)
+	ex, err := CharacterizeExact(newMachine(t), ReducedConfig{Phase: cfg, FullOptions: cfg.Options, SkipHPC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(char.Intervals, full.Intervals) {
-		t.Error("characterize intervals diverge from full analysis")
+	if !reflect.DeepEqual(char.Intervals, ex.Intervals) {
+		t.Error("characterize intervals diverge from the exact grid")
 	}
-	if !reflect.DeepEqual(char.Vectors.Data, full.Vectors.Data) {
-		t.Error("characterize vectors diverge from full analysis")
+	if char.FullVector() != ex.Chars {
+		t.Error("characterize vectors diverge from the exact profile")
 	}
 	if char.Assign != nil || char.K != 0 || char.Representatives != nil {
 		t.Error("characterize populated clustering fields")
@@ -44,10 +46,11 @@ func TestCharacterizeMatchesAnalyze(t *testing.T) {
 }
 
 // TestAnalyzeJointSingleBenchmarkBitIdentical is the differential
-// contract: a joint analysis over exactly one in-memory shard must
-// reproduce the per-benchmark analysis bit for bit — assignment, K,
-// and representatives (with Row == Interval and Bench == 0) — and the
-// shard it read holds the per-benchmark vectors.
+// contract of the per-benchmark analysis: Analyze must reproduce, bit
+// for bit, the independent joint oracle (concatenate, z-score, sweep)
+// over the benchmark's own intervals alone — assignment, K, and each
+// representative's phase, interval (its row) and weight — and keep
+// the characterized vectors.
 func TestAnalyzeJointSingleBenchmarkBitIdentical(t *testing.T) {
 	kernels := []struct{ name, src string }{
 		{"twophase", twoPhaseProgram},
@@ -56,32 +59,26 @@ func TestAnalyzeJointSingleBenchmarkBitIdentical(t *testing.T) {
 	}
 	cfg := Config{IntervalLen: 2_000, MaxIntervals: 25, MaxK: 4, Seed: 7}
 	for _, k := range kernels {
-		want, err := Analyze(machineFor(t, k.name, k.src), cfg)
+		got, err := Analyze(machineFor(t, k.name, k.src), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mem := memFrom(t, []benchIntervals{
-			{Name: k.name, Result: characterizeKernel(t, k.name, k.src, cfg)},
-		})
-		joint, _, err := AnalyzeJointStore(t.Context(), mem, cfg, 0, nil)
-		if err != nil {
-			t.Fatal(err)
+		char := characterizeKernel(t, k.name, k.src, cfg)
+		want := jointOracle([]benchIntervals{{Name: k.name, Result: char}}, cfg)
+		if got.K != want.K || !reflect.DeepEqual(got.Assign, want.Assign) {
+			t.Errorf("%s: assignment diverges from the oracle (K %d vs %d)", k.name, got.K, want.K)
 		}
-		if joint.K != want.K || !reflect.DeepEqual(joint.Assign, want.Assign) {
-			t.Errorf("%s: joint assignment diverges (K %d vs %d)", k.name, joint.K, want.K)
+		if !reflect.DeepEqual(got.Vectors.Data, char.Vectors.Data) {
+			t.Errorf("%s: analyzed vectors diverge from the characterization", k.name)
 		}
-		if sd, err := mem.ReadShard(0); err != nil || !reflect.DeepEqual(sd.Vecs.Data, want.Vectors.Data) {
-			t.Errorf("%s: joint matrix diverges (%v)", k.name, err)
+		if len(got.Representatives) != len(want.Representatives) {
+			t.Fatalf("%s: %d representatives vs %d in the oracle", k.name,
+				len(got.Representatives), len(want.Representatives))
 		}
-		if len(joint.Representatives) != len(want.Representatives) {
-			t.Fatalf("%s: %d joint representatives vs %d", k.name,
-				len(joint.Representatives), len(want.Representatives))
-		}
-		for i, jr := range joint.Representatives {
-			wr := want.Representatives[i]
-			if jr.Phase != wr.Phase || jr.Interval != wr.Interval || jr.Weight != wr.Weight ||
-				jr.Row != wr.Interval || jr.Bench != 0 {
-				t.Errorf("%s: representative %d = %+v, want %+v", k.name, i, jr, wr)
+		for i, wr := range want.Representatives {
+			gr := got.Representatives[i]
+			if gr.Phase != wr.Phase || gr.Interval != wr.Row || gr.Weight != wr.Weight || wr.Bench != 0 {
+				t.Errorf("%s: representative %d = %+v, oracle %+v", k.name, i, gr, wr)
 			}
 		}
 	}

@@ -15,17 +15,24 @@
 // interval cap is deliberately modest (DefaultConfig: 100 intervals,
 // the quick-look grid); paper-scale runs raise MaxIntervals to 10k+
 // and memory still grows only with the intervals actually produced,
-// never with the trace length. JOINT analysis reads the per-benchmark
+// never with the trace length.
+//
+// Every step has one implementation. One interval loop (walkGrid)
+// walks the grid for the full characterization, the reduced cheap pass
+// and the exact profile. One clustering, AnalyzeJointStore, reads the
 // characterizations from a shard source (internal/ivstore: an on-disk
-// store at registry scale, or memory); AnalyzeJointStore reads each
-// shard once into the one normalized matrix it clusters.
+// store at registry scale, or memory), and one replay measures the
+// reduced pipeline's planned intervals. The per-benchmark analysis is
+// the joint analysis of a source holding one benchmark's shard:
+// ResultFromShard and ReplayReducedShard project its one-benchmark
+// result onto Result and ReducedResult.
 package phases
 
 import (
 	"errors"
 	"fmt"
 
-	"mica/internal/cluster"
+	"mica/internal/ivstore"
 	"mica/internal/mica"
 	"mica/internal/obs"
 	"mica/internal/stats"
@@ -56,8 +63,6 @@ type Config struct {
 	// default PPM order.
 	Options mica.Options
 }
-
-func (c Config) withDefaults() Config { return c.WithDefaults() }
 
 // DefaultConfig returns the documented default configuration, spelled
 // out: 10k instructions per interval, a 100-interval quick-look grid,
@@ -151,144 +156,118 @@ func (r *Result) TotalInsts() uint64 {
 // Analyze runs streaming phase analysis over a source's event stream
 // (a freshly instantiated machine or a freshly opened trace replay):
 // up to MaxIntervals intervals of IntervalLen instructions each,
-// characterized by one profiler reused across all intervals.
+// characterized by one profiler reused across all intervals, then
+// clustered as ResultFromShard clusters a shard.
 func Analyze(m trace.Source, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	return AnalyzeWith(m, mica.NewProfiler(cfg.Options), cfg)
-}
-
-// AnalyzeWith is Analyze with a caller-supplied profiler, which must
-// have been built from cfg.Options. The profiler is Reset before every
-// interval, so a pooled profiler arrives clean no matter what trace it
-// measured last — the mechanism registry-wide pipelines use to share
-// one profiler's tables across many benchmarks.
-func AnalyzeWith(m trace.Source, prof *mica.Profiler, cfg Config) (*Result, error) {
-	return analyze(m, cfg.withDefaults(), func() *mica.Profiler {
-		prof.Reset()
-		return prof
-	})
+	cfg = cfg.WithDefaults()
+	return analyze(m, cfg, reset(mica.NewProfiler(cfg.Options)))
 }
 
 // AnalyzeUnpooled is the pre-streaming reference implementation: a
 // fresh profiler is allocated for every interval. It produces
-// bit-identical results to Analyze/AnalyzeWith and is retained as the
+// bit-identical results to Analyze and is retained as the
 // differential-testing oracle and as the baseline configuration of
 // BenchmarkPhaseHotPath.
 func AnalyzeUnpooled(m trace.Source, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	return analyze(m, cfg, func() *mica.Profiler {
 		return mica.NewProfiler(cfg.Options)
 	})
 }
 
-// CharacterizeWith is AnalyzeWith without the clustering step: it
-// streams intervals through the (Reset) caller-supplied profiler and
-// returns a Result whose Intervals and Vectors are filled but whose
-// Assign/K/Representatives are empty. The shard pipelines use it to
-// characterize each benchmark before clustering it alone
+// CharacterizeWith is Analyze without the clustering step, with a
+// caller-supplied profiler built from cfg.Options: it streams intervals
+// through the profiler, Reset before every interval, and returns a
+// Result whose Intervals and Vectors are filled but whose
+// Assign/K/Representatives are empty. A pooled profiler thus arrives
+// clean no matter what trace it measured last. The shard pipelines use
+// it to characterize each benchmark before clustering it alone
 // (ResultFromShard) or with all the others (AnalyzeJointStore).
 func CharacterizeWith(m trace.Source, prof *mica.Profiler, cfg Config) (*Result, error) {
-	return characterize(m, cfg.withDefaults(), func() *mica.Profiler {
-		prof.Reset()
-		return prof
-	})
+	cfg = cfg.WithDefaults()
+	return characterize(m, cfg, "interval", cfg.IntervalLen, reset(prof))
 }
 
-// analyze streams intervals off the source, drawing the profiler for
-// each interval from nextProfiler (a pooled reset or a fresh
-// allocation), then clusters them.
-func analyze(m trace.Source, cfg Config, nextProfiler func() *mica.Profiler) (*Result, error) {
-	res, err := characterize(m, cfg, nextProfiler)
+// reset hands out prof, Reset, for every interval.
+func reset(prof *mica.Profiler) func() *mica.Profiler {
+	return func() *mica.Profiler {
+		prof.Reset()
+		return prof
+	}
+}
+
+// analyze streams whole intervals off the source, drawing the profiler
+// for each interval from next (a pooled reset or a fresh allocation),
+// then clusters them.
+func analyze(m trace.Source, cfg Config, next func() *mica.Profiler) (*Result, error) {
+	res, err := characterize(m, cfg, "interval", cfg.IntervalLen, next)
 	if err != nil {
 		return nil, err
 	}
-	res.cluster(cfg)
-	return res, nil
+	insts := make([]uint64, len(res.Intervals))
+	for i, iv := range res.Intervals {
+		insts[i] = iv.Insts
+	}
+	return ResultFromShard(&ivstore.ShardData{Insts: insts, Vecs: res.Vectors}, cfg)
 }
 
-// characterize streams intervals off the source into a Result's flat
-// vector matrix, leaving the clustering fields empty.
-func characterize(m trace.Source, cfg Config, nextProfiler func() *mica.Profiler) (*Result, error) {
+// characterize streams the interval grid off the source into a
+// Result's flat vector matrix, leaving the clustering fields empty.
+// Each interval's first sample instructions run under the profiler
+// next returns and the rest of the interval is fast-forwarded
+// unobserved; Interval.Insts records the whole interval.
+func characterize(m trace.Source, cfg Config, what string, sample uint64, next func() *mica.Profiler) (*Result, error) {
 	span := obs.StartSpan("phases.characterize")
 	defer span.End()
-	res := &Result{}
+	var prof *mica.Profiler
 	var vecs []float64
+	ivs, err := walkGrid(cfg.MaxIntervals, what, func() (uint64, error) {
+		prof = next()
+		n, err := m.Run(sample, prof)
+		if n == sample && sample < cfg.IntervalLen && errors.Is(err, trace.ErrBudget) {
+			var rest uint64
+			rest, err = m.Run(cfg.IntervalLen-sample, nil)
+			n += rest
+		}
+		return n, err
+	}, func() {
+		v := prof.Vector()
+		vecs = append(vecs, v[:]...)
+	})
+	if err != nil {
+		return nil, err
+	}
+	metIntervals.Add(float64(len(ivs)))
+	return &Result{Intervals: ivs, Vectors: &stats.Matrix{Rows: len(ivs), Cols: mica.NumChars, Data: vecs}}, nil
+}
+
+// walkGrid is the one interval loop of the pipelines: it runs up to
+// maxIntervals intervals through run, calls keep after every interval
+// that retired an instruction, and stops when the program halts. A
+// source error other than the interval budget fails the walk, naming
+// the interval as "<what> <index>", and so does a program that retired
+// nothing.
+func walkGrid(maxIntervals int, what string, run func() (uint64, error), keep func()) ([]Interval, error) {
+	var ivs []Interval
 	var start uint64
-	for i := 0; i < cfg.MaxIntervals; i++ {
-		prof := nextProfiler()
-		n, err := m.Run(cfg.IntervalLen, prof)
+	for i := 0; i < maxIntervals; i++ {
+		n, err := run()
 		if n > 0 {
-			v := prof.Vector()
-			vecs = append(vecs, v[:]...)
-			res.Intervals = append(res.Intervals, Interval{Index: i, Start: start, Insts: n})
+			keep()
+			ivs = append(ivs, Interval{Index: i, Start: start, Insts: n})
 			start += n
 		}
 		if err == nil {
 			break // program halted
 		}
 		if !errors.Is(err, trace.ErrBudget) {
-			return nil, fmt.Errorf("phases: interval %d: %w", i, err)
+			return nil, fmt.Errorf("phases: %s %d: %w", what, i, err)
 		}
 	}
-	if len(res.Intervals) == 0 {
+	if len(ivs) == 0 {
 		return nil, fmt.Errorf("phases: program produced no instructions")
 	}
-	metIntervals.Add(float64(len(res.Intervals)))
-	res.Vectors = &stats.Matrix{Rows: len(res.Intervals), Cols: mica.NumChars, Data: vecs}
-	return res, nil
-}
-
-// cluster groups the characterized intervals into phases and selects
-// weighted representatives.
-func (res *Result) cluster(cfg Config) {
-	// Cluster intervals in the normalized characteristic space.
-	nspan := obs.StartSpan("phases.normalize")
-	norm := stats.ZScoreNormalize(res.Vectors)
-	nspan.End()
-	sel := cluster.SelectK(norm, cfg.MaxK, cfg.Seed)
-	res.Assign = sel.Best.Assign
-	res.K = sel.Best.K
-
-	// Pick the interval closest to each centroid as the phase
-	// representative (the SimPoint selection rule), weighted by the
-	// phase's share of dynamic instructions.
-	instsIn := make([]uint64, res.K)
-	bestIdx := make([]int, res.K)
-	bestDist := make([]float64, res.K)
-	for c := range bestDist {
-		bestDist[c] = -1
-	}
-	totalInsts := res.TotalInsts()
-	for i, c := range res.Assign {
-		instsIn[c] += res.Intervals[i].Insts
-		d := stats.Euclidean(norm.Row(i), sel.Best.Centroids.Row(c))
-		if bestDist[c] < 0 || d < bestDist[c] {
-			bestDist[c], bestIdx[c] = d, i
-		}
-	}
-	for c := 0; c < res.K; c++ {
-		if instsIn[c] == 0 {
-			continue
-		}
-		res.Representatives = append(res.Representatives, Representative{
-			Phase:    c,
-			Interval: bestIdx[c],
-			Weight:   float64(instsIn[c]) / float64(totalInsts),
-		})
-	}
-	sortRepsByWeight(res.Representatives, func(r Representative) float64 { return r.Weight })
-}
-
-// sortRepsByWeight orders representatives by descending weight
-// (insertion sort; K is small). Ties keep ascending phase id: only
-// strictly heavier representatives move up. Shared by the
-// per-benchmark and joint paths so their orderings coincide exactly.
-func sortRepsByWeight[R any](reps []R, weight func(R) float64) {
-	for i := 1; i < len(reps); i++ {
-		for j := i; j > 0 && weight(reps[j]) > weight(reps[j-1]); j-- {
-			reps[j], reps[j-1] = reps[j-1], reps[j]
-		}
-	}
+	return ivs, nil
 }
 
 // WeightedVector reconstructs a whole-program characteristic estimate

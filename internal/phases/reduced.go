@@ -21,7 +21,6 @@ import (
 	"mica/internal/ivstore"
 	"mica/internal/mica"
 	"mica/internal/obs"
-	"mica/internal/stats"
 	"mica/internal/trace"
 	"mica/internal/uarch"
 )
@@ -194,72 +193,24 @@ type ReducedResult struct {
 // TotalInsts returns the trace length covered by the interval grid.
 func (r *ReducedResult) TotalInsts() uint64 { return r.Phases.TotalInsts() }
 
-// AnalyzeReduced runs the full two-pass reduced pipeline. cheap and
-// replay must be two freshly instantiated sources of the same
-// program: the first carries the cheap sampled pass, the second the
-// measurement replay (the VM is deterministic, so both traverse the
-// identical trace).
-func AnalyzeReduced(cheap, replay trace.Source, cfg ReducedConfig) (*ReducedResult, error) {
-	cfg = cfg.WithDefaults()
-	ph, err := CharacterizeReducedWith(cheap, mica.NewProfiler(cfg.CheapConfig().Options), cfg)
-	if err != nil {
-		return nil, err
-	}
-	ph.cluster(cfg.CheapConfig())
-	return ReplayReduced(replay, mica.NewProfiler(cfg.FullOptions), ph, cfg)
-}
-
 // CharacterizeReducedWith is the cheap pass alone: it streams the
 // interval grid without clustering, observing only the first sampleLen
 // instructions of each interval with the (Reset) cheap profiler and
 // fast-forwarding the rest. The profiler must have been built from
 // CheapConfig().Options. With SampleFrac == 1 it is bit-identical to
-// the plain streaming characterize. Interval.Insts always records the
-// interval's full instruction count — the quantity weights and the
-// replay grid are built from.
+// CharacterizeWith. Interval.Insts always records the interval's full
+// instruction count — the quantity weights and the replay grid are
+// built from.
 func CharacterizeReducedWith(m trace.Source, prof *mica.Profiler, cfg ReducedConfig) (*Result, error) {
 	cfg = cfg.WithDefaults()
-	span := obs.StartSpan("phases.characterize")
-	defer span.End()
-	pcfg := cfg.Phase
-	sample := cfg.sampleLen()
-	res := &Result{}
-	var vecs []float64
-	var start uint64
-	for i := 0; i < pcfg.MaxIntervals; i++ {
-		prof.Reset()
-		n, err := m.Run(sample, prof)
-		if n == sample && err != nil && errors.Is(err, trace.ErrBudget) && sample < pcfg.IntervalLen {
-			var rest uint64
-			rest, err = m.Run(pcfg.IntervalLen-sample, nil)
-			n += rest
-		}
-		if n > 0 {
-			v := prof.Vector()
-			vecs = append(vecs, v[:]...)
-			res.Intervals = append(res.Intervals, Interval{Index: i, Start: start, Insts: n})
-			start += n
-		}
-		if err == nil {
-			break // program halted
-		}
-		if !errors.Is(err, trace.ErrBudget) {
-			return nil, fmt.Errorf("phases: reduced interval %d: %w", i, err)
-		}
-	}
-	if len(res.Intervals) == 0 {
-		return nil, fmt.Errorf("phases: program produced no instructions")
-	}
-	metIntervals.Add(float64(len(res.Intervals)))
-	res.Vectors = &stats.Matrix{Rows: len(res.Intervals), Cols: mica.NumChars, Data: vecs}
-	return res, nil
+	return characterize(m, cfg.Phase, "reduced interval", cfg.sampleLen(), reset(prof))
 }
 
 // measureInterval runs one interval under the full profiler (Reset
 // first) plus a fresh HPC profiler unless skipped, returning the
-// measured vectors. Shared by the per-benchmark replay, the joint
-// replay and the exact-grid oracle so the three stay in lockstep — the
-// reduced-vs-exact differential depends on them measuring identically.
+// measured vectors. Shared by the replay and the exact-grid oracle so
+// the two stay in lockstep — the reduced-vs-exact differential depends
+// on them measuring identically.
 func measureInterval(m trace.Source, fullProf *mica.Profiler, skipHPC bool, insts uint64) (uint64, mica.Vector, uarch.HPCVector, error) {
 	fullProf.Reset()
 	var obs trace.Observer = fullProf
@@ -276,123 +227,15 @@ func measureInterval(m trace.Source, fullProf *mica.Profiler, skipHPC bool, inst
 	return n, fullProf.Vector(), hv, err
 }
 
-// measurementPlan selects which intervals the expensive pass measures:
-// for each phase, the reps intervals closest to the phase's mean in
-// the z-scored cheap space (ties broken by ascending interval index).
-// Returned as a map from interval index to phase.
-func measurementPlan(ph *Result, reps int) map[int]int {
-	return measurementPlanRows(stats.ZScoreNormalize(ph.Vectors), ph.Assign, ph.K, reps)
-}
-
-// ReplayReduced is the expensive pass: it re-executes the trace over
-// the cheap pass's interval grid, characterizing only the planned
-// intervals (up to RepsPerPhase per phase) with the full profiler plus
-// the EV56/EV67 machine models (unless skipped), fast-forwarding every
-// other interval, then extrapolates the whole-run vectors as
-// phase-weighted sums of the per-phase measurement means. The profiler
-// must have been built from cfg.FullOptions; it is Reset before every
-// measured interval.
-func ReplayReduced(m trace.Source, fullProf *mica.Profiler, ph *Result, cfg ReducedConfig) (*ReducedResult, error) {
-	span := obs.StartSpan("phases.replay")
-	defer span.End()
-	cfg = cfg.WithDefaults()
-	rr := &ReducedResult{Phases: ph, HasHPC: !cfg.SkipHPC}
-	// Reconstruct the cheap pass's observation count from the grid: it
-	// observed min(sampleLen, Insts) of every interval (a shorter
-	// interval is one the program halted in). Replays driven off a
-	// stored cheap pass get correct cost accounting this way even
-	// though that pass ran in another process.
-	sample := cfg.sampleLen()
-	for _, iv := range ph.Intervals {
-		if iv.Insts < sample {
-			rr.SampledInsts += iv.Insts
-		} else {
-			rr.SampledInsts += sample
-		}
-	}
-	plan := measurementPlan(ph, cfg.RepsPerPhase)
-	for i, iv := range ph.Intervals {
-		phase, wanted := plan[i]
-		if !wanted {
-			n, err := m.Run(iv.Insts, nil)
-			rr.SkippedInsts += n
-			if err := replayCheck(i, iv, n, err); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		n, chars, hv, err := measureInterval(m, fullProf, cfg.SkipHPC, iv.Insts)
-		rr.MeasuredInsts += n
-		if err := replayCheck(i, iv, n, err); err != nil {
-			return nil, err
-		}
-		rr.Measured = append(rr.Measured, MeasuredInterval{
-			Interval: i, Phase: phase, Insts: iv.Insts, Chars: chars, HPC: hv,
-		})
-	}
-	rr.extrapolate()
-	return rr, nil
-}
-
-// extrapolate fills the whole-run vectors: each phase's estimate is
-// the instruction-weighted mean of its measured intervals, and the
-// whole run is the phase-instruction-share-weighted sum of the phase
-// estimates.
-func (r *ReducedResult) extrapolate() {
-	ph := r.Phases
-	instsIn := make([]uint64, ph.K)
-	for i, c := range ph.Assign {
-		instsIn[c] += ph.Intervals[i].Insts
-	}
-	total := ph.TotalInsts()
-	measuredIn := make([]uint64, ph.K)
-	for _, mi := range r.Measured {
-		measuredIn[mi.Phase] += mi.Insts
-	}
-	// Phase estimates first (instruction-weighted means of each phase's
-	// measured intervals), then the phase-share-weighted sum — the same
-	// association order as the joint extrapolation, so a
-	// single-benchmark joint reduction is bit-identical to this one.
-	phaseChars := make([]mica.Vector, ph.K)
-	phaseHPC := make([]uarch.HPCVector, ph.K)
-	for _, mi := range r.Measured {
-		w := float64(mi.Insts) / float64(measuredIn[mi.Phase])
-		for c := range phaseChars[mi.Phase] {
-			phaseChars[mi.Phase][c] += w * mi.Chars[c]
-		}
-		if r.HasHPC {
-			for c := range phaseHPC[mi.Phase] {
-				phaseHPC[mi.Phase][c] += w * mi.HPC[c]
-			}
-		}
-	}
-	r.Chars = mica.Vector{}
-	r.HPC = uarch.HPCVector{}
-	for p := 0; p < ph.K; p++ {
-		if instsIn[p] == 0 {
-			continue
-		}
-		w := float64(instsIn[p]) / float64(total)
-		for c := range r.Chars {
-			r.Chars[c] += w * phaseChars[p][c]
-		}
-		if r.HasHPC {
-			for c := range r.HPC {
-				r.HPC[c] += w * phaseHPC[p][c]
-			}
-		}
-	}
-}
-
-// replayCheck verifies the replay pass retired exactly the interval's
+// replayCheck verifies the replay pass retired exactly interval i's
 // instruction count — the determinism contract between the two passes.
-func replayCheck(i int, iv Interval, n uint64, err error) error {
+func replayCheck(i int, insts, n uint64, err error) error {
 	if err != nil && !errors.Is(err, trace.ErrBudget) {
 		return fmt.Errorf("phases: reduced replay interval %d: %w", i, err)
 	}
-	if n != iv.Insts {
+	if n != insts {
 		return fmt.Errorf("phases: reduced replay diverged at interval %d: retired %d instructions, cheap pass saw %d",
-			i, n, iv.Insts)
+			i, n, insts)
 	}
 	return nil
 }
@@ -426,40 +269,32 @@ func (e *ExactProfile) TotalInsts() uint64 {
 // measures the reduced speedup against.
 func CharacterizeExact(m trace.Source, cfg ReducedConfig) (*ExactProfile, error) {
 	cfg = cfg.WithDefaults()
-	pcfg := cfg.Phase
 	prof := mica.NewProfiler(cfg.FullOptions)
-	ex := &ExactProfile{}
-	type weighted struct {
+	var (
 		chars mica.Vector
-		hpc   uarch.HPCVector
+		hv    uarch.HPCVector
+		rows  []mica.Vector
+		hpcs  []uarch.HPCVector
+	)
+	ivs, err := walkGrid(cfg.Phase.MaxIntervals, "exact interval", func() (n uint64, err error) {
+		n, chars, hv, err = measureInterval(m, prof, cfg.SkipHPC, cfg.Phase.IntervalLen)
+		return n, err
+	}, func() {
+		rows = append(rows, chars)
+		hpcs = append(hpcs, hv)
+	})
+	if err != nil {
+		return nil, err
 	}
-	var rows []weighted
-	var start uint64
-	for i := 0; i < pcfg.MaxIntervals; i++ {
-		n, chars, hv, err := measureInterval(m, prof, cfg.SkipHPC, pcfg.IntervalLen)
-		if n > 0 {
-			rows = append(rows, weighted{chars: chars, hpc: hv})
-			ex.Intervals = append(ex.Intervals, Interval{Index: i, Start: start, Insts: n})
-			start += n
-		}
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, trace.ErrBudget) {
-			return nil, fmt.Errorf("phases: exact interval %d: %w", i, err)
-		}
-	}
-	if len(ex.Intervals) == 0 {
-		return nil, fmt.Errorf("phases: program produced no instructions")
-	}
+	ex := &ExactProfile{Intervals: ivs}
 	total := ex.TotalInsts()
-	for i, iv := range ex.Intervals {
+	for i, iv := range ivs {
 		w := float64(iv.Insts) / float64(total)
 		for c := range ex.Chars {
-			ex.Chars[c] += w * rows[i].chars[c]
+			ex.Chars[c] += w * rows[i][c]
 		}
 		for c := range ex.HPC {
-			ex.HPC[c] += w * rows[i].hpc[c]
+			ex.HPC[c] += w * hpcs[i][c]
 		}
 	}
 	return ex, nil
@@ -617,6 +452,17 @@ type JointMeasuredInterval struct {
 // benchmarks that own a measured interval.
 func ReplayJointStore(src ivstore.Source, j *JointResult, sources func(bench int) (trace.Source, error), cfg ReducedConfig) (*JointReduced, error) {
 	cfg = cfg.WithDefaults()
+	span := obs.StartSpan("phases.replay")
+	defer span.End()
+	return replayJoint(src, j, sources, cfg, mica.NewProfiler(cfg.FullOptions))
+}
+
+// replayJoint is the one replay of the reduced pipelines, per benchmark
+// (a one-shard src) and joint: ReplayJointStore with the caller's
+// profiler prof, built from cfg.FullOptions and Reset before every
+// measured interval. Each owning benchmark is replayed through its
+// last measured interval only. cfg carries its defaults.
+func replayJoint(src ivstore.Source, j *JointResult, sources func(bench int) (trace.Source, error), cfg ReducedConfig, prof *mica.Profiler) (*JointReduced, error) {
 	norm, _, _, err := normalizedStore(src, nil)
 	if err != nil {
 		return nil, fmt.Errorf("phases: joint store replay: %w", err)
@@ -625,9 +471,6 @@ func ReplayJointStore(src ivstore.Source, j *JointResult, sources func(bench int
 		return nil, fmt.Errorf("phases: joint store replay: source has %d rows, vocabulary has %d", norm.Rows, len(j.Rows))
 	}
 	plan := measurementPlanRows(norm, j.Assign, j.K, cfg.RepsPerPhase)
-
-	span := obs.StartSpan("phases.replay")
-	defer span.End()
 	jr := &JointReduced{
 		Joint:  j,
 		HasHPC: !cfg.SkipHPC,
@@ -635,63 +478,47 @@ func ReplayJointStore(src ivstore.Source, j *JointResult, sources func(bench int
 		HPC:    make([]uarch.HPCVector, len(j.Benchmarks)),
 	}
 
-	// Group the planned rows by source benchmark; each owning
-	// benchmark is replayed once through its interval prefix up to the
-	// last measured interval. Joint rows are appended per benchmark in
-	// interval order, so a benchmark's interval lengths can be read
-	// back off the provenance.
-	type target struct {
-		interval, row, phase int
+	// Joint rows run benchmark by benchmark in interval order, so one
+	// pass over them replays each benchmark that owns a planned row
+	// from its first interval through its last planned one.
+	last := make([]int, len(j.Benchmarks))
+	for b := range last {
+		last[b] = -1
 	}
-	byBench := make(map[int][]target)
-	for row, phase := range plan {
-		ref := j.Rows[row]
-		byBench[ref.Bench] = append(byBench[ref.Bench], target{ref.Interval, row, phase})
+	for row := range plan {
+		b := j.Rows[row].Bench
+		last[b] = max(last[b], row)
 	}
-	lens := make(map[int][]uint64)
-	for r, ref := range j.Rows {
-		if _, owns := byBench[ref.Bench]; owns {
-			lens[ref.Bench] = append(lens[ref.Bench], j.RowInsts[r])
-		}
-	}
-
-	prof := mica.NewProfiler(cfg.FullOptions)
-	for bi := range j.Benchmarks {
-		targets, owns := byBench[bi]
-		if !owns {
+	var m trace.Source
+	for row, ref := range j.Rows {
+		if row > last[ref.Bench] {
 			continue
 		}
-		measure := make(map[int]target, len(targets))
-		last := 0
-		for _, t := range targets {
-			measure[t.interval] = t
-			if t.interval > last {
-				last = t.interval
+		if ref.Interval == 0 {
+			if m, err = sources(ref.Bench); err != nil {
+				return nil, fmt.Errorf("phases: joint replay of %s: %w", j.Benchmarks[ref.Bench], err)
 			}
 		}
-		m, err := sources(bi)
-		if err != nil {
-			return nil, fmt.Errorf("phases: joint replay of %s: %w", j.Benchmarks[bi], err)
-		}
-		for i := 0; i <= last; i++ {
-			iv := Interval{Index: i, Insts: lens[bi][i]}
-			tgt, wanted := measure[i]
-			if !wanted {
-				n, err := m.Run(iv.Insts, nil)
-				jr.SkippedInsts += n
-				if err := replayCheck(i, iv, n, err); err != nil {
-					return nil, fmt.Errorf("%s: %w", j.Benchmarks[bi], err)
-				}
-				continue
-			}
-			n, chars, hv, err := measureInterval(m, prof, cfg.SkipHPC, iv.Insts)
+		var (
+			n     uint64
+			chars mica.Vector
+			hv    uarch.HPCVector
+		)
+		phase, wanted := plan[row]
+		if wanted {
+			n, chars, hv, err = measureInterval(m, prof, cfg.SkipHPC, j.RowInsts[row])
 			jr.MeasuredInsts += n
-			if err := replayCheck(i, iv, n, err); err != nil {
-				return nil, fmt.Errorf("%s: %w", j.Benchmarks[bi], err)
-			}
+		} else {
+			n, err = m.Run(j.RowInsts[row], nil)
+			jr.SkippedInsts += n
+		}
+		if err := replayCheck(ref.Interval, j.RowInsts[row], n, err); err != nil {
+			return nil, fmt.Errorf("%s: %w", j.Benchmarks[ref.Bench], err)
+		}
+		if wanted {
 			jr.Measured = append(jr.Measured, JointMeasuredInterval{
-				Row: tgt.row, Bench: bi, Interval: i, Phase: tgt.phase,
-				Insts: iv.Insts, Chars: chars, HPC: hv,
+				Row: row, Bench: ref.Bench, Interval: ref.Interval, Phase: phase,
+				Insts: j.RowInsts[row], Chars: chars, HPC: hv,
 			})
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mica/internal/ivstore"
 	"mica/internal/mica"
 	"mica/internal/trace"
 	"mica/internal/uarch"
@@ -19,6 +20,22 @@ func reducedTestConfig() ReducedConfig {
 			Seed:         1,
 		},
 	}
+}
+
+// analyzeReduced runs the two-pass reduced pipeline over the two-phase
+// program: the cheap pass, then the replay of its shard.
+func analyzeReduced(t *testing.T, cfg ReducedConfig) *ReducedResult {
+	t.Helper()
+	ph, err := CharacterizeReducedWith(newMachine(t), mica.NewProfiler(cfg.CheapConfig().Options), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := &ivstore.ShardData{Name: "twophase", Insts: gridInsts(ph), Vecs: ph.Vectors}
+	rr, err := ReplayReducedShard(newMachine(t), mica.NewProfiler(cfg.FullOptions), sd, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rr
 }
 
 func TestKeySubsetSelectsPapersEight(t *testing.T) {
@@ -48,10 +65,7 @@ func TestKeySubsetSelectsPapersEight(t *testing.T) {
 // error on a genuinely phased workload.
 func TestReducedWithinErrorBoundTwoPhase(t *testing.T) {
 	cfg := reducedTestConfig()
-	rr, err := AnalyzeReduced(newMachine(t), newMachine(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rr := analyzeReduced(t, cfg)
 	ex, err := CharacterizeExact(newMachine(t), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +95,7 @@ func TestReducedWithinErrorBoundTwoPhase(t *testing.T) {
 // skipped instructions, and the cheap pass observes SampleFrac of it.
 func TestReducedAccounting(t *testing.T) {
 	cfg := reducedTestConfig()
-	rr, err := AnalyzeReduced(newMachine(t), newMachine(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rr := analyzeReduced(t, cfg)
 	total := rr.TotalInsts()
 	if rr.MeasuredInsts+rr.SkippedInsts != total {
 		t.Errorf("measured %d + skipped %d != total %d", rr.MeasuredInsts, rr.SkippedInsts, total)
@@ -146,10 +157,7 @@ func TestReducedSampleOneMatchesPlainCharacterize(t *testing.T) {
 // outside the configured subset (those analyzers never ran).
 func TestReducedCheapVectorsRespectSubset(t *testing.T) {
 	cfg := reducedTestConfig()
-	rr, err := AnalyzeReduced(newMachine(t), newMachine(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rr := analyzeReduced(t, cfg)
 	// Subsetting is analyzer-granular: analyzers with no selected
 	// characteristic never run, so their columns must be zero in every
 	// cheap row. The key subset selects no branch-predictability
@@ -181,12 +189,13 @@ func TestReducedCheapVectorsRespectSubset(t *testing.T) {
 	}
 }
 
-// TestReplayJointSingleBenchmarkMatchesPerBench is the joint reduction
-// differential: on a single benchmark, the joint vocabulary is
-// bit-identical to the per-benchmark one, so the joint replay must
-// reproduce the per-benchmark reduced extrapolation exactly.
-func TestReplayJointSingleBenchmarkMatchesPerBench(t *testing.T) {
+// TestReplayJointSingleBenchmarkMatchesExact: with RepsPerPhase
+// covering every interval, the joint replay of a one-shard source
+// measures the whole grid, so its extrapolation must agree with
+// CharacterizeExact.
+func TestReplayJointSingleBenchmarkMatchesExact(t *testing.T) {
 	cfg := reducedTestConfig()
+	cfg.RepsPerPhase = cfg.Phase.MaxIntervals
 
 	ph, err := CharacterizeReducedWith(newMachine(t), mica.NewProfiler(cfg.CheapConfig().Options), cfg)
 	if err != nil {
@@ -201,19 +210,32 @@ func TestReplayJointSingleBenchmarkMatchesPerBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	want, err := AnalyzeReduced(newMachine(t), newMachine(t), cfg)
+	ex, err := CharacterizeExact(newMachine(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jr.Chars[0] != want.Chars {
-		t.Error("joint extrapolated characteristic vector differs from per-benchmark reduction")
+	if jr.MeasuredInsts != ex.TotalInsts() || jr.SkippedInsts != 0 {
+		t.Errorf("measured %d and skipped %d of %d instructions", jr.MeasuredInsts, jr.SkippedInsts, ex.TotalInsts())
 	}
-	if jr.HPC[0] != want.HPC {
-		t.Error("joint extrapolated HPC vector differs from per-benchmark reduction")
+	checkMatchesExact(t, jr.Chars[0], jr.HPC[0], ex)
+}
+
+// checkMatchesExact fails unless an extrapolation that measured every
+// interval agrees with the exact profile: CharacterizeExact measures
+// the same intervals and averages them once, so the two differ only in
+// summation order.
+func checkMatchesExact(t *testing.T, chars mica.Vector, hpc uarch.HPCVector, ex *ExactProfile) {
+	t.Helper()
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want)) }
+	for c := range ex.Chars {
+		if !near(chars[c], ex.Chars[c]) {
+			t.Errorf("characteristic %s extrapolates to %g, exact %g", mica.CharName(c), chars[c], ex.Chars[c])
+		}
 	}
-	if jr.MeasuredInsts != want.MeasuredInsts {
-		t.Errorf("joint replay measured %d insts, per-benchmark %d", jr.MeasuredInsts, want.MeasuredInsts)
+	for c := range ex.HPC {
+		if !near(hpc[c], ex.HPC[c]) {
+			t.Errorf("HPC metric %d extrapolates to %g, exact %g", c, hpc[c], ex.HPC[c])
+		}
 	}
 }
 

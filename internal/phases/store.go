@@ -13,15 +13,15 @@ import (
 )
 
 // AnalyzeJointStore clusters the intervals of every shard in src
-// once into a shared cross-benchmark phase vocabulary, with the same
-// normalize + SelectK + representative-selection recipe the
-// per-benchmark analysis uses, and reports per-benchmark phase
-// occupancy plus cross-benchmark representatives. Run on a single
-// shard it is bit-identical to that benchmark's per-benchmark
-// analysis. src is a committed interval-vector store or an in-memory
-// ivstore.Mem; a store's rows are the characterized vectors rounded to
-// float32 (relative error <= 2^-24), a Mem's are the vectors
-// themselves.
+// once into a shared cross-benchmark phase vocabulary (normalize,
+// SelectK, then deriveFrom's representative selection) and reports
+// per-benchmark phase occupancy plus cross-benchmark representatives.
+// It is the package's one clustering: on a source holding a single
+// shard it is that benchmark's per-benchmark analysis, which
+// ResultFromShard projects onto a Result. src is a committed
+// interval-vector store or an in-memory ivstore.Mem; a store's rows
+// are the characterized vectors rounded to float32 (relative error
+// <= 2^-24), a Mem's are the vectors themselves.
 //
 // One sequential pass reads every shard once and copies its rows into
 // a resident n×d matrix, which is z-scored in place with the column
@@ -50,7 +50,7 @@ import (
 //
 // src must not be mutated while the analysis runs.
 func AnalyzeJointStore(ctx context.Context, src ivstore.Source, cfg Config, workers int, warm *JointWarmState) (*JointResult, bool, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	shards := src.Shards()
 	if len(shards) == 0 {
 		return nil, false, fmt.Errorf("phases: joint analysis of zero benchmarks")

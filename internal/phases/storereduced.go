@@ -10,19 +10,21 @@
 package phases
 
 import (
+	"context"
 	"sort"
 
 	"mica/internal/ivstore"
 	"mica/internal/mica"
+	"mica/internal/obs"
 	"mica/internal/stats"
 	"mica/internal/trace"
 )
 
-// measurementPlanRows is measurementPlan over a normalized matrix: for
-// each phase, the reps rows closest to the phase's mean (ties broken by
-// ascending row index), returned as row index -> phase. The
-// per-benchmark replay hands it one benchmark's z-scored vectors and
-// the joint replay the matrix normalizedStore builds.
+// measurementPlanRows selects which rows of a normalized matrix the
+// expensive pass measures: for each phase, the reps rows closest to the
+// phase's mean (ties broken by ascending row index), returned as row
+// index -> phase. The replay hands it the matrix normalizedStore
+// builds.
 func measurementPlanRows(norm *stats.Matrix, assign []int, k, reps int) map[int]int {
 	n, d := norm.Rows, norm.Cols
 	means := stats.NewMatrix(k, d)
@@ -71,35 +73,103 @@ func measurementPlanRows(norm *stats.Matrix, assign []int, k, reps int) map[int]
 	return plan
 }
 
-// ResultFromShard reconstructs a phase Result from a stored shard: the
-// interval grid is rebuilt from the per-interval instruction counts
-// (intervals are contiguous by construction) and the vectors are the
-// shard's rows, then the intervals are clustered under cfg — the
-// configuration the shard was characterized with (for a reduced
-// cheap-pass shard, ReducedConfig.CheapConfig). On an in-memory shard
-// it is bit-identical to Analyze; on a store shard it differs only by
-// the float32 rounding of the vectors.
-func ResultFromShard(sd *ivstore.ShardData, cfg Config) *Result {
-	cfg = cfg.WithDefaults()
+// ResultFromShard clusters one benchmark's shard alone, under cfg —
+// the configuration the shard was characterized with (for a reduced
+// cheap-pass shard, ReducedConfig.CheapConfig). The per-benchmark
+// analysis is the joint analysis of a one-shard source: the shard is
+// wrapped in an ivstore.Mem, clustered by AnalyzeJointStore, and the
+// one-benchmark JointResult is projected onto a Result whose interval
+// grid is rebuilt from the per-interval instruction counts (intervals
+// are contiguous by construction) and whose vectors are the shard's
+// rows.
+func ResultFromShard(sd *ivstore.ShardData, cfg Config) (*Result, error) {
+	_, j, err := clusterShard(sd, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return resultOf(sd, j), nil
+}
+
+// clusterShard runs the joint analysis of a source holding sd alone,
+// returning that source and the vocabulary.
+func clusterShard(sd *ivstore.ShardData, cfg Config) (ivstore.Source, *JointResult, error) {
+	mem := ivstore.NewMem([]string{sd.Name})
+	if err := mem.WriteShard(sd.Name, sd.Insts, sd.Vecs); err != nil {
+		return nil, nil, err
+	}
+	j, _, err := AnalyzeJointStore(context.TODO(), mem, cfg, 0, nil)
+	return mem, j, err
+}
+
+// resultOf projects j, the joint result of a source holding sd alone,
+// onto sd's per-benchmark Result.
+func resultOf(sd *ivstore.ShardData, j *JointResult) *Result {
 	res := &Result{
 		Intervals: make([]Interval, len(sd.Insts)),
 		Vectors:   sd.Vecs,
+		Assign:    j.Assign,
+		K:         j.K,
 	}
 	var start uint64
 	for i, insts := range sd.Insts {
 		res.Intervals[i] = Interval{Index: i, Start: start, Insts: insts}
 		start += insts
 	}
-	res.cluster(cfg)
+	for _, r := range j.Representatives {
+		res.Representatives = append(res.Representatives, Representative{Phase: r.Phase, Interval: r.Interval, Weight: r.Weight})
+	}
 	return res
 }
 
 // ReplayReducedShard runs the expensive reduced replay for one
-// benchmark whose cheap pass was loaded from a store shard: the shard
-// is lifted back into a phase Result (ResultFromShard) and replayed
-// with ReplayReduced. m must be a fresh source for the shard's
-// benchmark and fullProf a profiler built from cfg.FullOptions.
+// benchmark from its cheap-pass shard: it is the joint reduction of a
+// one-shard source. The shard is clustered alone (ResultFromShard),
+// its planned intervals are measured by the joint replay, and the rest
+// of the grid is fast-forwarded, so every interval is checked to
+// replay exactly as the cheap pass ran it. m must be a fresh source
+// for the shard's benchmark and fullProf a profiler built from
+// cfg.FullOptions.
 func ReplayReducedShard(m trace.Source, fullProf *mica.Profiler, sd *ivstore.ShardData, cfg ReducedConfig) (*ReducedResult, error) {
 	cfg = cfg.WithDefaults()
-	return ReplayReduced(m, fullProf, ResultFromShard(sd, cfg.CheapConfig()), cfg)
+	src, j, err := clusterShard(sd, cfg.CheapConfig())
+	if err != nil {
+		return nil, err
+	}
+	span := obs.StartSpan("phases.replay")
+	defer span.End()
+	jr, err := replayJoint(src, j, func(int) (trace.Source, error) { return m, nil }, cfg, fullProf)
+	if err != nil {
+		return nil, err
+	}
+	rr := &ReducedResult{
+		Phases:        resultOf(sd, j),
+		HasHPC:        jr.HasHPC,
+		Chars:         jr.Chars[0],
+		HPC:           jr.HPC[0],
+		MeasuredInsts: jr.MeasuredInsts,
+		SkippedInsts:  jr.SkippedInsts,
+	}
+	replayed := 0 // the joint replay stops after the last measured interval
+	for _, mi := range jr.Measured {
+		rr.Measured = append(rr.Measured, MeasuredInterval{
+			Interval: mi.Interval, Phase: mi.Phase, Insts: mi.Insts, Chars: mi.Chars, HPC: mi.HPC,
+		})
+		replayed = mi.Interval + 1
+	}
+	// The cheap pass observed min(sampleLen, Insts) of every interval
+	// (a shorter interval is one the program halted in), so a cheap
+	// pass run in another process is accounted for from its grid.
+	sample := cfg.sampleLen()
+	for i, iv := range rr.Phases.Intervals {
+		rr.SampledInsts += min(iv.Insts, sample)
+		if i < replayed {
+			continue
+		}
+		n, err := m.Run(iv.Insts, nil)
+		rr.SkippedInsts += n
+		if err := replayCheck(i, iv.Insts, n, err); err != nil {
+			return nil, err
+		}
+	}
+	return rr, nil
 }

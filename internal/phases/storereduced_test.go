@@ -11,8 +11,8 @@ import (
 )
 
 // TestMeasurementPlanRowsMatchesMatrix: the planner over the matrix
-// normalizedStore builds from a store produces the same plan as
-// measurementPlan over the concatenated matrix of the same
+// normalizedStore builds from a store produces the same plan as over
+// stats.ZScoreNormalize of the concatenated matrix of the same
 // (float32-rounded) data.
 func TestMeasurementPlanRowsMatchesMatrix(t *testing.T) {
 	benches := []benchIntervals{
@@ -24,7 +24,7 @@ func TestMeasurementPlanRowsMatchesMatrix(t *testing.T) {
 
 	rounded := roundF32(benches)
 	want := jointOracle(rounded, cfg)
-	planMem := measurementPlan(&Result{Vectors: concatRows(rounded), Assign: want.Assign, K: want.K}, 2)
+	planMem := measurementPlanRows(stats.ZScoreNormalize(concatRows(rounded)), want.Assign, want.K, 2)
 
 	norm, _, _, err := normalizedStore(st, nil)
 	if err != nil {
@@ -92,16 +92,19 @@ func TestReplayJointStoreRowMismatch(t *testing.T) {
 	}
 }
 
-// TestReplayReducedShardMatchesInMemory: lifting a benchmark's cheap
-// pass out of a store shard and replaying it is bit-identical to the
-// in-memory replay over the same float32-rounded cheap vectors.
-func TestReplayReducedShardMatchesInMemory(t *testing.T) {
+// TestReplayReducedShardMatchesExact: replaying a benchmark's cheap
+// pass read back from a float32 store shard clusters it as the
+// independent joint oracle clusters the rounded vectors, partitions
+// the grid into measured and skipped instructions, and, with every
+// interval measured, extrapolates the exact profile.
+func TestReplayReducedShardMatchesExact(t *testing.T) {
 	cfg := reducedTestConfig()
 	ph, err := CharacterizeReducedWith(newMachine(t), mica.NewProfiler(cfg.CheapConfig().Options), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := storeFrom(t, t.TempDir(), []benchIntervals{{Name: "twophase", Result: ph}})
+	bench := []benchIntervals{{Name: "twophase", Result: ph}}
+	st := storeFrom(t, t.TempDir(), bench)
 	sd, err := st.ReadShard(0)
 	if err != nil {
 		t.Fatal(err)
@@ -111,29 +114,27 @@ func TestReplayReducedShardMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := jointOracle(roundF32(bench), cfg.CheapConfig())
+	if got.Phases.K != want.K || !reflect.DeepEqual(got.Phases.Assign, want.Assign) {
+		t.Errorf("shard replay clustered K=%d, oracle K=%d", got.Phases.K, want.K)
+	}
+	if got.MeasuredInsts == 0 || got.MeasuredInsts+got.SkippedInsts != got.TotalInsts() {
+		t.Errorf("measured %d + skipped %d of %d instructions", got.MeasuredInsts, got.SkippedInsts, got.TotalInsts())
+	}
 
-	// In-memory analog: the same rounded vectors clustered under the
-	// cheap config, replayed the same way.
-	rounded := roundF32([]benchIntervals{{Name: "twophase", Result: ph}})[0].Result
-	rounded.cluster(cfg.CheapConfig())
-	want, err := ReplayReduced(newMachine(t), mica.NewProfiler(cfg.FullOptions), rounded, cfg)
+	cfg.RepsPerPhase = cfg.Phase.MaxIntervals
+	all, err := ReplayReducedShard(newMachine(t), mica.NewProfiler(cfg.FullOptions), sd, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if got.Chars != want.Chars {
-		t.Error("shard replay extrapolated a different characteristic vector")
+	ex, err := CharacterizeExact(newMachine(t), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.HPC != want.HPC {
-		t.Error("shard replay extrapolated a different HPC vector")
+	if all.MeasuredInsts != ex.TotalInsts() || all.SkippedInsts != 0 {
+		t.Errorf("measured %d and skipped %d of %d instructions", all.MeasuredInsts, all.SkippedInsts, ex.TotalInsts())
 	}
-	if got.MeasuredInsts != want.MeasuredInsts || got.SkippedInsts != want.SkippedInsts {
-		t.Errorf("shard replay accounting (%d/%d) differs from in-memory (%d/%d)",
-			got.MeasuredInsts, got.SkippedInsts, want.MeasuredInsts, want.SkippedInsts)
-	}
-	if got.Phases.K != want.Phases.K {
-		t.Errorf("shard replay clustered K=%d, in-memory K=%d", got.Phases.K, want.Phases.K)
-	}
+	checkMatchesExact(t, all.Chars, all.HPC, ex)
 }
 
 // TestResultFromShardGrid: the interval grid rebuilt from a shard's
@@ -145,7 +146,10 @@ func TestResultFromShardGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ResultFromShard(sd, reducedTestConfig().CheapConfig())
+	res, err := ResultFromShard(sd, reducedTestConfig().CheapConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(res.Intervals, bench.Result.Intervals) {
 		t.Fatal("rebuilt interval grid differs from the original")
 	}
@@ -157,7 +161,8 @@ func TestResultFromShardGrid(t *testing.T) {
 
 // TestResultFromShardMatchesRoundedCluster: under a plain phase
 // configuration, the Result lifted out of a float32 shard is bit for
-// bit the in-memory clustering of the same float32-rounded vectors.
+// bit the independent joint oracle's clustering of the same
+// float32-rounded vectors, projected onto the one benchmark.
 func TestResultFromShardMatchesRoundedCluster(t *testing.T) {
 	bench := synthBench("g/b", 30, 52)
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 30, MaxK: 5, Seed: 2006}
@@ -166,11 +171,19 @@ func TestResultFromShardMatchesRoundedCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ResultFromShard(sd, cfg)
+	got, err := ResultFromShard(sd, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	want := roundF32([]benchIntervals{bench})[0].Result
-	want.cluster(cfg.WithDefaults())
+	rounded := roundF32([]benchIntervals{bench})
+	oracle := jointOracle(rounded, cfg)
+	want := &Result{Intervals: rounded[0].Result.Intervals, Vectors: rounded[0].Result.Vectors,
+		Assign: oracle.Assign, K: oracle.K}
+	for _, r := range oracle.Representatives {
+		want.Representatives = append(want.Representatives, Representative{Phase: r.Phase, Interval: r.Row, Weight: r.Weight})
+	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("shard result (K=%d) differs from the rounded in-memory clustering (K=%d)", got.K, want.K)
+		t.Fatalf("shard result (K=%d) differs from the rounded oracle clustering (K=%d)", got.K, want.K)
 	}
 }

@@ -84,6 +84,73 @@ func (p pinHash) measured(insts uint64, chars []float64, hpc []float64) {
 	p.floats(hpc)
 }
 
+// pinnedPhase is the small grid both output pins run under.
+var pinnedPhase = PhaseConfig{IntervalLen: 500, MaxIntervals: 12, MaxK: 3, Seed: 2006}
+
+// runPinned runs analysis name ("phases", "joint", "reduced" or
+// "joint-reduced") over bs with the pinned grid, characterizing through
+// store (the zero value keeps it in memory), and returns the sha256 of
+// its output.
+func runPinned(t *testing.T, bs []Benchmark, name string, store StoreOptions) string {
+	t.Helper()
+	req := Request{Benchmarks: bs, Joint: name == "joint" || name == "joint-reduced", Store: store}
+	if name == "reduced" || name == "joint-reduced" {
+		req.Reduced = &ReducedPipelineConfig{Reduced: ReducedConfig{Phase: pinnedPhase}, Workers: 2}
+	} else {
+		req.Phases = &PhasePipelineConfig{Phase: pinnedPhase, Workers: 2}
+	}
+	rep, err := Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pinHash{sha256.New()}
+	switch name {
+	case "phases":
+		for _, r := range rep.Phases {
+			p.str(r.Benchmark.Name())
+			p.phases(r.Result)
+		}
+	case "joint":
+		p.joint(rep.Joint)
+	case "reduced":
+		for _, r := range rep.Reduced {
+			p.str(r.Benchmark.Name())
+			p.phases(r.Result.Phases)
+			p.int(len(r.Result.Measured))
+			for _, m := range r.Result.Measured {
+				p.int(m.Interval)
+				p.int(m.Phase)
+				p.measured(m.Insts, m.Chars[:], m.HPC[:])
+			}
+			p.bool(r.Result.HasHPC)
+			p.floats(r.Result.Chars[:])
+			p.floats(r.Result.HPC[:])
+			p.u64(r.Result.SampledInsts)
+			p.u64(r.Result.MeasuredInsts)
+			p.u64(r.Result.SkippedInsts)
+		}
+	case "joint-reduced":
+		jr := rep.JointReduced
+		p.joint(jr.Joint)
+		p.int(len(jr.Measured))
+		for _, m := range jr.Measured {
+			p.int(m.Row)
+			p.int(m.Bench)
+			p.int(m.Interval)
+			p.int(m.Phase)
+			p.measured(m.Insts, m.Chars[:], m.HPC[:])
+		}
+		p.bool(jr.HasHPC)
+		for b := range jr.Chars {
+			p.floats(jr.Chars[b][:])
+			p.floats(jr.HPC[b][:])
+		}
+		p.u64(jr.MeasuredInsts)
+		p.u64(jr.SkippedInsts)
+	}
+	return hex.EncodeToString(p.h.Sum(nil))
+}
+
 // TestRunInMemoryOutputsPinned pins the in-memory Run output of all
 // four analyses — per-benchmark and joint phases, per-benchmark and
 // joint reduced — by a sha256 over the float64 bits of every interval
@@ -93,72 +160,35 @@ func (p pinHash) measured(insts uint64, chars []float64, hpc []float64) {
 // in-memory pipeline shows here.
 func TestRunInMemoryOutputsPinned(t *testing.T) {
 	bs := storeBenchmarks(t, "MiBench/sha/large", "CommBench/drr/drr")
-	phase := PhaseConfig{IntervalLen: 500, MaxIntervals: 12, MaxK: 3, Seed: 2006}
 	for _, tc := range []struct{ name, want string }{
 		{"phases", "3e8bda20487ebf2e7ca0b61d508839c81f4490b554d940a07638bee4de8cfd05"},
 		{"joint", "8125e26dab3023a465c25746544322ed4aa68328dc1c1f267eec97d9cf70731c"},
 		{"reduced", "4381c2044513e650a845cbac1d5b01d73c3d15cbff4fa8ab7d3f3ca918b6c49b"},
 		{"joint-reduced", "9473a5078410c254a32865ce671e5675730817bf23b693cea75f424469f1cada"},
 	} {
-		name := tc.name
-		t.Run(name, func(t *testing.T) {
-			req := Request{Benchmarks: bs, Joint: name == "joint" || name == "joint-reduced"}
-			if name == "reduced" || name == "joint-reduced" {
-				req.Reduced = &ReducedPipelineConfig{Reduced: ReducedConfig{Phase: phase}, Workers: 2}
-			} else {
-				req.Phases = &PhasePipelineConfig{Phase: phase, Workers: 2}
+		t.Run(tc.name, func(t *testing.T) {
+			if got := runPinned(t, bs, tc.name, StoreOptions{}); got != tc.want {
+				t.Errorf("in-memory %s output hash %s, want %s", tc.name, got, tc.want)
 			}
-			rep, err := Run(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := pinHash{sha256.New()}
-			switch name {
-			case "phases":
-				for _, r := range rep.Phases {
-					p.str(r.Benchmark.Name())
-					p.phases(r.Result)
-				}
-			case "joint":
-				p.joint(rep.Joint)
-			case "reduced":
-				for _, r := range rep.Reduced {
-					p.str(r.Benchmark.Name())
-					p.phases(r.Result.Phases)
-					p.int(len(r.Result.Measured))
-					for _, m := range r.Result.Measured {
-						p.int(m.Interval)
-						p.int(m.Phase)
-						p.measured(m.Insts, m.Chars[:], m.HPC[:])
-					}
-					p.bool(r.Result.HasHPC)
-					p.floats(r.Result.Chars[:])
-					p.floats(r.Result.HPC[:])
-					p.u64(r.Result.SampledInsts)
-					p.u64(r.Result.MeasuredInsts)
-					p.u64(r.Result.SkippedInsts)
-				}
-			case "joint-reduced":
-				jr := rep.JointReduced
-				p.joint(jr.Joint)
-				p.int(len(jr.Measured))
-				for _, m := range jr.Measured {
-					p.int(m.Row)
-					p.int(m.Bench)
-					p.int(m.Interval)
-					p.int(m.Phase)
-					p.measured(m.Insts, m.Chars[:], m.HPC[:])
-				}
-				p.bool(jr.HasHPC)
-				for b := range jr.Chars {
-					p.floats(jr.Chars[b][:])
-					p.floats(jr.HPC[b][:])
-				}
-				p.u64(jr.MeasuredInsts)
-				p.u64(jr.SkippedInsts)
-			}
-			if got := hex.EncodeToString(p.h.Sum(nil)); got != tc.want {
-				t.Errorf("in-memory %s output hash %s, want %s", name, got, tc.want)
+		})
+	}
+}
+
+// TestRunStoreOutputsPinned pins the same four analyses, over the same
+// benchmarks and grid, characterized through an interval-vector store:
+// the analyses read float32 rows back, so this pins the exact bits of
+// every store-backed output, per-benchmark phases included.
+func TestRunStoreOutputsPinned(t *testing.T) {
+	bs := storeBenchmarks(t, "MiBench/sha/large", "CommBench/drr/drr")
+	for _, tc := range []struct{ name, want string }{
+		{"phases", "34927ec5ff049b5133df2a2ebaddde8a14fa591d4a7c1a65ecc2a90862a708a4"},
+		{"joint", "8125e26dab3023a465c25746544322ed4aa68328dc1c1f267eec97d9cf70731c"},
+		{"reduced", "24c5ae0535472776328b665068f2e2cd2b626aceb6ab0ed3695d6730e4ac0c12"},
+		{"joint-reduced", "9473a5078410c254a32865ce671e5675730817bf23b693cea75f424469f1cada"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := runPinned(t, bs, tc.name, StoreOptions{Dir: t.TempDir()}); got != tc.want {
+				t.Errorf("store-backed %s output hash %s, want %s", tc.name, got, tc.want)
 			}
 		})
 	}

@@ -154,9 +154,9 @@ func runPerBenchmark(ctx context.Context, rep *Report, src ivstore.Source, req R
 			rep.Phases[i].Benchmark = bs[i]
 		}
 		return eachShard(ctx, src, bs, req.Phases.Workers, nil, "phase analysis of", nil,
-			func(_ struct{}, i int, sd *ivstore.ShardData) error {
-				rep.Phases[i].Result = phases.ResultFromShard(sd, cfg)
-				return nil
+			func(_ struct{}, i int, sd *ivstore.ShardData) (err error) {
+				rep.Phases[i].Result, err = phases.ResultFromShard(sd, cfg)
+				return err
 			})
 	}
 	rcfg := req.Reduced.Reduced.WithDefaults()
