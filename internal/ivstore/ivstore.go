@@ -17,13 +17,14 @@
 // matrix's n×d×8 bytes plus one decoded shard. CacheStats counts the
 // reads. The pipelines read through Source, which a committed Store
 // and the in-memory Mem both implement, so a run without a store
-// directory is the same analysis over unrounded float64 shards.
+// directory is the same analysis over the same shards.
 //
 // Values are stored as IEEE-754 singles ("float32", the one encoding):
-// half the bytes of the float64 vectors they are fed, with a relative
-// rounding error bounded by 2^-24. A manifest naming another encoding,
-// or a shard whose encoding byte is not 0, is rejected with an error
-// naming the file.
+// half the bytes of float64. The pipelines characterize float32 values
+// to begin with, so the encoding is lossless on them; any other
+// float64 is rounded to the nearest single (relative error <= 2^-24).
+// A manifest naming another encoding, or a shard whose encoding byte
+// is not 0, is rejected with an error naming the file.
 //
 // The manifest's per-shard configuration hashes are what make reruns
 // incremental: a caller re-characterizes only the benchmarks whose

@@ -17,12 +17,14 @@ type Source interface {
 	ReadShard(i int) (*ShardData, error)
 }
 
-// Mem is an in-memory Source: each shard is kept as written, float64
-// and unrounded, so analyzing a Mem gives exactly what the same
-// analysis gives on the vectors themselves. Its shard order is the
-// name order it was made with; a name nothing was written for is
-// absent. WriteShard is safe for concurrent use; ReadShard returns the
-// written data itself, so readers must not modify it.
+// Mem is an in-memory Source: each shard is kept as written, nothing
+// copied or rounded, so analyzing a Mem gives exactly what the same
+// analysis gives on the vectors themselves — and, for the float32
+// values the pipelines characterize, what it gives on a Store. Its
+// shard order is the name order it was made with; a name nothing was
+// written for is absent. WriteShard is safe for concurrent use;
+// ReadShard returns the written data itself, so readers must not
+// modify it.
 type Mem struct {
 	mu    sync.Mutex
 	names []string

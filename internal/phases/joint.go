@@ -64,6 +64,11 @@ type JointResult struct {
 	centroids *stats.Matrix
 	normMean  []float64
 	normStd   []float64
+
+	// meanDist is each row's distance, in the normalized space, to the
+	// mean of its phase's rows: what the reduced replay ranks rows by
+	// to plan its measurements (measurementPlan).
+	meanDist []float64
 }
 
 // PhaseShare returns benchmark b's instruction share in shared phase c.
@@ -80,14 +85,16 @@ func (j *JointResult) TotalInsts() uint64 {
 }
 
 // deriveFrom fills the clustering-derived half of a JointResult
-// (assignment, representatives, occupancy) from a finished sweep over
-// the normalized rows. norm is the z-scored joint matrix
-// AnalyzeJointStore builds from the shards and drops on return. It is
-// the one representative selection of the package: a per-benchmark
-// Result is its projection for a one-shard source.
+// (assignment, representatives, occupancy, distances to the phase
+// means) from a finished sweep over the normalized rows. norm is the
+// z-scored joint matrix AnalyzeJointStore builds from the shards and
+// drops on return. It is the one representative selection of the
+// package: a per-benchmark Result is its projection for a one-shard
+// source.
 func (j *JointResult) deriveFrom(norm *stats.Matrix, sel cluster.Selection) {
 	j.Assign = sel.Best.Assign
 	j.K = sel.Best.K
+	j.meanDist = phaseMeanDistances(norm, j.Assign, j.K)
 
 	// Pick the row closest to each centroid as the phase representative
 	// (the SimPoint selection rule; the first row wins a tie), weighted

@@ -22,11 +22,11 @@ func characterizeKernel(t *testing.T, name, src string, cfg Config) *Result {
 	return res
 }
 
-// TestCharacterizeMatchesExact pins the characterization against an
-// independent walk of the same grid: CharacterizeExact measures every
-// interval with its own full profiler, and the instruction-weighted
-// mean of CharacterizeWith's vectors must be its profile bit for bit,
-// over the same intervals, with the clustering fields left empty.
+// TestCharacterizeMatchesExact pins the characterization's numeric
+// contract: it walks the grid CharacterizeExact walks, leaves the
+// clustering fields empty, and each of its rows is the float32 rounding
+// of the vector one profiler, Reset before every interval, measures on
+// a fresh machine.
 func TestCharacterizeMatchesExact(t *testing.T) {
 	cfg := Config{IntervalLen: 2_000, MaxIntervals: 20, MaxK: 4, Seed: 7}
 	char := characterizeKernel(t, "twophase", twoPhaseProgram, cfg)
@@ -37,11 +37,20 @@ func TestCharacterizeMatchesExact(t *testing.T) {
 	if !reflect.DeepEqual(char.Intervals, ex.Intervals) {
 		t.Error("characterize intervals diverge from the exact grid")
 	}
-	if char.FullVector() != ex.Chars {
-		t.Error("characterize vectors diverge from the exact profile")
-	}
 	if char.Assign != nil || char.K != 0 || char.Representatives != nil {
 		t.Error("characterize populated clustering fields")
+	}
+	m, prof := newMachine(t), mica.NewProfiler(cfg.Options)
+	for i, iv := range char.Intervals {
+		prof.Reset()
+		if n, _ := m.Run(cfg.IntervalLen, prof); n != iv.Insts {
+			t.Fatalf("interval %d retired %d instructions, characterized %d", i, n, iv.Insts)
+		}
+		for c, x := range prof.Vector() {
+			if got, want := char.Vectors.At(i, c), float64(float32(x)); got != want {
+				t.Errorf("interval %d %s = %v, want float32 %v", i, mica.CharName(c), got, want)
+			}
+		}
 	}
 }
 

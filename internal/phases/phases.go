@@ -125,7 +125,7 @@ type Result struct {
 	Intervals []Interval
 	// Vectors holds the interval characteristic vectors as the rows of
 	// one flat matrix, in interval order: row i is interval i's Table II
-	// vector.
+	// vector, each value rounded to float32 as it was characterized.
 	Vectors *stats.Matrix
 	// Assign maps each interval to its phase.
 	Assign []int
@@ -215,7 +215,9 @@ func analyze(m trace.Source, cfg Config, next func() *mica.Profiler) (*Result, e
 // Result's flat vector matrix, leaving the clustering fields empty.
 // Each interval's first sample instructions run under the profiler
 // next returns and the rest of the interval is fast-forwarded
-// unobserved; Interval.Insts records the whole interval.
+// unobserved; Interval.Insts records the whole interval. Each vector
+// is rounded to float32 once, here, so a shard holds the same values
+// in memory as in a store, whose encoding keeps float32 exactly.
 func characterize(m trace.Source, cfg Config, what string, sample uint64, next func() *mica.Profiler) (*Result, error) {
 	span := obs.StartSpan("phases.characterize")
 	defer span.End()
@@ -231,8 +233,9 @@ func characterize(m trace.Source, cfg Config, what string, sample uint64, next f
 		}
 		return n, err
 	}, func() {
-		v := prof.Vector()
-		vecs = append(vecs, v[:]...)
+		for _, x := range prof.Vector() {
+			vecs = append(vecs, float64(float32(x)))
+		}
 	})
 	if err != nil {
 		return nil, err

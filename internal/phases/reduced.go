@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 
-	"mica/internal/ivstore"
 	"mica/internal/mica"
 	"mica/internal/obs"
 	"mica/internal/trace"
@@ -443,34 +442,30 @@ type JointMeasuredInterval struct {
 }
 
 // ReplayJointStore measures the shared phases' chosen intervals of a
-// joint vocabulary built from src and extrapolates every member
-// benchmark. The measurement plan is computed over the same normalized
-// matrix the clustering ran on, rebuilt from src by normalizedStore:
-// per shared phase, the RepsPerPhase rows closest to the phase mean
-// (ties by ascending row). sources must return a fresh event source
-// for benchmark bi (indexed like j.Benchmarks); it is called only for
-// benchmarks that own a measured interval.
-func ReplayJointStore(src ivstore.Source, j *JointResult, sources func(bench int) (trace.Source, error), cfg ReducedConfig) (*JointReduced, error) {
+// joint vocabulary AnalyzeJointStore built and extrapolates every
+// member benchmark. The measurement plan ranks rows by the distances
+// the clustering recorded over its normalized matrix: per shared
+// phase, the RepsPerPhase rows closest to the phase mean (ties by
+// ascending row), so no shard is read again. sources must return a
+// fresh event source for benchmark bi (indexed like j.Benchmarks); it
+// is called only for benchmarks that own a measured interval.
+func ReplayJointStore(j *JointResult, sources func(bench int) (trace.Source, error), cfg ReducedConfig) (*JointReduced, error) {
 	cfg = cfg.WithDefaults()
 	span := obs.StartSpan("phases.replay")
 	defer span.End()
-	return replayJoint(src, j, sources, cfg, mica.NewProfiler(cfg.FullOptions))
+	return replayJoint(j, sources, cfg, mica.NewProfiler(cfg.FullOptions))
 }
 
 // replayJoint is the one replay of the reduced pipelines, per benchmark
-// (a one-shard src) and joint: ReplayJointStore with the caller's
-// profiler prof, built from cfg.FullOptions and Reset before every
-// measured interval. Each owning benchmark is replayed through its
-// last measured interval only. cfg carries its defaults.
-func replayJoint(src ivstore.Source, j *JointResult, sources func(bench int) (trace.Source, error), cfg ReducedConfig, prof *mica.Profiler) (*JointReduced, error) {
-	norm, _, _, err := normalizedStore(src, nil)
-	if err != nil {
-		return nil, fmt.Errorf("phases: joint store replay: %w", err)
+// (a one-shard vocabulary) and joint: ReplayJointStore with the
+// caller's profiler prof, built from cfg.FullOptions and Reset before
+// every measured interval. Each owning benchmark is replayed through
+// its last measured interval only. cfg carries its defaults.
+func replayJoint(j *JointResult, sources func(bench int) (trace.Source, error), cfg ReducedConfig, prof *mica.Profiler) (*JointReduced, error) {
+	if len(j.meanDist) != len(j.Rows) {
+		return nil, fmt.Errorf("phases: joint replay: vocabulary of %d rows was not built by AnalyzeJointStore", len(j.Rows))
 	}
-	if norm.Rows != len(j.Rows) {
-		return nil, fmt.Errorf("phases: joint store replay: source has %d rows, vocabulary has %d", norm.Rows, len(j.Rows))
-	}
-	plan := measurementPlanRows(norm, j.Assign, j.K, cfg.RepsPerPhase)
+	plan := measurementPlan(j.meanDist, j.Assign, j.K, cfg.RepsPerPhase)
 	jr := &JointReduced{
 		Joint:  j,
 		HasHPC: !cfg.SkipHPC,
@@ -489,7 +484,10 @@ func replayJoint(src ivstore.Source, j *JointResult, sources func(bench int) (tr
 		b := j.Rows[row].Bench
 		last[b] = max(last[b], row)
 	}
-	var m trace.Source
+	var (
+		m   trace.Source
+		err error
+	)
 	for row, ref := range j.Rows {
 		if row > last[ref.Bench] {
 			continue

@@ -206,7 +206,7 @@ func TestReplayJointSingleBenchmarkMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr, err := ReplayJointStore(mem, j, func(int) (trace.Source, error) { return newMachine(t), nil }, cfg)
+	jr, err := ReplayJointStore(j, func(int) (trace.Source, error) { return newMachine(t), nil }, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestReplayJointSharedReps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr, err := ReplayJointStore(mem, j, func(bi int) (trace.Source, error) {
+	jr, err := ReplayJointStore(j, func(bi int) (trace.Source, error) {
 		return machineFor(t, j.Benchmarks[bi], twoPhaseProgram), nil
 	}, cfg)
 	if err != nil {

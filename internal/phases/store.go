@@ -19,9 +19,8 @@ import (
 // It is the package's one clustering: on a source holding a single
 // shard it is that benchmark's per-benchmark analysis, which
 // ResultFromShard projects onto a Result. src is a committed
-// interval-vector store or an in-memory ivstore.Mem; a store's rows
-// are the characterized vectors rounded to float32 (relative error
-// <= 2^-24), a Mem's are the vectors themselves.
+// interval-vector store or an in-memory ivstore.Mem; either holds the
+// characterized vectors, which are float32 values, bit for bit.
 //
 // One sequential pass reads every shard once and copies its rows into
 // a resident n×d matrix, which is z-scored in place with the column
@@ -96,8 +95,8 @@ func AnalyzeJointStore(ctx context.Context, src ivstore.Source, cfg Config, work
 // place, returning the matrix and the column statistics it was
 // normalized with — bit for bit what stats.ZScoreNormalize gives on the
 // concatenated rows. Every shard must hold 47-characteristic rows.
-// visit, when non-nil, sees each shard in order, so a caller folds its
-// per-shard work into the same pass.
+// visit sees each shard in order, so the caller folds its per-shard
+// work into the same pass.
 func normalizedStore(src ivstore.Source, visit func(si int, sd *ivstore.ShardData)) (norm *stats.Matrix, mean, std []float64, err error) {
 	shards := src.Shards()
 	n := 0
@@ -117,9 +116,7 @@ func normalizedStore(src ivstore.Source, visit func(si int, sd *ivstore.ShardDat
 		}
 		copy(norm.Data[r*mica.NumChars:], sd.Vecs.Data)
 		r += sd.Vecs.Rows
-		if visit != nil {
-			visit(si, sd)
-		}
+		visit(si, sd)
 	}
 	mean, std = stats.ZScoreInPlace(norm)
 	return norm, mean, std, nil

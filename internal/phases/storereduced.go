@@ -20,12 +20,9 @@ import (
 	"mica/internal/trace"
 )
 
-// measurementPlanRows selects which rows of a normalized matrix the
-// expensive pass measures: for each phase, the reps rows closest to the
-// phase's mean (ties broken by ascending row index), returned as row
-// index -> phase. The replay hands it the matrix normalizedStore
-// builds.
-func measurementPlanRows(norm *stats.Matrix, assign []int, k, reps int) map[int]int {
+// phaseMeanDistances returns each row's Euclidean distance to the
+// mean of its phase's rows in the normalized matrix norm.
+func phaseMeanDistances(norm *stats.Matrix, assign []int, k int) []float64 {
 	n, d := norm.Rows, norm.Cols
 	means := stats.NewMatrix(k, d)
 	counts := make([]int, k)
@@ -45,14 +42,25 @@ func measurementPlanRows(norm *stats.Matrix, assign []int, k, reps int) map[int]
 			means.Set(c, j, means.At(c, j)/float64(counts[c]))
 		}
 	}
+	dist := make([]float64, n)
+	for i, c := range assign {
+		dist[i] = stats.Euclidean(norm.Row(i), means.Row(c))
+	}
+	return dist
+}
+
+// measurementPlan selects which rows the expensive pass measures: for
+// each phase, the reps rows closest to the phase's mean (dist, as
+// phaseMeanDistances gives it; ties broken by ascending row index),
+// returned as row index -> phase.
+func measurementPlan(dist []float64, assign []int, k, reps int) map[int]int {
 	type ranked struct {
 		dist float64
 		idx  int
 	}
 	byPhase := make([][]ranked, k)
-	for i := 0; i < n; i++ {
-		c := assign[i]
-		byPhase[c] = append(byPhase[c], ranked{stats.Euclidean(norm.Row(i), means.Row(c)), i})
+	for i, c := range assign {
+		byPhase[c] = append(byPhase[c], ranked{dist[i], i})
 	}
 	plan := make(map[int]int)
 	for c, members := range byPhase {
@@ -83,22 +91,21 @@ func measurementPlanRows(norm *stats.Matrix, assign []int, k, reps int) map[int]
 // are contiguous by construction) and whose vectors are the shard's
 // rows.
 func ResultFromShard(sd *ivstore.ShardData, cfg Config) (*Result, error) {
-	_, j, err := clusterShard(sd, cfg)
+	j, err := clusterShard(sd, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return resultOf(sd, j), nil
 }
 
-// clusterShard runs the joint analysis of a source holding sd alone,
-// returning that source and the vocabulary.
-func clusterShard(sd *ivstore.ShardData, cfg Config) (ivstore.Source, *JointResult, error) {
+// clusterShard runs the joint analysis of a source holding sd alone.
+func clusterShard(sd *ivstore.ShardData, cfg Config) (*JointResult, error) {
 	mem := ivstore.NewMem([]string{sd.Name})
 	if err := mem.WriteShard(sd.Name, sd.Insts, sd.Vecs); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	j, _, err := AnalyzeJointStore(context.TODO(), mem, cfg, 0, nil)
-	return mem, j, err
+	return j, err
 }
 
 // resultOf projects j, the joint result of a source holding sd alone,
@@ -131,13 +138,13 @@ func resultOf(sd *ivstore.ShardData, j *JointResult) *Result {
 // cfg.FullOptions.
 func ReplayReducedShard(m trace.Source, fullProf *mica.Profiler, sd *ivstore.ShardData, cfg ReducedConfig) (*ReducedResult, error) {
 	cfg = cfg.WithDefaults()
-	src, j, err := clusterShard(sd, cfg.CheapConfig())
+	j, err := clusterShard(sd, cfg.CheapConfig())
 	if err != nil {
 		return nil, err
 	}
 	span := obs.StartSpan("phases.replay")
 	defer span.End()
-	jr, err := replayJoint(src, j, func(int) (trace.Source, error) { return m, nil }, cfg, fullProf)
+	jr, err := replayJoint(j, func(int) (trace.Source, error) { return m, nil }, cfg, fullProf)
 	if err != nil {
 		return nil, err
 	}

@@ -5,42 +5,37 @@ import (
 	"strings"
 	"testing"
 
+	"mica/internal/ivstore"
 	"mica/internal/mica"
 	"mica/internal/stats"
 	"mica/internal/trace"
 )
 
-// TestMeasurementPlanRowsMatchesMatrix: the planner over the matrix
-// normalizedStore builds from a store produces the same plan as over
-// stats.ZScoreNormalize of the concatenated matrix of the same
-// (float32-rounded) data.
+// TestMeasurementPlanRowsMatchesMatrix: the measurement plan drawn
+// from a store-backed vocabulary's recorded distances is the plan over
+// stats.ZScoreNormalize of the concatenated matrix of the same data.
 func TestMeasurementPlanRowsMatchesMatrix(t *testing.T) {
 	benches := []benchIntervals{
 		synthBench("p/a", 50, 31),
 		synthBench("p/b", 40, 32),
 	}
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 50, MaxK: 6, Seed: 2006}
-	st := storeFrom(t, t.TempDir(), benches)
-
-	rounded := roundF32(benches)
-	want := jointOracle(rounded, cfg)
-	planMem := measurementPlanRows(stats.ZScoreNormalize(concatRows(rounded)), want.Assign, want.K, 2)
-
-	norm, _, _, err := normalizedStore(st, nil)
+	got, _, err := AnalyzeJointStore(t.Context(), storeFrom(t, t.TempDir(), benches), cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planStore := measurementPlanRows(norm, want.Assign, want.K, 2)
-	if !reflect.DeepEqual(planMem, planStore) {
-		t.Fatalf("store-backed plan %v differs from matrix plan %v", planStore, planMem)
+	want := jointOracle(benches, cfg)
+	planWant := measurementPlan(phaseMeanDistances(stats.ZScoreNormalize(concatRows(benches)), want.Assign, want.K), want.Assign, want.K, 2)
+	if planGot := measurementPlan(got.meanDist, got.Assign, got.K, 2); !reflect.DeepEqual(planGot, planWant) {
+		t.Fatalf("store-backed plan %v differs from matrix plan %v", planGot, planWant)
 	}
 }
 
 // TestReplayJointStoreMatchesReplayJoint is the store-backed joint
 // reduction differential: characterize the two-phase program cheaply,
 // push the cheap vectors through a float32 store, cluster and replay
-// from the store — and compare bit for bit against the joint replay
-// from an in-memory source holding the same rounded vectors.
+// from the store — and compare bit for bit against the joint reduction
+// from an in-memory source holding the same vectors.
 func TestReplayJointStoreMatchesReplayJoint(t *testing.T) {
 	cfg := reducedTestConfig()
 	ph, err := CharacterizeReducedWith(newMachine(t), mica.NewProfiler(cfg.CheapConfig().Options), cfg)
@@ -48,45 +43,27 @@ func TestReplayJointStoreMatchesReplayJoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	benches := []benchIntervals{{Name: "twophase", Result: ph}}
-	machines := func(int) (trace.Source, error) { return newMachine(t), nil }
-
-	st := storeFrom(t, t.TempDir(), benches)
-	jStore, _, err := AnalyzeJointStore(t.Context(), st, cfg.CheapConfig(), 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	reduce := func(src ivstore.Source) *JointReduced {
+		j, _, err := AnalyzeJointStore(t.Context(), src, cfg.CheapConfig(), 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jr, err := ReplayJointStore(j, func(int) (trace.Source, error) { return newMachine(t), nil }, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jr
 	}
-	got, err := ReplayJointStore(st, jStore, machines, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mem := memFrom(t, roundF32(benches))
-	jMem, _, err := AnalyzeJointStore(t.Context(), mem, cfg.CheapConfig(), 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ReplayJointStore(mem, jMem, machines, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(got.Chars, want.Chars) {
-		t.Error("store-backed joint replay extrapolated different characteristic vectors")
-	}
-	if !reflect.DeepEqual(got.HPC, want.HPC) {
-		t.Error("store-backed joint replay extrapolated different HPC vectors")
-	}
-	if got.MeasuredInsts != want.MeasuredInsts {
-		t.Errorf("store replay measured %d insts, in-memory %d", got.MeasuredInsts, want.MeasuredInsts)
+	if !reflect.DeepEqual(reduce(storeFrom(t, t.TempDir(), benches)), reduce(memFrom(t, benches))) {
+		t.Error("store-backed joint reduction differs from the in-memory one")
 	}
 }
 
-// TestReplayJointStoreRowMismatch: a vocabulary built for a different
-// store (row count mismatch) is rejected up front.
+// TestReplayJointStoreRowMismatch: a vocabulary AnalyzeJointStore did
+// not build (no distances recorded for its rows) is rejected up front.
 func TestReplayJointStoreRowMismatch(t *testing.T) {
-	st := storeFrom(t, t.TempDir(), []benchIntervals{synthBench("m/a", 20, 41)})
 	j := &JointResult{Rows: make([]RowRef, 7)}
-	_, err := ReplayJointStore(st, j, func(int) (trace.Source, error) { return nil, nil }, reducedTestConfig())
+	_, err := ReplayJointStore(j, func(int) (trace.Source, error) { return nil, nil }, reducedTestConfig())
 	if err == nil || !strings.Contains(err.Error(), "rows") {
 		t.Fatalf("row-count mismatch error = %v", err)
 	}
@@ -94,7 +71,7 @@ func TestReplayJointStoreRowMismatch(t *testing.T) {
 
 // TestReplayReducedShardMatchesExact: replaying a benchmark's cheap
 // pass read back from a float32 store shard clusters it as the
-// independent joint oracle clusters the rounded vectors, partitions
+// independent joint oracle clusters the cheap vectors, partitions
 // the grid into measured and skipped instructions, and, with every
 // interval measured, extrapolates the exact profile.
 func TestReplayReducedShardMatchesExact(t *testing.T) {
@@ -114,7 +91,7 @@ func TestReplayReducedShardMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := jointOracle(roundF32(bench), cfg.CheapConfig())
+	want := jointOracle(bench, cfg.CheapConfig())
 	if got.Phases.K != want.K || !reflect.DeepEqual(got.Phases.Assign, want.Assign) {
 		t.Errorf("shard replay clustered K=%d, oracle K=%d", got.Phases.K, want.K)
 	}
@@ -161,8 +138,8 @@ func TestResultFromShardGrid(t *testing.T) {
 
 // TestResultFromShardMatchesRoundedCluster: under a plain phase
 // configuration, the Result lifted out of a float32 shard is bit for
-// bit the independent joint oracle's clustering of the same
-// float32-rounded vectors, projected onto the one benchmark.
+// bit the independent joint oracle's clustering of the vectors written
+// to it, projected onto the one benchmark.
 func TestResultFromShardMatchesRoundedCluster(t *testing.T) {
 	bench := synthBench("g/b", 30, 52)
 	cfg := Config{IntervalLen: 1000, MaxIntervals: 30, MaxK: 5, Seed: 2006}
@@ -176,14 +153,13 @@ func TestResultFromShardMatchesRoundedCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rounded := roundF32([]benchIntervals{bench})
-	oracle := jointOracle(rounded, cfg)
-	want := &Result{Intervals: rounded[0].Result.Intervals, Vectors: rounded[0].Result.Vectors,
+	oracle := jointOracle([]benchIntervals{bench}, cfg)
+	want := &Result{Intervals: bench.Result.Intervals, Vectors: bench.Result.Vectors,
 		Assign: oracle.Assign, K: oracle.K}
 	for _, r := range oracle.Representatives {
 		want.Representatives = append(want.Representatives, Representative{Phase: r.Phase, Interval: r.Row, Weight: r.Weight})
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("shard result (K=%d) differs from the rounded oracle clustering (K=%d)", got.K, want.K)
+		t.Fatalf("shard result (K=%d) differs from the oracle clustering (K=%d)", got.K, want.K)
 	}
 }

@@ -84,7 +84,7 @@ func (p pinHash) measured(insts uint64, chars []float64, hpc []float64) {
 	p.floats(hpc)
 }
 
-// pinnedPhase is the small grid both output pins run under.
+// pinnedPhase is the small grid the output pins run under.
 var pinnedPhase = PhaseConfig{IntervalLen: 500, MaxIntervals: 12, MaxK: 3, Seed: 2006}
 
 // runPinned runs analysis name ("phases", "joint", "reduced" or
@@ -151,45 +151,41 @@ func runPinned(t *testing.T, bs []Benchmark, name string, store StoreOptions) st
 	return hex.EncodeToString(p.h.Sum(nil))
 }
 
-// TestRunInMemoryOutputsPinned pins the in-memory Run output of all
-// four analyses — per-benchmark and joint phases, per-benchmark and
-// joint reduced — by a sha256 over the float64 bits of every interval
+// pinnedOutputs is the sha256 of each analysis' Run output over sha
+// and drr on the pinned grid: over the float64 bits of every interval
 // vector, assignment, K, representative, occupancy and reduced
-// measurement and extrapolation. The values are unrounded (no shard
-// encoding touches them), so any change to the arithmetic of an
-// in-memory pipeline shows here.
-func TestRunInMemoryOutputsPinned(t *testing.T) {
+// measurement and extrapolation. Characterized rows are float32 from
+// birth, which the store encodes losslessly, so the in-memory and the
+// store-backed run of an analysis both hash to its one entry.
+var pinnedOutputs = []struct{ name, want string }{
+	{"phases", "34927ec5ff049b5133df2a2ebaddde8a14fa591d4a7c1a65ecc2a90862a708a4"},
+	{"joint", "8125e26dab3023a465c25746544322ed4aa68328dc1c1f267eec97d9cf70731c"},
+	{"reduced", "24c5ae0535472776328b665068f2e2cd2b626aceb6ab0ed3695d6730e4ac0c12"},
+	{"joint-reduced", "9473a5078410c254a32865ce671e5675730817bf23b693cea75f424469f1cada"},
+}
+
+// checkPinned runs every analysis, characterized through a fresh
+// store or kept in memory, and holds its output hash to pinnedOutputs.
+func checkPinned(t *testing.T, store bool) {
 	bs := storeBenchmarks(t, "MiBench/sha/large", "CommBench/drr/drr")
-	for _, tc := range []struct{ name, want string }{
-		{"phases", "3e8bda20487ebf2e7ca0b61d508839c81f4490b554d940a07638bee4de8cfd05"},
-		{"joint", "8125e26dab3023a465c25746544322ed4aa68328dc1c1f267eec97d9cf70731c"},
-		{"reduced", "4381c2044513e650a845cbac1d5b01d73c3d15cbff4fa8ab7d3f3ca918b6c49b"},
-		{"joint-reduced", "9473a5078410c254a32865ce671e5675730817bf23b693cea75f424469f1cada"},
-	} {
+	for _, tc := range pinnedOutputs {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := runPinned(t, bs, tc.name, StoreOptions{}); got != tc.want {
-				t.Errorf("in-memory %s output hash %s, want %s", tc.name, got, tc.want)
+			var opt StoreOptions
+			if store {
+				opt.Dir = t.TempDir()
+			}
+			if got := runPinned(t, bs, tc.name, opt); got != tc.want {
+				t.Errorf("%s output hash %s, want %s", tc.name, got, tc.want)
 			}
 		})
 	}
 }
 
-// TestRunStoreOutputsPinned pins the same four analyses, over the same
-// benchmarks and grid, characterized through an interval-vector store:
-// the analyses read float32 rows back, so this pins the exact bits of
-// every store-backed output, per-benchmark phases included.
-func TestRunStoreOutputsPinned(t *testing.T) {
-	bs := storeBenchmarks(t, "MiBench/sha/large", "CommBench/drr/drr")
-	for _, tc := range []struct{ name, want string }{
-		{"phases", "34927ec5ff049b5133df2a2ebaddde8a14fa591d4a7c1a65ecc2a90862a708a4"},
-		{"joint", "8125e26dab3023a465c25746544322ed4aa68328dc1c1f267eec97d9cf70731c"},
-		{"reduced", "24c5ae0535472776328b665068f2e2cd2b626aceb6ab0ed3695d6730e4ac0c12"},
-		{"joint-reduced", "9473a5078410c254a32865ce671e5675730817bf23b693cea75f424469f1cada"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := runPinned(t, bs, tc.name, StoreOptions{Dir: t.TempDir()}); got != tc.want {
-				t.Errorf("store-backed %s output hash %s, want %s", tc.name, got, tc.want)
-			}
-		})
-	}
-}
+// TestRunInMemoryOutputsPinned pins the in-memory Run output of all
+// four analyses — per-benchmark and joint phases, per-benchmark and
+// joint reduced.
+func TestRunInMemoryOutputsPinned(t *testing.T) { checkPinned(t, false) }
+
+// TestRunStoreOutputsPinned pins the same four analyses characterized
+// through an interval-vector store to the same hashes.
+func TestRunStoreOutputsPinned(t *testing.T) { checkPinned(t, true) }

@@ -11,8 +11,8 @@ import (
 // differential contract: the in-memory joint Run path over exactly one
 // registry benchmark must reproduce AnalyzePhases bit for bit —
 // assignment, K and representatives — and the shard it clusters holds
-// AnalyzePhases' vectors unrounded (read back through the per-benchmark
-// Run, which shares the characterization).
+// AnalyzePhases' vectors as characterized (read back through the
+// per-benchmark Run, which shares the characterization).
 func TestAnalyzePhasesJointSingleBenchmarkBitIdentical(t *testing.T) {
 	for _, name := range []string{"SPEC2000/twolf/ref", "MiBench/sha/large"} {
 		b, err := BenchmarkByName(name)

@@ -50,10 +50,12 @@ type Report struct {
 
 // Run executes one interval pipeline: phase analysis or reduced
 // profiling, per benchmark or joint. Every benchmark's intervals are
-// first characterized into a shard source — kept in memory as float64,
-// or in the interval-vector store in Store.Dir as float32 — and the
-// analysis then reads that source; each analysis has one
-// implementation, whichever the source. Benchmarks are sharded over a
+// first characterized into a shard source — kept in memory, or in the
+// interval-vector store in Store.Dir — and the analysis then reads
+// that source; each analysis has one implementation, whichever the
+// source. Interval vectors are rounded to float32 as they are
+// characterized, which the store encodes losslessly, so the two
+// sources give the same bits. Benchmarks are sharded over a
 // fixed worker pool, one pooled profiler per worker, and results come
 // back in input order. Repeated benchmark names are rejected before
 // any work.
@@ -200,7 +202,7 @@ func runJoint(ctx context.Context, rep *Report, src ivstore.Source, st *IVStore,
 		rep.Joint = j
 		return nil
 	}
-	rep.JointReduced, err = phases.ReplayJointStore(src, j, func(bi int) (trace.Source, error) {
+	rep.JointReduced, err = phases.ReplayJointStore(j, func(bi int) (trace.Source, error) {
 		return req.Benchmarks[bi].Source()
 	}, req.Reduced.Reduced)
 	if err != nil {
