@@ -75,6 +75,7 @@ import (
 	"mica"
 	"mica/internal/obs"
 	"mica/internal/report"
+	"mica/internal/suites"
 )
 
 func main() {
@@ -256,7 +257,7 @@ func execute(ctx context.Context, benchName, tracePath string, all bool, req mic
 	case req.Joint || benchName != "" || (req.Reduced != nil && req.Store.Dir != ""):
 		// A joint run without -bench, or a reduced store run without
 		// -bench or -all, covers the whole registry.
-		req.Benchmarks, err = selectBenchmarks(benchName)
+		req.Benchmarks, err = suites.Select(benchName)
 	default:
 		return fmt.Errorf("pass -bench <name>, -trace <file>, -all or -joint")
 	}
@@ -456,23 +457,6 @@ func phaseLabel(p int) string {
 		return fmt.Sprintf("%c", 'A'+p)
 	}
 	return fmt.Sprintf("%c%d", 'A'+p%26, p-p%26)
-}
-
-// selectBenchmarks resolves a comma-separated -bench list, or the whole
-// registry when the list is empty.
-func selectBenchmarks(benchName string) ([]mica.Benchmark, error) {
-	if benchName == "" {
-		return mica.Benchmarks(), nil
-	}
-	var bs []mica.Benchmark
-	for _, n := range strings.Split(benchName, ",") {
-		b, err := mica.BenchmarkByName(strings.TrimSpace(n))
-		if err != nil {
-			return nil, err
-		}
-		bs = append(bs, b)
-	}
-	return bs, nil
 }
 
 // renderJoint prints the shared vocabulary: size, per-benchmark

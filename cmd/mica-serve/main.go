@@ -3,12 +3,14 @@
 // store, serving the paper's workload-characterization queries to
 // concurrent clients.
 //
-// At startup it builds (or incrementally reuses) the store for the
-// selected benchmarks, optionally clusters the joint cross-benchmark
-// phase vocabulary (warm-started from the state a previous run
-// persisted next to the store), assembles the normalized-PCA
-// similarity index from the stored vectors, and then listens. The
-// endpoints:
+// Startup is one mica.Run over the selected benchmarks, always
+// incremental, warm-started and joint: it builds the store (reusing
+// every shard whose configuration stamp still matches), clusters the
+// joint cross-benchmark phase vocabulary (warm-started from the state
+// a previous run persisted next to the store) and closes the store.
+// The daemon then reopens the committed store, assembles the
+// normalized-PCA similarity index from the stored vectors, and
+// listens. The endpoints:
 //
 //	POST /api/v1/characterize   {"benchmark": "suite/program/input"}
 //	                            → 202 {job id}; jobs dedup in-flight and
@@ -47,7 +49,7 @@
 //
 //	mica-serve -store phases.ivs [-addr 127.0.0.1:8344]
 //	mica-serve -store phases.ivs -bench name,name,... [-interval 10000] [-intervals 100]
-//	mica-serve -store phases.ivs -joint=false -workers 8 -queue 128
+//	mica-serve -store phases.ivs -workers 8 -queue 128
 //	mica-serve -store phases.ivs -tracedir traces/ [-maxupload 67108864]
 package main
 
@@ -61,13 +63,13 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"mica"
 	"mica/internal/obs"
 	"mica/internal/serve"
+	"mica/internal/suites"
 )
 
 func main() {
@@ -82,9 +84,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "characterization workers for startup build and job pool (0 = GOMAXPROCS)")
 		queueCap     = flag.Int("queue", 64, "pending characterization-job bound; a full queue answers 429")
 		retain       = flag.Int("retain", 1024, "finished jobs kept pollable")
-		incremental  = flag.Bool("incremental", true, "reuse unchanged shards at startup, characterizing only the rest")
-		warm         = flag.Bool("warm", true, "seed the joint clustering from the previous run's persisted state")
-		joint        = flag.Bool("joint", true, "cluster the joint phase vocabulary at startup (enables space=phase similarity)")
 		pcaVar       = flag.Float64("pcavar", 0.9, "variance fraction the similarity index's PCA components must explain")
 		skipHPC      = flag.Bool("skiphpc", false, "skip the EV56/EV67 machine models in characterization jobs")
 		traceDir     = flag.String("tracedir", "", "enable POST /api/v1/traces; validated uploads are persisted here and characterized like registry benchmarks")
@@ -101,8 +100,7 @@ func main() {
 	fl := cliFlags{
 		storeDir: *storeDir, addr: *addr, queueCap: *queueCap,
 		retain: *retain, pcaVar: *pcaVar,
-		warm: *warm, joint: *joint, traceDir: *traceDir, maxUpload: *maxUpload,
-		pprof: *pprofOn,
+		traceDir: *traceDir, maxUpload: *maxUpload, pprof: *pprofOn,
 	}
 	if err := validateFlags(fl); err != nil {
 		fmt.Fprintln(os.Stderr, "mica-serve:", err)
@@ -120,8 +118,6 @@ func main() {
 		MaxIntervals: *maxIntervals,
 		MaxK:         *maxK,
 		Seed:         *seed,
-	}, mica.StoreOptions{
-		Dir: *storeDir, Incremental: *incremental, WarmStart: *warm,
 	}, *benchName, *workers, *skipHPC, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "mica-serve:", err)
 		os.Exit(1)
@@ -136,8 +132,6 @@ type cliFlags struct {
 	queueCap  int
 	retain    int
 	pcaVar    float64
-	warm      bool
-	joint     bool
 	traceDir  string
 	maxUpload int64
 	pprof     bool
@@ -157,63 +151,58 @@ func validateFlags(f cliFlags) error {
 		return fmt.Errorf("-retain wants a positive finished-job bound")
 	case f.pcaVar <= 0 || f.pcaVar > 1:
 		return fmt.Errorf("-pcavar wants a variance fraction in (0, 1]")
-	case f.warm && !f.joint:
-		return fmt.Errorf("-warm seeds the joint clustering; combine it with -joint")
 	case f.traceDir != "" && f.maxUpload <= 0:
 		return fmt.Errorf("-maxupload wants a positive byte bound")
 	}
 	return nil
 }
 
-// run warms the store, builds the serving state and serves until ctx
-// is cancelled. ready, when non-nil, is told the bound listen address
-// once the daemon is accepting connections (tests bind :0 and need
-// the kernel-chosen port).
-func run(ctx context.Context, fl cliFlags, phase mica.PhaseConfig, sopt mica.StoreOptions,
+// run builds and warms the store, builds the serving state and serves
+// until ctx is cancelled. ready, when non-nil, is told the bound listen
+// address once the daemon is accepting connections (tests bind :0 and
+// need the kernel-chosen port).
+func run(ctx context.Context, fl cliFlags, phase mica.PhaseConfig,
 	benchName string, workers int, skipHPC bool, ready func(addr string)) error {
-	bs, err := selectBenchmarks(benchName)
+	bs, err := suites.Select(benchName)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("warming store %s (%d benchmarks)...\n", sopt.Dir, len(bs))
+	fmt.Printf("warming store %s (%d benchmarks)...\n", fl.storeDir, len(bs))
 	begin := time.Now()
-	st, bstats, err := mica.CharacterizeToStoreCtx(ctx, bs,
-		mica.PhasePipelineConfig{Phase: phase, Workers: workers}, sopt)
-	if st != nil {
-		defer st.Close()
-	}
+	rep, err := mica.Run(ctx, mica.Request{
+		Benchmarks: bs,
+		Joint:      true,
+		Phases:     &mica.PhasePipelineConfig{Phase: phase, Workers: workers},
+		Store:      mica.StoreOptions{Dir: fl.storeDir, Incremental: true, WarmStart: true},
+	})
 	if err != nil {
 		return err
 	}
-	if bstats != nil {
-		fmt.Printf("store ready in %v: %d characterized, %d reused, %d rows\n",
-			time.Since(begin).Round(time.Millisecond),
-			len(bstats.Characterized), len(bstats.Reused), st.NumRows())
+	// Run closes its store; the daemon serves the committed one, and
+	// serve.New checks that it still matches the vocabulary.
+	st, err := mica.OpenIVStore(fl.storeDir)
+	if err != nil {
+		return err
 	}
+	defer st.Close()
+	fmt.Printf("store ready in %v: %d characterized, %d reused, %d rows\n",
+		time.Since(begin).Round(time.Millisecond),
+		len(rep.Store.Characterized), len(rep.Store.Reused), st.NumRows())
+	fmt.Printf("joint vocabulary: K=%d over %d intervals (warm start: %v)\n",
+		rep.Joint.K, len(rep.Joint.Assign), rep.Store.WarmStarted)
 
-	cfg := serve.Config{
+	srv, err := serve.New(st, serve.Config{
 		Phase:         phase,
 		SkipHPC:       skipHPC,
 		Workers:       workers,
 		QueueCap:      fl.queueCap,
 		Retain:        fl.retain,
 		PCAVariance:   fl.pcaVar,
+		Joint:         rep.Joint,
 		TraceDir:      fl.traceDir,
 		MaxTraceBytes: fl.maxUpload,
-	}
-	if fl.joint {
-		begin = time.Now()
-		j, warmUsed, err := mica.AnalyzePhasesJointOpenStoreCtx(ctx, st, phase, workers, fl.warm)
-		if err != nil {
-			return fmt.Errorf("joint vocabulary: %w", err)
-		}
-		fmt.Printf("joint vocabulary: K=%d over %d intervals in %v (warm start: %v)\n",
-			j.K, len(j.Assign), time.Since(begin).Round(time.Millisecond), warmUsed)
-		cfg.Joint = j
-	}
-
-	srv, err := serve.New(st, cfg)
+	})
 	if err != nil {
 		return err
 	}
@@ -261,21 +250,4 @@ func run(ctx context.Context, fl cliFlags, phase mica.PhaseConfig, sopt mica.Sto
 	srv.Close()
 	fmt.Println("drained; store closed cleanly")
 	return nil
-}
-
-// selectBenchmarks resolves a comma-separated -bench list, or the
-// whole registry when the list is empty.
-func selectBenchmarks(benchName string) ([]mica.Benchmark, error) {
-	if benchName == "" {
-		return mica.Benchmarks(), nil
-	}
-	var bs []mica.Benchmark
-	for _, n := range strings.Split(benchName, ",") {
-		b, err := mica.BenchmarkByName(strings.TrimSpace(n))
-		if err != nil {
-			return nil, err
-		}
-		bs = append(bs, b)
-	}
-	return bs, nil
 }

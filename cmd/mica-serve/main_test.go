@@ -18,7 +18,7 @@ import (
 func TestValidateFlags(t *testing.T) {
 	ok := cliFlags{
 		storeDir: "phases.ivs", addr: "127.0.0.1:8344", queueCap: 64,
-		retain: 1024, pcaVar: 0.9, warm: true, joint: true,
+		retain: 1024, pcaVar: 0.9,
 	}
 	cases := []struct {
 		name    string
@@ -33,8 +33,6 @@ func TestValidateFlags(t *testing.T) {
 		{"zero retain", func(f *cliFlags) { f.retain = 0 }, "-retain"},
 		{"zero pcavar", func(f *cliFlags) { f.pcaVar = 0 }, "-pcavar"},
 		{"pcavar above one", func(f *cliFlags) { f.pcaVar = 1.5 }, "-pcavar"},
-		{"warm without joint", func(f *cliFlags) { f.joint = false }, "-joint"},
-		{"cold without joint", func(f *cliFlags) { f.joint = false; f.warm = false }, ""},
 		{"tracedir", func(f *cliFlags) { f.traceDir = "td"; f.maxUpload = 1 << 20 }, ""},
 		{"tracedir zero maxupload", func(f *cliFlags) { f.traceDir = "td" }, "-maxupload"},
 	}
@@ -56,27 +54,6 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-func TestSelectBenchmarks(t *testing.T) {
-	all, err := selectBenchmarks("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(mica.Benchmarks()) {
-		t.Fatalf("empty -bench selected %d benchmarks, want the whole registry (%d)",
-			len(all), len(mica.Benchmarks()))
-	}
-	two, err := selectBenchmarks("MiBench/sha/large, SPEC2000/gzip/program")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(two) != 2 || two[0].Name() != "MiBench/sha/large" || two[1].Name() != "SPEC2000/gzip/program" {
-		t.Fatalf("explicit list resolved to %v", two)
-	}
-	if _, err := selectBenchmarks("no/such/bench"); err == nil {
-		t.Fatal("unknown benchmark accepted")
-	}
-}
-
 // TestRunServesAndDrains boots the daemon end to end on a tiny
 // two-benchmark store — warm build, joint vocabulary, live HTTP — then
 // cancels the context and verifies the graceful drain.
@@ -86,16 +63,15 @@ func TestRunServesAndDrains(t *testing.T) {
 
 	fl := cliFlags{
 		storeDir: t.TempDir(), addr: "127.0.0.1:0", queueCap: 8,
-		retain: 16, pcaVar: 0.9, warm: true, joint: true, pprof: true,
+		retain: 16, pcaVar: 0.9, pprof: true,
 	}
 	phase := mica.PhaseConfig{IntervalLen: 1_000, MaxIntervals: 8, MaxK: 3, Seed: 1}
-	sopt := mica.StoreOptions{Dir: fl.storeDir, Incremental: true, WarmStart: true}
 
 	addrCh := make(chan string, 1)
 	runErr := make(chan error, 1)
 	out := captureStdout(t)
 	go func() {
-		runErr <- run(ctx, fl, phase, sopt,
+		runErr <- run(ctx, fl, phase,
 			"MiBench/sha/large,SPEC2000/gzip/program", 2, false,
 			func(addr string) { addrCh <- addr })
 	}()

@@ -266,12 +266,6 @@ func TestPPMOrderOutOfRangeIsError(t *testing.T) {
 			_, err := ProfileBenchmarksCtx(context.Background(), bs, Config{InstBudget: 2_000, PPMOrder: order})
 			return err
 		}},
-		{"AnalyzePhases", func(order int) error {
-			cfg := epPhaseCfg().Phase
-			cfg.Options.PPMOrder = order
-			_, err := AnalyzePhases(sha, cfg)
-			return err
-		}},
 		{"ProfileExact", func(order int) error {
 			cfg := ReducedConfig{Phase: epPhaseCfg().Phase}
 			cfg.FullOptions.PPMOrder = order

@@ -33,15 +33,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := mica.AnalyzePhases(b, mica.PhaseConfig{
-		IntervalLen:  10_000,
-		MaxIntervals: 60,
-		MaxK:         8,
-		Seed:         2006,
+	phase := mica.PhaseConfig{IntervalLen: 10_000, MaxIntervals: 60, MaxK: 8, Seed: 2006}
+	one, err := mica.Run(context.Background(), mica.Request{
+		Benchmarks: []mica.Benchmark{b},
+		Phases:     &mica.PhasePipelineConfig{Phase: phase},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := one.Phases[0].Result
 
 	fmt.Printf("%s: %d intervals of 10k instructions -> %d phases\n\n",
 		name, len(res.Intervals), res.K)
@@ -98,10 +98,8 @@ func main() {
 	req := mica.Request{
 		Benchmarks: bs,
 		Joint:      true,
-		Phases: &mica.PhasePipelineConfig{Phase: mica.PhaseConfig{
-			IntervalLen: 10_000, MaxIntervals: 60, MaxK: 8, Seed: 2006,
-		}},
-		Store: mica.StoreOptions{Dir: filepath.Join(dir, "store"), Incremental: true},
+		Phases:     &mica.PhasePipelineConfig{Phase: phase},
+		Store:      mica.StoreOptions{Dir: filepath.Join(dir, "store"), Incremental: true},
 	}
 
 	rep, err := mica.Run(context.Background(), req)

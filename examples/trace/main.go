@@ -79,18 +79,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, _, err := mica.CharacterizeToStoreCtx(context.Background(), []mica.Benchmark{b, b2},
-		mica.PhasePipelineConfig{Phase: phase},
-		mica.StoreOptions{Dir: filepath.Join(dir, "store")})
+	// The serving store is built the way mica-serve starts: one joint,
+	// store-backed Run, then the committed store reopened for serving.
+	storeDir := filepath.Join(dir, "store")
+	rep, err := mica.Run(context.Background(), mica.Request{
+		Benchmarks: []mica.Benchmark{b, b2},
+		Joint:      true,
+		Phases:     &mica.PhasePipelineConfig{Phase: phase},
+		Store:      mica.StoreOptions{Dir: storeDir, Incremental: true, WarmStart: true},
+	})
 	if err != nil {
-		if st != nil {
-			st.Close()
-		}
+		log.Fatal(err)
+	}
+	st, err := mica.OpenIVStore(storeDir)
+	if err != nil {
 		log.Fatal(err)
 	}
 	defer st.Close()
 	srv, err := serve.New(st, serve.Config{
 		Phase:    phase,
+		Joint:    rep.Joint,
 		TraceDir: filepath.Join(dir, "uploads"),
 	})
 	if err != nil {

@@ -70,7 +70,7 @@ type JobStats struct {
 // for polling.
 type jobManager struct {
 	queue  *pool.Queue
-	run    func(worker int, b mica.Benchmark) (*CharacterizationResult, error)
+	run    func(b mica.Benchmark) (*CharacterizationResult, error)
 	retain int
 	met    *serverMetrics
 
@@ -83,7 +83,7 @@ type jobManager struct {
 }
 
 func newJobManager(workers, queueCap, retain int, met *serverMetrics,
-	run func(worker int, b mica.Benchmark) (*CharacterizationResult, error)) *jobManager {
+	run func(b mica.Benchmark) (*CharacterizationResult, error)) *jobManager {
 	if queueCap <= 0 {
 		queueCap = 64
 	}
@@ -126,7 +126,7 @@ func (m *jobManager) submit(bench mica.Benchmark, key string) (*Job, bool, error
 		Status:    JobQueued,
 		Created:   time.Now(),
 	}
-	if err := m.queue.TrySubmit(func(worker int) { m.execute(worker, j) }); err != nil {
+	if err := m.queue.TrySubmit(func(int) { m.execute(j) }); err != nil {
 		m.met.jobsRejected.Inc()
 		return nil, false, err
 	}
@@ -141,7 +141,7 @@ func (m *jobManager) submit(bench mica.Benchmark, key string) (*Job, bool, error
 // characterization into a job failure (the serving process stays up
 // and the job is observable as failed, matching pool.RunCtx's
 // isolation contract).
-func (m *jobManager) execute(worker int, j *Job) {
+func (m *jobManager) execute(j *Job) {
 	m.mu.Lock()
 	j.Status = JobRunning
 	m.running++
@@ -158,7 +158,7 @@ func (m *jobManager) execute(worker int, j *Job) {
 				err = fmt.Errorf("characterization panicked: %v", r)
 			}
 		}()
-		res, err = m.run(worker, j.bench)
+		res, err = m.run(j.bench)
 	}()
 
 	m.mu.Lock()

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -30,16 +29,7 @@ func TestServeLoad(t *testing.T) {
 	for i, b := range bs {
 		names[i] = b.Name()
 	}
-	st, _, err := mica.CharacterizeToStoreCtx(context.Background(), bs,
-		mica.PhasePipelineConfig{Phase: loadPhase},
-		mica.StoreOptions{Dir: t.TempDir()})
-	if err != nil {
-		if st != nil {
-			st.Close()
-		}
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
+	st := buildTestStore(t, names, loadPhase)
 	s, ts := startServer(t, st, Config{Phase: loadPhase})
 
 	// The library oracle, computed from the same store.

@@ -201,7 +201,7 @@ func TestJobStatsMatchMetrics(t *testing.T) {
 	// rejection deterministic; the last benchmark's job fails.
 	release := make(chan struct{})
 	s.jobs.close()
-	s.jobs = newJobManager(1, 1, 0, s.met, func(worker int, b mica.Benchmark) (*CharacterizationResult, error) {
+	s.jobs = newJobManager(1, 1, 0, s.met, func(b mica.Benchmark) (*CharacterizationResult, error) {
 		<-release
 		if b.Name() == testBenchmarks[1] {
 			return nil, fmt.Errorf("injected failure")

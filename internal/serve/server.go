@@ -4,7 +4,8 @@
 //
 //   - Characterization jobs (submit → job id → poll): a registry
 //     benchmark name comes in; Table I/II rows, the phase timeline and
-//     kiviat data come out. Jobs run on a bounded pool.Queue and are
+//     kiviat data come out, bit-identical to mica.Profile plus a
+//     per-benchmark mica.Run. Jobs run on a bounded pool.Queue and are
 //     deduplicated — in-flight and completed — by the benchmark name
 //     composed with the library's phase-configuration stamp
 //     (mica.PhaseConfigKey), so identical concurrent submissions cost
@@ -38,6 +39,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,6 +48,7 @@ import (
 	"mica"
 	"mica/internal/ivstore"
 	"mica/internal/obs"
+	"mica/internal/phases"
 	"mica/internal/pool"
 	"mica/internal/stats"
 )
@@ -100,8 +103,8 @@ type Server struct {
 }
 
 // CharacterizationResult is a finished job's payload. The numeric
-// fields are exactly what the library path (mica.Profile +
-// mica.AnalyzePhases) produces for the same configuration —
+// fields are exactly what the library path (mica.Profile plus a
+// per-benchmark mica.Run) produces for the same configuration —
 // regression-tested bit-identical.
 type CharacterizationResult struct {
 	Benchmark string `json:"benchmark"`
@@ -151,11 +154,20 @@ type KiviatData struct {
 	Values []float64 `json:"values"`
 }
 
-// New builds a Server over an open committed store. The similarity
+// New builds a Server over an open committed store. The store must
+// have been characterized under cfg.Phase, and a cfg.Joint vocabulary
+// clustered over exactly its shards, in shard order. The similarity
 // index is assembled eagerly (decoding every shard once), so a
 // freshly started server answers its first similarity query warm.
 func New(st *ivstore.Store, cfg Config) (*Server, error) {
 	cfg.Phase = cfg.Phase.WithDefaults()
+	if err := cfg.Phase.Options.Validate(); err != nil {
+		return nil, err
+	}
+	if key := mica.PhaseConfigKey(cfg.Phase); st.ConfigHash() != key {
+		return nil, fmt.Errorf("serve: store %s was characterized under config %.12s, jobs run under %.12s",
+			st.Dir(), st.ConfigHash(), key)
+	}
 	if cfg.PCAVariance <= 0 {
 		cfg.PCAVariance = 0.9
 	}
@@ -169,6 +181,10 @@ func New(st *ivstore.Store, cfg Config) (*Server, error) {
 	}
 	var occ *stats.Matrix
 	if cfg.Joint != nil {
+		if !slices.Equal(cfg.Joint.Benchmarks, st.Benchmarks()) {
+			return nil, fmt.Errorf("serve: joint vocabulary covers %v, store holds %v",
+				cfg.Joint.Benchmarks, st.Benchmarks())
+		}
 		occ = cfg.Joint.Occupancy
 	}
 	sim, err := BuildSimilarity(st, cfg.PCAVariance, occ)
@@ -220,10 +236,11 @@ func (s *Server) Close() {
 // responses are bit-identical to what a CLI/library user computes for
 // the same configuration — whether b is a registry entry or a
 // trace-backed benchmark built from an upload (the handlers resolve
-// the name; the job carries the benchmark). The queue's worker id is
-// accepted for future per-worker state pooling (profiler reuse),
-// matching the batch pipelines' worker contract.
-func (s *Server) characterize(worker int, b mica.Benchmark) (*CharacterizationResult, error) {
+// the name; the job carries the benchmark). Its phase analysis is
+// the one a per-benchmark mica.Run computes, called directly: a Run
+// inside a queue task would count the job's busy time twice in the
+// pool metrics.
+func (s *Server) characterize(b mica.Benchmark) (*CharacterizationResult, error) {
 	name := b.Name()
 	profCfg := mica.Config{
 		InstBudget: s.cfg.Phase.IntervalLen * uint64(s.cfg.Phase.MaxIntervals),
@@ -234,7 +251,11 @@ func (s *Server) characterize(worker int, b mica.Benchmark) (*CharacterizationRe
 	if err != nil {
 		return nil, fmt.Errorf("profiling %s: %w", name, err)
 	}
-	ph, err := mica.AnalyzePhases(b, s.cfg.Phase)
+	src, err := b.Source()
+	if err != nil {
+		return nil, fmt.Errorf("phase analysis of %s: %w", name, err)
+	}
+	ph, err := phases.Analyze(src, s.cfg.Phase)
 	if err != nil {
 		return nil, fmt.Errorf("phase analysis of %s: %w", name, err)
 	}

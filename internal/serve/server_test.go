@@ -36,9 +36,8 @@ var testBenchmarks = []string{
 	"MiBench/FFT/fft-large",
 }
 
-// buildTestStore characterizes names into a fresh store directory and
-// returns the open committed store.
-func buildTestStore(t testing.TB, names []string, phase mica.PhaseConfig) *ivstore.Store {
+// testBenchmarksNamed resolves registry names.
+func testBenchmarksNamed(t testing.TB, names []string) []mica.Benchmark {
 	t.Helper()
 	bs := make([]mica.Benchmark, len(names))
 	for i, n := range names {
@@ -48,17 +47,96 @@ func buildTestStore(t testing.TB, names []string, phase mica.PhaseConfig) *ivsto
 		}
 		bs[i] = b
 	}
-	st, _, err := mica.CharacterizeToStoreCtx(context.Background(), bs,
-		mica.PhasePipelineConfig{Phase: phase},
-		mica.StoreOptions{Dir: t.TempDir()})
+	return bs
+}
+
+// buildTestStore characterizes names into a fresh store directory the
+// way mica-serve starts, through a store-backed mica.Run, and returns
+// the committed store reopened.
+func buildTestStore(t testing.TB, names []string, phase mica.PhaseConfig) *ivstore.Store {
+	t.Helper()
+	dir := t.TempDir()
+	if _, err := mica.Run(context.Background(), mica.Request{
+		Benchmarks: testBenchmarksNamed(t, names),
+		Phases:     &mica.PhasePipelineConfig{Phase: phase},
+		Store:      mica.StoreOptions{Dir: dir},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := mica.OpenIVStore(dir)
 	if err != nil {
-		if st != nil {
-			st.Close()
-		}
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
 	return st
+}
+
+// libraryPhases is b's phase analysis through a per-benchmark
+// mica.Run: the oracle a job's phase summary is held to.
+func libraryPhases(t testing.TB, b mica.Benchmark, phase mica.PhaseConfig) *mica.PhaseResult {
+	t.Helper()
+	rep, err := mica.Run(context.Background(), mica.Request{
+		Benchmarks: []mica.Benchmark{b},
+		Phases:     &mica.PhasePipelineConfig{Phase: phase, Workers: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Phases[0].Result
+}
+
+// TestNewChecksInputs: New refuses, at startup, a configuration no job
+// could run under and a store or joint vocabulary it would serve the
+// wrong rows from.
+func TestNewChecksInputs(t *testing.T) {
+	names := testBenchmarks[:2]
+	st := buildTestStore(t, names, testPhase)
+	joint := func(names ...string) *mica.PhaseJointResult {
+		rep, err := mica.Run(context.Background(), mica.Request{
+			Benchmarks: testBenchmarksNamed(t, names),
+			Joint:      true,
+			Phases:     &mica.PhasePipelineConfig{Phase: testPhase},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Joint
+	}
+	badPPM := testPhase
+	badPPM.Options.PPMOrder = -1
+	otherSeed := testPhase
+	otherSeed.Seed++
+	cases := []struct {
+		name    string
+		cfg     Config
+		wantErr string
+	}{
+		{"matching", Config{Phase: testPhase, Joint: joint(names[0], names[1])}, ""},
+		{"no joint", Config{Phase: testPhase}, ""},
+		{"invalid options", Config{Phase: badPPM}, "PPM order"},
+		{"other config", Config{Phase: otherSeed}, "characterized under config"},
+		{"joint in another order", Config{Phase: testPhase, Joint: joint(names[1], names[0])}, "joint vocabulary covers"},
+		{"joint over fewer benchmarks", Config{Phase: testPhase, Joint: joint(names[0])}, "joint vocabulary covers"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(st, tc.cfg)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("valid config rejected: %v", err)
+				}
+				s.Close()
+				return
+			}
+			if err == nil {
+				s.Close()
+				t.Fatalf("accepted, want an error mentioning %q", tc.wantErr)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q, want mention of %q", err, tc.wantErr)
+			}
+		})
+	}
 }
 
 // startServer stands a Server up over st behind an httptest listener.
@@ -139,8 +217,8 @@ func pollJob(t testing.TB, base, id string) jobResponse {
 }
 
 // TestServeCharacterizeMatchesLibrary: a submitted job's result is
-// bit-identical to the direct library path (mica.Profile +
-// mica.AnalyzePhases) for the same configuration, and duplicate
+// bit-identical to the direct library path (mica.Profile plus a
+// per-benchmark mica.Run) for the same configuration, and duplicate
 // submissions collapse onto one execution.
 func TestServeCharacterizeMatchesLibrary(t *testing.T) {
 	st := buildTestStore(t, testBenchmarks, testPhase)
@@ -174,10 +252,7 @@ func TestServeCharacterizeMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph, err := mica.AnalyzePhases(b, phase)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ph := libraryPhases(t, b, phase)
 
 	if res.Insts != pr.Insts {
 		t.Fatalf("served insts %d, library %d", res.Insts, pr.Insts)
@@ -203,7 +278,7 @@ func TestServeCharacterizeMatchesLibrary(t *testing.T) {
 		wantTimeline[i] = byte('A' + p%26)
 	}
 	if res.Phases.Timeline != string(wantTimeline) {
-		t.Fatal("served phase timeline diverges from mica.AnalyzePhases")
+		t.Fatal("served phase timeline diverges from mica.Run")
 	}
 	if res.Kiviat == nil || len(res.Kiviat.Labels) != len(mica.KeyCharacteristics()) {
 		t.Fatal("stored benchmark's job result is missing kiviat data")
@@ -346,7 +421,7 @@ func TestServeBackpressureAndShutdown(t *testing.T) {
 	// before the listener starts, so no handler observes it mid-write.
 	release := make(chan struct{})
 	s.jobs.close()
-	s.jobs = newJobManager(1, 1, 0, newServerMetrics(), func(worker int, b mica.Benchmark) (*CharacterizationResult, error) {
+	s.jobs = newJobManager(1, 1, 0, newServerMetrics(), func(b mica.Benchmark) (*CharacterizationResult, error) {
 		<-release
 		return &CharacterizationResult{Benchmark: b.Name()}, nil
 	})
@@ -432,7 +507,7 @@ func testBench(name string) mica.Benchmark {
 func TestJobManagerFailureRetry(t *testing.T) {
 	calls := 0
 	fail := true
-	m := newJobManager(1, 4, 0, newServerMetrics(), func(worker int, b mica.Benchmark) (*CharacterizationResult, error) {
+	m := newJobManager(1, 4, 0, newServerMetrics(), func(b mica.Benchmark) (*CharacterizationResult, error) {
 		calls++
 		if fail {
 			return nil, errors.New("injected failure")
@@ -467,7 +542,7 @@ func TestJobManagerFailureRetry(t *testing.T) {
 // TestJobManagerPanicIsolation: a panicking characterization marks the
 // job failed and the manager keeps serving.
 func TestJobManagerPanicIsolation(t *testing.T) {
-	m := newJobManager(1, 4, 0, newServerMetrics(), func(worker int, b mica.Benchmark) (*CharacterizationResult, error) {
+	m := newJobManager(1, 4, 0, newServerMetrics(), func(b mica.Benchmark) (*CharacterizationResult, error) {
 		if b.Program == "bad" {
 			panic("characterization exploded")
 		}
@@ -493,7 +568,7 @@ func TestJobManagerPanicIsolation(t *testing.T) {
 // TestJobManagerRetention: finished jobs beyond the retention bound
 // are evicted, in-flight dedup mappings are never evicted.
 func TestJobManagerRetention(t *testing.T) {
-	m := newJobManager(1, 16, 2, newServerMetrics(), func(worker int, b mica.Benchmark) (*CharacterizationResult, error) {
+	m := newJobManager(1, 16, 2, newServerMetrics(), func(b mica.Benchmark) (*CharacterizationResult, error) {
 		return &CharacterizationResult{Benchmark: b.Name()}, nil
 	})
 	var ids []string
@@ -612,10 +687,7 @@ func TestServeTraceUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph, err := mica.AnalyzePhases(b, phase)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ph := libraryPhases(t, b, phase)
 	if res.Insts != pr.Insts {
 		t.Fatalf("uploaded-trace insts %d, live %d", res.Insts, pr.Insts)
 	}

@@ -22,8 +22,7 @@ import (
 type Similarity struct {
 	names  []string
 	index  map[string]int
-	sig    *stats.Matrix // raw signatures, benchmarks x dims
-	norm   *stats.Matrix // z-scored signatures
+	norm   *stats.Matrix // z-scored signatures, benchmarks x dims
 	coords *stats.Matrix // PCA coordinates, benchmarks x pcaK
 
 	pcaK      int
@@ -63,9 +62,9 @@ func BuildSimilarity(st *ivstore.Store, pcaFrac float64, occ *stats.Matrix) (*Si
 	s := &Similarity{
 		names: st.Benchmarks(),
 		index: make(map[string]int, len(shards)),
-		sig:   stats.NewMatrix(len(shards), st.Dims()),
 		occ:   occ,
 	}
+	sigs := stats.NewMatrix(len(shards), st.Dims()) // raw signatures
 	for i, name := range s.names {
 		s.index[name] = i
 	}
@@ -74,7 +73,7 @@ func BuildSimilarity(st *ivstore.Store, pcaFrac float64, occ *stats.Matrix) (*Si
 		if err != nil {
 			return nil, fmt.Errorf("serve: building similarity index: %w", err)
 		}
-		sig := s.sig.Row(i)
+		sig := sigs.Row(i)
 		var total float64
 		for r := 0; r < data.Vecs.Rows; r++ {
 			w := float64(data.Insts[r])
@@ -90,19 +89,13 @@ func BuildSimilarity(st *ivstore.Store, pcaFrac float64, occ *stats.Matrix) (*Si
 			}
 		}
 	}
-	s.norm = stats.ZScoreNormalize(s.sig)
+	s.norm = stats.ZScoreNormalize(sigs)
 	fit := pca.Fit(s.norm)
 	s.pcaK = fit.ComponentsNeeded(pcaFrac)
 	s.explained = fit.ExplainedVariance(s.pcaK)
 	s.coords = fit.Transform(s.norm, s.pcaK)
 	return s, nil
 }
-
-// Len returns the number of indexed benchmarks.
-func (s *Similarity) Len() int { return len(s.names) }
-
-// Names returns the indexed benchmark names in store order.
-func (s *Similarity) Names() []string { return s.names }
 
 // Components returns the retained PCA dimensionality and the variance
 // fraction it explains.

@@ -296,5 +296,23 @@ func ByName(name string) (Benchmark, error) {
 	return Benchmark{}, fmt.Errorf("suites: unknown benchmark %q", name)
 }
 
+// Select resolves a comma-separated list of benchmark names, as the
+// CLIs' -bench flag takes it, or the whole registry when the list is
+// empty.
+func Select(list string) ([]Benchmark, error) {
+	if list == "" {
+		return All(), nil
+	}
+	var bs []Benchmark
+	for _, n := range strings.Split(list, ",") {
+		b, err := ByName(strings.TrimSpace(n))
+		if err != nil {
+			return nil, err
+		}
+		bs = append(bs, b)
+	}
+	return bs, nil
+}
+
 // Count returns the number of registered benchmarks (122).
 func Count() int { return len(all) }

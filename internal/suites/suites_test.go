@@ -110,6 +110,26 @@ func TestEveryBenchmarkRuns(t *testing.T) {
 	}
 }
 
+func TestSelectBenchmarks(t *testing.T) {
+	all, err := Select("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != Count() {
+		t.Fatalf("empty list selected %d benchmarks, want the whole registry (%d)", len(all), Count())
+	}
+	two, err := Select("MiBench/sha/large, SPEC2000/gzip/program")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(two) != 2 || two[0].Name() != "MiBench/sha/large" || two[1].Name() != "SPEC2000/gzip/program" {
+		t.Fatalf("explicit list resolved to %v", two)
+	}
+	if _, err := Select("no/such/bench"); err == nil {
+		t.Fatal("unknown benchmark accepted")
+	}
+}
+
 func TestAllReturnsCopy(t *testing.T) {
 	a := All()
 	a[0].Program = "mutated"

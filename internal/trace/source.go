@@ -14,7 +14,7 @@ var ErrBudget = errors.New("trace: instruction budget exhausted")
 // (*vm.Machine) and the trace-file *Reader both implement it; every
 // analyzer pipeline consumes this interface instead of a concrete
 // producer, which is what lets recorded traces flow through
-// Profile/AnalyzePhases/reduced profiling unchanged.
+// Profile/phase analysis/reduced profiling unchanged.
 //
 // Run delivers up to budget events to obs (budget <= 0 means
 // unlimited; obs may be nil to skip delivery) and returns the number of

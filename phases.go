@@ -10,7 +10,7 @@ import (
 // extension the paper's related-work section connects to SimPoint-style
 // reduced simulation.
 type (
-	// PhaseConfig parameterizes AnalyzePhases.
+	// PhaseConfig parameterizes phase analysis.
 	PhaseConfig = phases.Config
 	// PhaseResult is a benchmark's phase decomposition.
 	PhaseResult = phases.Result
@@ -27,26 +27,6 @@ type (
 	// cross-benchmark simulation point.
 	PhaseJointRepresentative = phases.JointRepresentative
 )
-
-// AnalyzePhases splits one benchmark's execution into fixed-length
-// intervals, characterizes each with the Table II metrics as the VM
-// runs (streaming: one profiler reused across all intervals), clusters
-// the intervals into phases (k-means + BIC) and selects one weighted
-// representative interval per phase.
-func AnalyzePhases(b Benchmark, cfg PhaseConfig) (*PhaseResult, error) {
-	if err := cfg.Options.Validate(); err != nil {
-		return nil, err
-	}
-	m, err := b.Source()
-	if err != nil {
-		return nil, err
-	}
-	// Only zero fields default: the zero Options value already means
-	// "all 47 characteristics, memory dependencies tracked, default PPM
-	// order", so a caller's Subset, NoMemDeps or explicit PPMOrder is
-	// honored rather than clobbered.
-	return phases.Analyze(m, cfg)
-}
 
 // PhasePipelineConfig parameterizes a Run of the phase pipelines.
 type PhasePipelineConfig struct {

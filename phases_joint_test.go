@@ -9,9 +9,9 @@ import (
 
 // TestAnalyzePhasesJointSingleBenchmarkBitIdentical is the top-level
 // differential contract: the in-memory joint Run path over exactly one
-// registry benchmark must reproduce AnalyzePhases bit for bit —
+// registry benchmark must reproduce phases.Analyze bit for bit —
 // assignment, K and representatives — and the shard it clusters holds
-// AnalyzePhases' vectors as characterized (read back through the
+// phases.Analyze's vectors as characterized (read back through the
 // per-benchmark Run, which shares the characterization).
 func TestAnalyzePhasesJointSingleBenchmarkBitIdentical(t *testing.T) {
 	for _, name := range []string{"SPEC2000/twolf/ref", "MiBench/sha/large"} {
@@ -20,10 +20,7 @@ func TestAnalyzePhasesJointSingleBenchmarkBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := PhaseConfig{IntervalLen: 2_000, MaxIntervals: 15, MaxK: 4, Seed: 9}
-		want, err := AnalyzePhases(b, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := analyzeSource(t, b, cfg)
 		rep, err := Run(context.Background(), Request{
 			Benchmarks: []Benchmark{b}, Joint: true, Phases: &PhasePipelineConfig{Phase: cfg, Workers: 1},
 		})
@@ -38,7 +35,7 @@ func TestAnalyzePhasesJointSingleBenchmarkBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(per.Phases[0].Result.Vectors.Data, want.Vectors.Data) {
-			t.Errorf("%s: in-memory shard vectors diverge from AnalyzePhases", name)
+			t.Errorf("%s: in-memory shard vectors diverge from phases.Analyze", name)
 		}
 		if joint.K != want.K || !reflect.DeepEqual(joint.Assign, want.Assign) {
 			t.Errorf("%s: joint assignment diverges (K %d vs %d)", name, joint.K, want.K)

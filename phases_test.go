@@ -10,20 +10,45 @@ import (
 	"mica/internal/phases"
 )
 
+// runPhases is b's phase analysis through a per-benchmark Run.
+func runPhases(t testing.TB, b Benchmark, cfg PhaseConfig) *PhaseResult {
+	t.Helper()
+	rep, err := Run(context.Background(), Request{
+		Benchmarks: []Benchmark{b}, Phases: &PhasePipelineConfig{Phase: cfg, Workers: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Phases[0].Result
+}
+
+// analyzeSource is b's phase analysis by phases.Analyze, which streams
+// the intervals of one source through one profiler and clusters them:
+// the oracle the shard pipelines are held to.
+func analyzeSource(t testing.TB, b Benchmark, cfg PhaseConfig) *PhaseResult {
+	t.Helper()
+	m, err := b.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := phases.Analyze(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestAnalyzePhasesOnRegistryBenchmark(t *testing.T) {
 	b, err := BenchmarkByName("SPEC2000/twolf/ref")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := AnalyzePhases(b, PhaseConfig{
+	res := runPhases(t, b, PhaseConfig{
 		IntervalLen:  5_000,
 		MaxIntervals: 20,
 		MaxK:         5,
 		Seed:         1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(res.Intervals) != 20 {
 		t.Fatalf("got %d intervals", len(res.Intervals))
 	}
@@ -46,10 +71,7 @@ func TestAnalyzePhasesDefaultsApplied(t *testing.T) {
 	}
 	// Zero-valued config: defaults must kick in (including profiler
 	// options with memory-dependence tracking).
-	res, err := AnalyzePhases(b, PhaseConfig{MaxIntervals: 5, IntervalLen: 2_000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPhases(t, b, PhaseConfig{MaxIntervals: 5, IntervalLen: 2_000})
 	if len(res.Intervals) != 5 {
 		t.Fatalf("got %d intervals", len(res.Intervals))
 	}
@@ -60,7 +82,7 @@ func TestAnalyzePhasesDefaultsApplied(t *testing.T) {
 }
 
 // TestAnalyzePhasesHonorsOptions is the regression test for the option
-// clobbering bug: AnalyzePhases used to replace the caller's entire
+// clobbering bug: phase analysis used to replace the caller's entire
 // Options struct whenever PPMOrder was zero, silently discarding Subset
 // (and a disabled mem-deps setting). A subset restricted to the
 // instruction mix must keep every non-mix characteristic at zero.
@@ -75,10 +97,7 @@ func TestAnalyzePhasesHonorsOptions(t *testing.T) {
 	}
 	cfg := PhaseConfig{MaxIntervals: 4, IntervalLen: 2_000}
 	cfg.Options.Subset = subset
-	res, err := AnalyzePhases(b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPhases(t, b, cfg)
 	for i := range res.Intervals {
 		for c := 6; c < NumChars; c++ {
 			if res.Vectors.At(i, c) != 0 {
@@ -164,7 +183,7 @@ func TestAnalyzePhasesAllRegistryPaperScale(t *testing.T) {
 
 // TestAnalyzePhasesBenchmarksOrder covers the pipeline at small scale:
 // input order preserved and per-benchmark results equal to the
-// single-benchmark entry point.
+// streaming single-benchmark analysis, phases.Analyze.
 func TestAnalyzePhasesBenchmarksOrder(t *testing.T) {
 	names := []string{"MiBench/sha/large", "SPEC2000/gzip/program", "CommBench/drr/drr"}
 	bs := make([]Benchmark, len(names))
@@ -195,12 +214,8 @@ func TestAnalyzePhasesBenchmarksOrder(t *testing.T) {
 		if r.Benchmark.Name() != names[i] {
 			t.Errorf("result %d is %s, want %s", i, r.Benchmark.Name(), names[i])
 		}
-		single, err := AnalyzePhases(bs[i], pcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r.Result, single) {
-			t.Errorf("%s: pipeline result diverges from AnalyzePhases", names[i])
+		if single := analyzeSource(t, bs[i], pcfg); !reflect.DeepEqual(r.Result, single) {
+			t.Errorf("%s: pipeline result diverges from phases.Analyze", names[i])
 		}
 	}
 }
@@ -238,15 +253,12 @@ func BenchmarkPhaseAnalysis(b *testing.B) {
 	}
 	var k int
 	for i := 0; i < b.N; i++ {
-		res, err := AnalyzePhases(bench, PhaseConfig{
+		res := analyzeSource(b, bench, PhaseConfig{
 			IntervalLen:  5_000,
 			MaxIntervals: 20,
 			MaxK:         6,
 			Seed:         int64(i),
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 		k = res.K
 	}
 	b.ReportMetric(float64(k), "phases")

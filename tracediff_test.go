@@ -67,14 +67,8 @@ func TestTracePhasesMatchLiveVM(t *testing.T) {
 	}
 	replay := tracePair(t, live, diffBudget)
 
-	want, err := AnalyzePhases(live, diffPhaseCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := AnalyzePhases(replay, diffPhaseCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runPhases(t, live, diffPhaseCfg)
+	got := runPhases(t, replay, diffPhaseCfg)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("phase decomposition diverges: replay K=%d/%d intervals, live K=%d/%d",
 			got.K, len(got.Intervals), want.K, len(want.Intervals))
